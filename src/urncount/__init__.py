@@ -17,6 +17,7 @@ from .fingerprint import (
     Fingerprint,
     Histogram,
     fingerprint,
+    fingerprint_from_count_values,
     histogram,
     parse_fingerprint,
     serialize_fingerprint,
@@ -45,10 +46,14 @@ from .orthopoly import (
 from .rng import RngStream
 from .sampling import (
     SampleBatch,
+    bernoulli_counts,
     draw_bernoulli,
     draw_poissonized,
     draw_with_replacement,
     draw_without_replacement,
+    hypergeometric_counts,
+    multinomial_counts,
+    poissonized_color_counts,
     simulate_with_from_without,
 )
 from .stirling import (

@@ -5,8 +5,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from collections import Counter
 from pathlib import Path
+
+import numpy as np
 
 from .estimator import build_estimator, estimate, select_params
 from .fingerprint import fingerprint_from_count_values, parse_fingerprint
@@ -59,7 +60,12 @@ def _cmd_estimate(args) -> int:
             for line in Path(args.samples).read_text().splitlines()
             if line.strip() and not line.startswith("#")
         ]
-        fp = fingerprint_from_count_values(Counter(draws).values())
+        try:
+            ids = np.array(draws, dtype=np.int64)
+        except OverflowError:  # ids past the int64 range
+            ids = np.array(draws, dtype=object)
+        _, counts = np.unique(ids, return_counts=True)
+        fp = fingerprint_from_count_values(counts)
     else:
         fp = parse_fingerprint(Path(args.fingerprint).read_text())
     result = estimate(fp, coeffs, args.k, params)

@@ -11,15 +11,16 @@ from __future__ import annotations
 
 import math
 import threading
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
+import numpy as np
+
 from .fingerprint import Fingerprint
 from .orthopoly import CoefficientVector, solve_l2
 from .rng import RngStream
-from .stirling import interp_coeffs
+from .stirling import MAX_TABLE_N, interp_coeffs
 from .urn import UrnSpec
 
 DEFAULT_ALPHA = 0.5
@@ -83,21 +84,25 @@ def select_params(
     alpha: float | None = None,
     beta: float | None = None,
     eta: float | None = None,
+    regime: str | None = None,
 ) -> EstimatorParams:
     """Pick degree L, node count M, and regime for the sample size at hand.
 
     Oversampling (n > eta*k) switches to interpolation with L = M =
     ceil(3.5 (k/n) log k); otherwise L = ceil(alpha log k) and
-    M = ceil(beta k log k / n), raised to L+1 if needed.
+    M = ceil(beta k log k / n), raised to L+1 if needed.  ``regime`` forces
+    one of the two rules at any n.
     """
     if k < 2:
         raise ValueError("k must be >= 2")
     if n < 1:
         raise ValueError("n must be >= 1")
+    if regime not in (None, REGIME_L2, REGIME_INTERPOLATION):
+        raise ValueError(f"unknown regime {regime!r}")
     a = DEFAULT_ALPHA if alpha is None else alpha
     e = DEFAULT_ETA if eta is None else eta
     logk = math.log(k)
-    if n > e * k:
+    if regime == REGIME_INTERPOLATION or (regime is None and n > e * k):
         b = INTERPOLATION_BETA if beta is None else beta
         size = max(1, math.ceil(b * (k / n) * logk))
         return EstimatorParams(k, n, a, b, e, size, size, REGIME_INTERPOLATION)
@@ -121,6 +126,12 @@ def build_estimator(params: EstimatorParams) -> CoefficientVector:
     if params.regime == REGIME_L2:
         coeffs = solve_l2(params.M, params.L).with_sample_params(params.k, params.n)
     else:
+        if params.M >= MAX_TABLE_N:  # the coefficients need s(M+1, .)
+            raise ParameterizationError(
+                f"interpolation at k={params.k}, n={params.n} needs M={params.M} nodes, "
+                f"past the {MAX_TABLE_N}-node cap of the exact Stirling table "
+                f"(M <= {MAX_TABLE_N - 1})"
+            )
         coeffs = interp_coeffs(params.M, params.k, params.n)
         if coeffs.overflow:
             raise ParameterizationError(
@@ -197,9 +208,9 @@ def exact_bias(urn: UrnSpec, coeffs: CoefficientVector, n: int, *, exact: bool =
             raise ParameterizationError("coefficient vector has no float w (overflow?)")
         poly = _poly_value_float
         one = 1.0
-    by_mult = Counter(mult for _, mult in urn.colors)
+    values, _, bounds = urn.mult_groups
     total = 0.0
-    for mult, count in sorted(by_mult.items()):
+    for mult, count in zip(values.tolist(), np.diff(bounds).tolist()):
         gap = poly(coeffs, mult) - one
         if gap == 0:
             continue

@@ -11,6 +11,8 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping
 
+import numpy as np
+
 from .sampling import SampleBatch
 
 
@@ -53,19 +55,22 @@ def histogram_from_counts(counts: Mapping[int, int]) -> Histogram:
 
 
 def fingerprint(h: Histogram) -> Fingerprint:
-    return Fingerprint(dict(Counter(h.counts.values())), len(h.counts))
+    return fingerprint_from_count_values(list(h.counts.values()))
 
 
 def fingerprint_from_count_values(count_values) -> Fingerprint:
-    """Fingerprint straight from an iterable of per-color counts (zeros allowed)."""
-    phi = Counter()
-    c_seen = 0
-    for cnt in count_values:
-        cnt = int(cnt)
-        if cnt > 0:
-            phi[cnt] += 1
-            c_seen += 1
-    return Fingerprint(dict(phi), c_seen)
+    """Fingerprint of per-color counts (an int array or sequence; zeros allowed).
+
+    The one fingerprint constructor: a single ``np.bincount``.
+    """
+    counts = np.asarray(count_values, dtype=np.int64)
+    if counts.size == 0:
+        return Fingerprint({}, 0)
+    if counts.min() < 0:
+        raise ValueError("per-color counts must be >= 0")
+    bc = np.bincount(counts)
+    js = np.flatnonzero(bc[1:]) + 1
+    return Fingerprint(dict(zip(js.tolist(), bc[js].tolist())), int(counts.size - bc[0]))
 
 
 def parse_fingerprint(text: str) -> Fingerprint:

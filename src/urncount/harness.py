@@ -12,24 +12,20 @@ import math
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
-import numpy as np
-
 from .estimator import (
-    EstimatorParams,
-    REGIME_INTERPOLATION,
-    REGIME_L2,
+    ParameterizationError,
     build_estimator,
     estimate,
     exact_bias,
     naive_coefficients,
     select_params,
 )
-from .fingerprint import Fingerprint, fingerprint, histogram
+from .fingerprint import Fingerprint, fingerprint_from_count_values
 from .rng import RngStream
 from .sampling import (
-    draw_bernoulli,
-    draw_with_replacement,
-    draw_without_replacement,
+    bernoulli_counts,
+    hypergeometric_counts,
+    multinomial_counts,
     poissonized_color_counts,
 )
 from .urn import UrnSpec, make_hard_pair, make_uniform_support, parse_urn
@@ -69,6 +65,9 @@ class ExperimentConfig:
         for tag in self.estimators:
             if tag not in ESTIMATOR_TAGS:
                 raise ValueError(f"estimators: unknown tag {tag!r}")
+        if self.urn_source[0] == "hard_pair" and tuple(self.estimators) != ("auto",):
+            raise ValueError(
+                f"estimators: hard_pair experiments run only 'auto', got {list(self.estimators)}")
         for fmt in self.outputs:
             if fmt not in ("csv", "json"):
                 raise ValueError(f"outputs: unknown format {fmt!r}")
@@ -111,39 +110,35 @@ def resolve_urn(source: tuple) -> UrnSpec:
     raise ValueError(f"urn: cannot resolve source {source!r}")
 
 
-def _fingerprint_from_array(counts: np.ndarray) -> Fingerprint:
-    if counts.size == 0:
-        return Fingerprint({}, 0)
-    bc = np.bincount(counts)
-    zeros = int(bc[0]) if bc.size else 0
-    phi = {j: int(bc[j]) for j in range(1, bc.size) if bc[j] > 0}
-    return Fingerprint(phi, int(counts.size - zeros))
+def _check_model_size(model: str, n_grid, k: int) -> None:
+    if model in ("hypergeometric", "bernoulli") and max(n_grid) > k:
+        raise ValueError(f"n_grid: model {model} needs n <= k = {k}")
 
 
 def _draw_fingerprint(urn: UrnSpec, model: str, n: int, rng: RngStream) -> Fingerprint:
+    """One sample's fingerprint: the model's per-color counts, then one bincount."""
     if model == "poissonized":
-        return _fingerprint_from_array(poissonized_color_counts(urn, n, rng))
-    if model == "multinomial":
-        return fingerprint(histogram(draw_with_replacement(urn, n, rng)))
-    if model == "hypergeometric":
-        return fingerprint(histogram(draw_without_replacement(urn, n, rng)))
-    if model == "bernoulli":
-        return fingerprint(histogram(draw_bernoulli(urn, n / urn.k, rng)))
-    raise ValueError(f"model: unknown tag {model!r}")
+        counts = poissonized_color_counts(urn, n, rng)
+    elif model == "multinomial":
+        counts = multinomial_counts(urn, n, rng)
+    elif model == "hypergeometric":
+        counts = hypergeometric_counts(urn, n, rng)
+    elif model == "bernoulli":
+        counts = bernoulli_counts(urn, n / urn.k, rng)
+    else:
+        raise ValueError(f"model: unknown tag {model!r}")
+    return fingerprint_from_count_values(counts)
 
 
-def _params_for(tag: str, k: int, n: int) -> EstimatorParams | None:
+def _plan(tag: str, k: int, n: int) -> tuple:
+    """(tag, params, coeffs) for one estimator tag; naive has no params."""
     if tag == "naive":
-        return None
-    if tag == "auto":
-        return select_params(k, n)
-    logk = math.log(k)
-    if tag == "l2":
-        L = max(1, math.ceil(0.5 * logk))
-        M = max(L + 1, math.ceil(2.0 * k * logk / n))
-        return EstimatorParams(k, n, 0.5, 2.0, 1.0, L, M, REGIME_L2)
-    size = max(1, math.ceil(3.5 * (k / n) * logk))
-    return EstimatorParams(k, n, 0.5, 3.5, 1.0, size, size, REGIME_INTERPOLATION)
+        return tag, None, naive_coefficients()
+    params = select_params(k, n, regime=None if tag == "auto" else tag)
+    try:
+        return tag, params, build_estimator(params)
+    except ParameterizationError as exc:
+        raise ParameterizationError(f"estimators: tag {tag!r} at k={k}, n={n}: {exc}") from None
 
 
 def run_risk_curve(cfg: ExperimentConfig) -> list[RiskRow]:
@@ -154,15 +149,11 @@ def run_risk_curve(cfg: ExperimentConfig) -> list[RiskRow]:
     """
     urn = resolve_urn(cfg.urn_source)
     k, c_true = urn.k, urn.C
-    if cfg.model in ("hypergeometric", "bernoulli") and cfg.n_grid[-1] > k:
-        raise ValueError(f"n_grid: model {cfg.model} needs n <= k = {k}")
+    _check_model_size(cfg.model, cfg.n_grid, k)
+    # every cell's coefficients first, so a bad parameterization fails before any trial
+    grid_plans = [[_plan(tag, k, n) for tag in cfg.estimators] for n in cfg.n_grid]
     rows: list[RiskRow] = []
-    for ni, n in enumerate(cfg.n_grid):
-        plans = []
-        for tag in cfg.estimators:
-            params = _params_for(tag, k, n)
-            coeffs = naive_coefficients() if params is None else build_estimator(params)
-            plans.append((tag, params, coeffs))
+    for ni, (n, plans) in enumerate(zip(cfg.n_grid, grid_plans)):
         acc = {tag: [0.0, 0.0, 0.0] for tag in cfg.estimators}  # sum_hat, sum_sq, sum_tilde
         for t in range(cfg.trials):
             rng = RngStream(cfg.master_seed, (ni << 32) | t)
@@ -208,12 +199,10 @@ def correlation_experiment(
         raise ValueError("j_max must be >= 1")
     series: list[list[float]] = [[] for _ in range(j_max + 1)]
     for t in range(trials):
-        rng = RngStream(seed, t)
-        counts = poissonized_color_counts(urn, n, rng)
-        bc = np.bincount(counts, minlength=j_max + 1)
-        series[0].append(float(urn.C - (counts.size - int(bc[0]))))
+        fp = fingerprint_from_count_values(poissonized_color_counts(urn, n, RngStream(seed, t)))
+        series[0].append(float(urn.C - fp.c_seen))
         for j in range(1, j_max + 1):
-            series[j].append(float(bc[j]) if j < bc.size else 0.0)
+            series[j].append(float(fp.phi.get(j, 0)))
     rows = []
     for j in range(1, j_max + 1):
         rows.append(CorrelationRow(
@@ -240,12 +229,13 @@ def _pearson(xs: list[float], ys: list[float]) -> float | None:
 
 
 def hard_pair_experiment(
-    k: int, delta: int, n_grid, trials: int, seed: int
+    k: int, delta: int, n_grid, trials: int, seed: int, model: str = "multinomial"
 ) -> list[HardPairRow]:
     """Failure rate |c_hat - C| >= delta of the auto estimator on a hard pair,
-    under with-replacement sampling."""
+    under the given sampling model (default: with replacement)."""
     if trials < 1:
         raise ValueError("trials: must be >= 1")
+    _check_model_size(model, n_grid, k)
     pair = make_hard_pair(k, delta, seed)
     rows = []
     for ni, n in enumerate(sorted(n_grid)):
@@ -256,7 +246,7 @@ def hard_pair_experiment(
             total_hat = 0.0
             for t in range(trials):
                 rng = RngStream(seed, ((ni * 2 + ui) << 32) | t)
-                fp = fingerprint(histogram(draw_with_replacement(urn, n, rng)))
+                fp = _draw_fingerprint(urn, model, n, rng)
                 res = estimate(fp, coeffs, k, params)
                 total_hat += res.c_hat
                 if abs(res.c_hat - urn.C) >= delta:
@@ -318,7 +308,9 @@ def load_experiment_config(source: str | dict) -> ExperimentConfig:
         urn_source = ("hard_pair", int(h["k"]), int(h["delta"]))
     else:
         raise ValueError("urn: expected one of file / uniform / hard_pair")
-    model_raw = obj.get("model", "poissonized")
+    # hard pairs were defined under with-replacement sampling
+    default_model = "multinomial" if urn_source[0] == "hard_pair" else "poissonized"
+    model_raw = obj.get("model", default_model)
     if model_raw not in MODEL_ALIASES:
         raise ValueError(f"model: unknown tag {model_raw!r}")
     return ExperimentConfig(
@@ -338,7 +330,7 @@ def run_experiment_files(cfg: ExperimentConfig, out_dir) -> list[Path]:
     out.mkdir(parents=True, exist_ok=True)
     if cfg.urn_source[0] == "hard_pair":
         _, k, delta = cfg.urn_source
-        rows = hard_pair_experiment(k, delta, cfg.n_grid, cfg.trials, cfg.master_seed)
+        rows = hard_pair_experiment(k, delta, cfg.n_grid, cfg.trials, cfg.master_seed, cfg.model)
         stem = "hard_pair"
     else:
         rows = run_risk_curve(cfg)

@@ -113,10 +113,6 @@ class ChebyshevBasis:
             return Fraction(acc, factorial(m))
         return acc / factorial(m)
 
-    def value_rows(self) -> list[list[Fraction]]:
-        """t_m at the nodes x = 0..M-1, exact."""
-        return [[self.eval_exact(m, x) for x in range(self.M)] for m in range(self.L + 1)]
-
 
 def chebyshev_basis(M: int, L: int) -> ChebyshevBasis:
     """Build t_0..t_L for the M-node basis; requires L <= M-1."""
@@ -319,26 +315,6 @@ def l2_residual_sq_exact(w_exact, M: int) -> Fraction:
             acc = (acc + wj) * x
         total += (acc - 1) ** 2
     return total
-
-
-def l2_residual(w, M: int) -> float:
-    """||Bw - 1||_2 evaluated in floating point."""
-    total = 0.0
-    for a in range(1, M + 1):
-        x = a / M
-        acc = 0.0
-        for wj in reversed(w):
-            acc = (acc + wj) * x
-        total += (acc - 1.0) ** 2
-    return math.sqrt(total)
-
-
-def _solve_l2_normal_equations(M: int, L: int) -> np.ndarray:
-    """Cross-check path for tiny sizes only: solve (B^T B) w = B^T 1."""
-    nodes = np.arange(1, M + 1) / M
-    B = np.column_stack([nodes**j for j in range(1, L + 1)])
-    gram = B.T @ B
-    return np.linalg.solve(gram, B.T @ np.ones(M))
 
 
 def w_to_u(w, k: int, n: int, M: int) -> tuple[float, ...]:

@@ -10,6 +10,7 @@ streams with distinct indices never share state.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -17,6 +18,9 @@ _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
+
+_U_GOLDEN, _U_MIX1, _U_MIX2 = np.uint64(_GOLDEN), np.uint64(_MIX1), np.uint64(_MIX2)
+_U30, _U27, _U31 = np.uint64(30), np.uint64(27), np.uint64(31)
 
 # exp(700) is finite in float64; beyond this, stay in log space.
 LOG_FLOAT_LIMIT = 700.0
@@ -29,26 +33,63 @@ def _mix(z: int) -> int:
     return z ^ (z >> 31)
 
 
-# Poisson inversion CDF tables, keyed by the (float) mean.  Entries are
-# immutable once built, so a benign race at worst rebuilds the same table.
-_POISSON_CDF_CACHE: dict[float, np.ndarray] = {}
+# Output blocks are drawn at most this many values at a time.
+_BLOCK = 1 << 16
+
+# Distinct Poisson means whose inversion tables are kept (least recently used
+# evicted first).
+POISSON_CDF_CACHE_SIZE = 1024
 
 
+@lru_cache(maxsize=POISSON_CDF_CACHE_SIZE)
 def _poisson_cdf(lam: float) -> np.ndarray:
-    table = _POISSON_CDF_CACHE.get(lam)
-    if table is None:
-        p = math.exp(-lam)
-        s = p
-        cdf = [s]
-        x = 0
-        while p > 0.0:
-            x += 1
-            p *= lam / x
-            s += p
-            cdf.append(s)
-        table = np.array(cdf)
-        _POISSON_CDF_CACHE[lam] = table
+    """Sequentially accumulated Poisson(lam) CDF, up to the first zero pmf term."""
+    p = math.exp(-lam)
+    s = p
+    cdf = [s]
+    x = 0
+    while p > 0.0:
+        x += 1
+        p *= lam / x
+        s += p
+        cdf.append(s)
+    table = np.array(cdf)
+    table.flags.writeable = False
     return table
+
+
+def poisson_inversion(lam: float, u: np.ndarray) -> np.ndarray:
+    """Poisson(lam) variates for 0 <= lam < 30 by inverting the uniforms ``u``.
+
+    Bit-identical to ``RngStream._poisson_inversion`` fed the same uniforms:
+    the first index whose accumulated CDF reaches u, or the last table entry.
+    """
+    cdf = _poisson_cdf(lam)
+    idx = np.searchsorted(cdf, u, side="left")
+    return np.minimum(idx, len(cdf) - 1).astype(np.int64)
+
+
+def binomial_inversion(n: int, p: float, u: float) -> int:
+    """Binomial(n, p) by CDF inversion of one uniform; needs (1-p)^n normal."""
+    q = 1.0 - p
+    pmf = q ** n
+    s = pmf
+    ratio = p / q
+    x = 0
+    while u > s:
+        x += 1
+        if x > n:
+            return n
+        pmf *= ratio * (n - x + 1) / x
+        s += pmf
+        if pmf == 0.0:
+            break
+    return x
+
+
+def binomial_chunk_max(p: float) -> int:
+    """Largest trial count one inversion handles at 0 < p < 1."""
+    return max(1, int(LOG_FLOAT_LIMIT / -math.log1p(-p)))
 
 
 class RngStream:
@@ -78,16 +119,23 @@ class RngStream:
         """Uniform in [0, 1) with 53 random bits."""
         return (self.next_u64() >> 11) * 2.0 ** -53
 
-    def uniforms(self, count: int) -> np.ndarray:
-        """Vectorized ``random()``: identical values, one numpy pass."""
+    def u64s(self, count: int) -> np.ndarray:
+        """Vectorized ``next_u64()``: the next ``count`` outputs as uint64."""
         start = self._counter + 1
         self._counter += count
-        idx = np.arange(start, start + count, dtype=np.uint64)
-        z = np.uint64(self._base) + idx * np.uint64(_GOLDEN)
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-        z = z ^ (z >> np.uint64(31))
-        return (z >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+        z = np.arange(start, start + count, dtype=np.uint64)
+        z *= _U_GOLDEN
+        z += np.uint64(self._base)
+        z ^= z >> _U30
+        z *= _U_MIX1
+        z ^= z >> _U27
+        z *= _U_MIX2
+        z ^= z >> _U31
+        return z
+
+    def uniforms(self, count: int) -> np.ndarray:
+        """Vectorized ``random()``: identical values, one numpy pass."""
+        return (self.u64s(count) >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
 
     def randbelow(self, n: int) -> int:
         """Uniform integer in [0, n), unbiased via top-bits rejection."""
@@ -101,11 +149,66 @@ class RngStream:
             if r < n:
                 return r
 
+    def randbelow_many(self, n: int, count: int) -> np.ndarray:
+        """``count`` calls of ``randbelow(n)`` as one int64 array (n <= 2**63).
+
+        Block rejection on the same top bits: the stream ends just past the
+        ``count``-th accepted output, exactly where the scalar loop stops.
+        """
+        if not 1 <= n <= 2**63:
+            raise ValueError("randbelow_many requires 1 <= n <= 2**63")
+        if n == 1:
+            return np.zeros(count, dtype=np.int64)
+        bits = (n - 1).bit_length()
+        shift = np.uint64(64 - bits)
+        parts = [np.zeros(0, dtype=np.uint64)]
+        need = count
+        while need > 0:
+            start = self._counter
+            # acceptance is n / 2^bits > 1/2; overdraw a little to finish in one block
+            size = min(_BLOCK, (need << bits) // n + need // 16 + 32)
+            r = self.u64s(size) >> shift
+            ok = np.flatnonzero(r < n)[:need]
+            if ok.size == need:
+                self._counter = start + int(ok[-1]) + 1
+            parts.append(r[ok])
+            need -= ok.size
+        return np.concatenate(parts).astype(np.int64)
+
     def shuffle(self, items: list) -> None:
         """In-place Fisher-Yates shuffle."""
         for i in range(len(items) - 1, 0, -1):
             j = self.randbelow(i + 1)
             items[i], items[j] = items[j], items[i]
+
+    def partial_shuffle(self, items: list, n: int) -> None:
+        """Move a uniform random size-n selection, in random order, to the front.
+
+        The first n steps of a forward Fisher-Yates shuffle: step i swaps
+        ``items[i]`` with ``items[i + randbelow(len(items) - i)]``, consuming the
+        stream exactly as those scalar calls do.  Outputs come in numpy blocks;
+        the acceptance bound shrinks every step, so acceptance is a Python loop.
+        """
+        i, m = 0, len(items)  # m = k - i, the range of step i
+        while i < n and m > 1:  # randbelow(1) consumes nothing
+            shift = 64 - (m - 1).bit_length()
+            low = 1 << (63 - shift)  # the shift grows once m falls to this
+            start = self._counter
+            used = 0
+            for u in self.u64s(min(_BLOCK, 2 * (n - i) + 16)).tolist():
+                used += 1
+                r = u >> shift
+                if r < m:
+                    j = i + r
+                    items[i], items[j] = items[j], items[i]
+                    i += 1
+                    m -= 1
+                    if i == n or m == 1:
+                        break
+                    if m == low:
+                        shift += 1
+                        low >>= 1
+            self._counter = start + used
 
     # -- Poisson ------------------------------------------------------------
 
@@ -162,17 +265,11 @@ class RngStream:
         """
         if lam < 0:
             raise ValueError("poisson requires lam >= 0")
-        if count == 0:
-            return np.zeros(0, dtype=np.int64)
         if lam == 0:
-            self._counter += 0
             return np.zeros(count, dtype=np.int64)
         if lam >= 30.0:
             return np.array([self._poisson_ptrs(lam) for _ in range(count)], dtype=np.int64)
-        cdf = _poisson_cdf(lam)
-        u = self.uniforms(count)
-        idx = np.searchsorted(cdf, u, side="left")
-        return np.minimum(idx, len(cdf) - 1).astype(np.int64)
+        return poisson_inversion(lam, self.uniforms(count))
 
     # -- Binomial -----------------------------------------------------------
 
@@ -193,28 +290,11 @@ class RngStream:
                 if self.random() < p:
                     total += 1
             return total
-        chunk_max = max(1, int(LOG_FLOAT_LIMIT / -math.log1p(-p)))
+        chunk_max = binomial_chunk_max(p)
         total = 0
         remaining = n
         while remaining > 0:
             c = min(remaining, chunk_max)
-            total += self._binomial_inversion(c, p)
+            total += binomial_inversion(c, p, self.random())
             remaining -= c
         return total
-
-    def _binomial_inversion(self, n: int, p: float) -> int:
-        u = self.random()
-        q = 1.0 - p
-        pmf = q ** n
-        s = pmf
-        ratio = p / q
-        x = 0
-        while u > s:
-            x += 1
-            if x > n:
-                return n
-            pmf *= ratio * (n - x + 1) / x
-            s += pmf
-            if pmf == 0.0:
-                break
-        return x

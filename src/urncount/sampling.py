@@ -1,17 +1,23 @@
 """The four sampling models and the cross-model simulation.
 
+Each model has one counts core: an int64 array of per-color counts aligned
+with ``urn.colors``, which is all a fingerprint needs.  The ``SampleBatch``
+draw lists, for ``urncount simulate`` and callers that want the draws
+themselves, are views over the same cores.
+
 All samplers are pure functions of (urn, parameters, stream): identical
-inputs reproduce identical batches byte for byte.
+inputs reproduce identical outputs byte for byte, and the stream advances
+exactly as one scalar ``RngStream`` call per draw, color or chunk would
+advance it.
 """
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import RngStream, _poisson_cdf
+from .rng import RngStream, binomial_chunk_max, binomial_inversion, poisson_inversion
 from .urn import UrnSpec
 
 MODEL_MULTINOMIAL = "multinomial"
@@ -20,7 +26,9 @@ MODEL_BERNOULLI = "bernoulli"
 MODEL_POISSONIZED = "poissonized"
 MODEL_SIMULATED = "simulated-with-replacement"
 
-_VECTOR_COLOR_THRESHOLD = 32
+# Colors per Bernoulli uniform block (at most 64 uniforms each unless chunked),
+# so memory stays flat in k.
+_COLOR_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -36,100 +44,129 @@ class SampleBatch:
         return len(self.draws)
 
 
-def _require_nonempty(urn: UrnSpec) -> None:
-    if urn.C == 0:
-        raise ValueError("cannot sample from an empty urn")
+def _expand(urn: UrnSpec, counts: np.ndarray) -> list[int]:
+    """Each color id repeated by its count, in canonical color order."""
+    return np.repeat(urn.ids, counts).tolist()
 
 
-def _ball_array(urn: UrnSpec) -> list[int]:
-    balls: list[int] = []
-    for cid, mult in urn.colors:
-        balls.extend([cid] * mult)
-    return balls
+def _multinomial_index(urn: UrnSpec, n: int, rng: RngStream) -> np.ndarray:
+    """Color index of each of n independent draws, in draw order."""
+    if n < 0:
+        raise ValueError("sample size must be >= 0")
+    balls = rng.randbelow_many(urn.k, n)
+    return np.searchsorted(np.cumsum(urn.mults), balls, side="right")
+
+
+def multinomial_counts(urn: UrnSpec, n: int, rng: RngStream) -> np.ndarray:
+    """Per-color counts of n independent draws, color i with probability k_i / k."""
+    return np.bincount(_multinomial_index(urn, n, rng), minlength=urn.C)
 
 
 def draw_with_replacement(urn: UrnSpec, n: int, rng: RngStream) -> SampleBatch:
     """n independent draws, color i with probability k_i / k."""
-    _require_nonempty(urn)
-    if n < 0:
-        raise ValueError("sample size must be >= 0")
-    cum = []
-    total = 0
-    for _, mult in urn.colors:
-        total += mult
-        cum.append(total)
-    ids = [cid for cid, _ in urn.colors]
-    k = urn.k
-    draws = []
-    for _ in range(n):
-        ball = rng.randbelow(k)
-        draws.append(ids[bisect.bisect_right(cum, ball)])
+    draws = urn.ids[_multinomial_index(urn, n, rng)].tolist()
     return SampleBatch(tuple(draws), n, MODEL_MULTINOMIAL)
 
 
-def draw_without_replacement(urn: UrnSpec, n: int, rng: RngStream) -> SampleBatch:
-    """A uniformly random size-n sub-multiset of the urn, in random order.
+def _hypergeometric_index(urn: UrnSpec, n: int, rng: RngStream) -> list[int]:
+    """Color indices of a uniformly random size-n sub-multiset, in random order.
 
     Partial Fisher-Yates over the expanded ball array; O(k) memory.
     """
-    _require_nonempty(urn)
     if n < 0:
         raise ValueError("sample size must be >= 0")
     if n > urn.k:
         raise ValueError(f"cannot draw {n} balls without replacement from a {urn.k}-ball urn")
-    balls = _ball_array(urn)
-    k = len(balls)
-    for i in range(n):
-        j = i + rng.randbelow(k - i)
-        balls[i], balls[j] = balls[j], balls[i]
-    return SampleBatch(tuple(balls[:n]), n, MODEL_HYPERGEOMETRIC)
+    balls = np.repeat(np.arange(urn.C), urn.mults).tolist()
+    rng.partial_shuffle(balls, n)
+    return balls[:n]
+
+
+def hypergeometric_counts(urn: UrnSpec, n: int, rng: RngStream) -> np.ndarray:
+    """Per-color counts of a uniformly random size-n sub-multiset."""
+    index = np.array(_hypergeometric_index(urn, n, rng), dtype=np.int64)
+    return np.bincount(index, minlength=urn.C)
+
+
+def draw_without_replacement(urn: UrnSpec, n: int, rng: RngStream) -> SampleBatch:
+    """A uniformly random size-n sub-multiset of the urn, in random order."""
+    draws = urn.ids[_hypergeometric_index(urn, n, rng)].tolist()
+    return SampleBatch(tuple(draws), n, MODEL_HYPERGEOMETRIC)
+
+
+def bernoulli_counts(urn: UrnSpec, p: float, rng: RngStream) -> np.ndarray:
+    """Per-color inclusion counts Binomial(k_i, p), each ball kept with probability p.
+
+    Each color uses the stream as ``rng.binomial(k_i, p)`` does, and that use
+    is fixed in advance: k_i coin-flip uniforms when k_i <= 64, otherwise one
+    uniform per inversion chunk, and none at p in {0, 1}.  So the colors share
+    uniform blocks drawn in canonical color order.
+    """
+    if not 0.0 <= p <= 1.0:
+        raise ValueError("inclusion probability must lie in [0, 1]")
+    mults = urn.mults
+    if p == 0.0:
+        return np.zeros(urn.C, dtype=np.int64)
+    if p == 1.0:
+        return mults.copy()
+    chunk_max = binomial_chunk_max(p)
+    chunked = mults > 64
+    use = np.where(chunked, -(-mults // chunk_max), mults)  # uniforms per color
+    out = np.empty(urn.C, dtype=np.int64)
+    for c0 in range(0, urn.C, _COLOR_BLOCK):
+        block = slice(c0, c0 + _COLOR_BLOCK)
+        u = rng.uniforms(int(use[block].sum()))
+        offsets = np.cumsum(use[block]) - use[block]
+        out[block] = np.add.reduceat(u < p, offsets, dtype=np.int64)
+        for c in np.flatnonzero(chunked[block]).tolist():
+            remaining, total = int(mults[c0 + c]), 0
+            for x in u[offsets[c]:offsets[c] + use[c0 + c]].tolist():
+                size = min(remaining, chunk_max)
+                total += binomial_inversion(size, p, x)
+                remaining -= size
+            out[c0 + c] = total
+    return out
 
 
 def draw_bernoulli(urn: UrnSpec, p: float, rng: RngStream) -> SampleBatch:
     """Each of the k balls included independently with probability p.
 
-    Per color the inclusion count is Binomial(k_i, p).  Draws are emitted in
-    canonical color order; downstream consumers use counts only.
+    Draws are emitted in canonical color order; downstream consumers use
+    counts only.
     """
-    _require_nonempty(urn)
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("inclusion probability must lie in [0, 1]")
-    draws: list[int] = []
-    for cid, mult in urn.colors:
-        taken = rng.binomial(mult, p)
-        draws.extend([cid] * taken)
+    draws = _expand(urn, bernoulli_counts(urn, p, rng))
     return SampleBatch(tuple(draws), int(round(urn.k * p)), MODEL_BERNOULLI)
 
 
 def poissonized_color_counts(urn: UrnSpec, n: float, rng: RngStream) -> np.ndarray:
     """Per-color counts N_i ~ Poisson(n * k_i / k), aligned with urn.colors.
 
-    This is the counting stage of the Poisson model.  When every per-color
-    mean is below 30 it consumes exactly one uniform per color, in canonical
-    color order, so the scalar and vectorized paths agree bit for bit.
+    Colors take the stream in canonical order, as ``rng.poisson`` per color
+    would: a color with mean below 30 takes one uniform and inverts it through
+    its mean's CDF table; a heavier color runs PTRS rejection.  Each run of
+    light colors between heavy ones draws its uniforms as one block, and the
+    inversion runs once per distinct multiplicity.
     """
-    _require_nonempty(urn)
     if n < 0:
         raise ValueError("expected sample size must be >= 0")
-    k = urn.k
-    means = [n * mult / k for _, mult in urn.colors]
-    if urn.C >= _VECTOR_COLOR_THRESHOLD and all(m < 30.0 for m in means):
-        distinct = set(means)
-        if len(distinct) == 1:
-            return rng.poisson_many(means[0], urn.C)
-        u = rng.uniforms(urn.C)
-        out = np.empty(urn.C, dtype=np.int64)
-        means_arr = np.array(means)
-        for lam in sorted(distinct):
-            mask = means_arr == lam
-            if lam == 0.0:
-                out[mask] = 0
-                continue
-            cdf = _poisson_cdf(lam)
-            idx = np.searchsorted(cdf, u[mask], side="left")
-            out[mask] = np.minimum(idx, len(cdf) - 1)
+    out = np.zeros(urn.C, dtype=np.int64)
+    if n == 0:
         return out
-    return np.array([rng.poisson(lam) for lam in means], dtype=np.int64)
+    values, order, bounds = urn.mult_groups
+    means = [n * mult / urn.k for mult in values.tolist()]
+    light = sum(1 for lam in means if lam < 30.0)  # means increase with the multiplicity
+    u = np.empty(urn.C)
+    start = 0
+    if light < len(means):
+        for h in np.flatnonzero(urn.mults >= values[light]).tolist():
+            u[start:h] = rng.uniforms(h - start)
+            out[h] = rng._poisson_ptrs(n * int(urn.mults[h]) / urn.k)
+            start = h + 1
+    u[start:] = rng.uniforms(urn.C - start)
+    for g in range(light):
+        idx = order[bounds[g]:bounds[g + 1]]
+        out[idx] = poisson_inversion(means[g], u[idx])
+    return out
 
 
 def draw_poissonized(urn: UrnSpec, n: float, rng: RngStream) -> SampleBatch:
@@ -138,10 +175,7 @@ def draw_poissonized(urn: UrnSpec, n: float, rng: RngStream) -> SampleBatch:
     The draw list is a uniformly shuffled expansion of the counts; only the
     counts carry information.
     """
-    counts = poissonized_color_counts(urn, n, rng)
-    draws: list[int] = []
-    for (cid, _), cnt in zip(urn.colors, counts):
-        draws.extend([cid] * int(cnt))
+    draws = _expand(urn, poissonized_color_counts(urn, n, rng))
     rng.shuffle(draws)
     return SampleBatch(tuple(draws), int(n), MODEL_POISSONIZED)
 

@@ -8,7 +8,10 @@ their multiplicities.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping
+
+import numpy as np
 
 from .rng import RngStream
 
@@ -23,30 +26,48 @@ class UrnParseError(ValueError):
 class UrnSpec:
     """A population of colored balls, canonically sorted by color id.
 
-    Immutable after construction and safe for concurrent reads.
+    ``ids`` (uint64) and ``mults`` (int64) are read-only arrays aligned with
+    ``colors``; samplers return per-color counts in this order.  Immutable
+    after construction and safe for concurrent reads.
     """
 
     colors: tuple[tuple[int, int], ...]  # (color_id, multiplicity)
     k: int = field(init=False)
     C: int = field(init=False)
+    ids: np.ndarray = field(init=False, repr=False, compare=False)
+    mults: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.colors:
+        colors = tuple(self.colors)
+        if not colors:
             raise ValueError("urn must contain at least one color")
-        seen = set()
-        total = 0
-        for cid, mult in self.colors:
-            if not 0 <= cid <= MAX_COLOR_ID:
-                raise ValueError(f"color id {cid} outside 64-bit unsigned range")
-            if mult < 1:
-                raise ValueError(f"color {cid} has non-positive multiplicity {mult}")
-            if cid in seen:
-                raise ValueError(f"duplicate color id {cid}")
-            seen.add(cid)
-            total += mult
-        object.__setattr__(self, "colors", tuple(sorted(self.colors)))
-        object.__setattr__(self, "k", total)
-        object.__setattr__(self, "C", len(self.colors))
+        try:
+            ids = np.fromiter((cid for cid, _ in colors), np.uint64, len(colors))
+        except OverflowError:
+            bad = next(cid for cid, _ in colors if not 0 <= cid <= MAX_COLOR_ID)
+            raise ValueError(f"color id {bad} outside 64-bit unsigned range") from None
+        try:
+            mults = np.fromiter((mult for _, mult in colors), np.int64, len(colors))
+        except OverflowError:
+            raise ValueError("multiplicities must fit in 64-bit signed integers") from None
+        bad = np.flatnonzero(mults < 1)
+        if bad.size:
+            cid, mult = colors[bad[0]]
+            raise ValueError(f"color {cid} has non-positive multiplicity {mult}")
+        if np.any(ids[1:] <= ids[:-1]):  # not already canonical
+            order = np.argsort(ids, kind="stable")
+            ids, mults = ids[order], mults[order]
+            dup = np.flatnonzero(ids[1:] == ids[:-1])
+            if dup.size:
+                raise ValueError(f"duplicate color id {int(ids[dup[0]])}")
+            colors = tuple(colors[i] for i in order.tolist())
+        ids.flags.writeable = False
+        mults.flags.writeable = False
+        object.__setattr__(self, "colors", colors)
+        object.__setattr__(self, "ids", ids)
+        object.__setattr__(self, "mults", mults)
+        object.__setattr__(self, "k", int(mults.sum()))
+        object.__setattr__(self, "C", len(colors))
 
     @classmethod
     def from_counts(cls, counts: Mapping[int, int] | Iterable[tuple[int, int]]) -> "UrnSpec":
@@ -58,6 +79,17 @@ class UrnSpec:
 
     def probabilities(self) -> tuple[float, ...]:
         return tuple(mult / self.k for _, mult in self.colors)
+
+    @cached_property
+    def mult_groups(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Colors grouped by multiplicity: the distinct multiplicities in
+        increasing order, the color indices sorted by multiplicity, and the
+        offsets in that order where each group starts and the last ends."""
+        order = np.argsort(self.mults, kind="stable")
+        sorted_mults = self.mults[order]
+        starts = np.flatnonzero(np.diff(sorted_mults)) + 1
+        bounds = np.concatenate(([0], starts, [self.C]))
+        return sorted_mults[bounds[:-1]], order, bounds
 
 
 @dataclass(frozen=True)
@@ -112,11 +144,8 @@ def make_hard_pair(k: int, delta: int, seed: int) -> HardInstancePair:
     else:
         c2 = k - b1 * remaining
         c1 = remaining - c2
-    rng = RngStream(seed, 0)
     ids = list(range(1, k + 1))
-    for i in range(remaining):
-        j = i + rng.randbelow(k - i)
-        ids[i], ids[j] = ids[j], ids[i]
+    RngStream(seed, 0).partial_shuffle(ids, remaining)
     alt_colors = [(cid, b1) for cid in ids[:c1]]
     alt_colors += [(cid, b2) for cid in ids[c1:remaining]]
     null_urn = UrnSpec(tuple((cid, 1) for cid in range(1, k + 1)))

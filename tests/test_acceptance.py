@@ -13,7 +13,8 @@ import pytest
 from scipy.stats import chi2
 
 from urncount.estimator import build_estimator, estimate, exact_bias, select_params
-from urncount.harness import _fingerprint_from_array, correlation_experiment
+from urncount.fingerprint import fingerprint_from_count_values
+from urncount.harness import correlation_experiment
 from urncount.orthopoly import (
     l2_min_value,
     l2_residual_sq_exact,
@@ -128,7 +129,7 @@ def test_criterion_6_interpolation_zero_bias():
         coeffs = build_estimator(params)
         tildes = []
         for t in range(trials):
-            fp = _fingerprint_from_array(
+            fp = fingerprint_from_count_values(
                 poissonized_color_counts(urn, n, RngStream(601, t)))
             tildes.append(estimate(fp, coeffs, k, params).c_tilde)
         mean = sum(tildes) / trials
@@ -153,7 +154,7 @@ def test_criterion_7_l2_beats_naive():
 
         sq_hat = sq_seen = 0.0
         for t in range(trials):
-            fp = _fingerprint_from_array(
+            fp = fingerprint_from_count_values(
                 poissonized_color_counts(urn, n, RngStream(701, t)))
             res = estimate(fp, coeffs, k, params)
             sq_hat += (res.c_hat - k) ** 2

@@ -50,6 +50,26 @@ class TestEstimate:
                                 "coeffs_digest"}
         assert payload["c_seen"] <= payload["c_hat"] <= 50
 
+    def test_samples_file_line_rules(self, tmp_path, capsys):
+        # blank and '#' lines skipped, surrounding spaces allowed, ids past int64 counted
+        samples = tmp_path / "s.txt"
+        samples.write_text(f"5\n\n# note\n5\n{2**64 - 1}\n 7 \n-3\n")
+        fp = tmp_path / "fp.txt"
+        fp.write_text("1 3\n2 1\n")
+        outs = []
+        for flag, path in (("--samples", samples), ("--fingerprint", fp)):
+            assert main(["estimate", "--k", "10", "--n", "5", flag, str(path), "--json"]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+        assert json.loads(outs[0])["c_seen"] == 4
+
+    def test_samples_non_integer_line_raises(self, tmp_path):
+        for text in ("5\nabc\n", "5\n  # indented comment\n"):
+            samples = tmp_path / "s.txt"
+            samples.write_text(text)
+            with pytest.raises(ValueError):
+                main(["estimate", "--k", "10", "--n", "2", "--samples", str(samples)])
+
     def test_from_fingerprint_text(self, tmp_path, capsys):
         fp = tmp_path / "fp.txt"
         fp.write_text("1 4\n2 3\n")

@@ -16,8 +16,7 @@ from urncount.estimator import (
     select_params,
     variance_diagnostic,
 )
-from urncount.fingerprint import Fingerprint
-from urncount.harness import _fingerprint_from_array
+from urncount.fingerprint import Fingerprint, fingerprint_from_count_values
 from urncount.orthopoly import CoefficientVector, l2_min_value
 from urncount.rng import RngStream
 from urncount.sampling import poissonized_color_counts
@@ -62,6 +61,19 @@ class TestSelectParams:
         with pytest.raises(ValueError):
             select_params(100, 10, alpha=2.0, beta=1.0)
 
+    def test_regime_forces_either_rule(self):
+        k = 10_000
+        logk = math.log(k)
+        p = select_params(k, 5000, regime="interpolation")
+        size = math.ceil(3.5 * (k / 5000) * logk)
+        assert (p.regime, p.L, p.M, p.beta) == ("interpolation", size, size, 3.5)
+        q = select_params(k, 20_000, regime="l2")
+        L = math.ceil(0.5 * logk)
+        assert (q.regime, q.L, q.M, q.beta) == ("l2", L, max(L + 1, math.ceil(2 * k * logk / 20_000)), 2.0)
+        assert select_params(k, 5000, regime=None) == select_params(k, 5000)
+        with pytest.raises(ValueError, match="regime"):
+            select_params(k, 5000, regime="bogus")
+
 
 class TestBuildEstimator:
     def test_interpolation_example(self):
@@ -79,6 +91,12 @@ class TestBuildEstimator:
         p = select_params(500, 250)
         assert build_estimator(p).digest == build_estimator(p).digest
         assert build_estimator(p) is build_estimator(p)
+
+    def test_stirling_cap_raises_parameterization_error(self):
+        p = select_params(100_000, 1000, regime="interpolation")
+        assert p.M > 127
+        with pytest.raises(ParameterizationError, match="128-node cap"):
+            build_estimator(p)
 
     def test_overflow_raises_parameterization_error(self):
         p = EstimatorParams(10**6, 1, 0.5, 3.5, 1.0, 60, 60, "interpolation")
@@ -184,7 +202,7 @@ class TestExactBias:
         coeffs = build_estimator(params)
         tildes = []
         for t in range(trials):
-            fp = _fingerprint_from_array(
+            fp = fingerprint_from_count_values(
                 poissonized_color_counts(urn, n, RngStream(611, t)))
             tildes.append(estimate(fp, coeffs, k, params).c_tilde)
         mean = sum(tildes) / trials

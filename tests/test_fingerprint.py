@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -56,6 +57,14 @@ class TestFingerprint:
     def test_from_count_values(self):
         fp = fingerprint_from_count_values([0, 2, 1, 0, 2])
         assert fp.phi == {2: 2, 1: 1} and fp.c_seen == 3
+
+    def test_from_count_array(self):
+        fp = fingerprint_from_count_values(np.array([0, 5, 1, 0, 5, 5], dtype=np.int64))
+        assert fp.phi == {1: 1, 5: 3} and fp.c_seen == 4
+        assert all(type(j) is int and type(c) is int for j, c in fp.phi.items())
+        assert fingerprint_from_count_values(np.zeros(0, dtype=np.int64)) == Fingerprint({}, 0)
+        with pytest.raises(ValueError):
+            fingerprint_from_count_values([1, -1])
 
     @given(st.lists(st.integers(0, 30), max_size=200))
     @settings(max_examples=200, deadline=None)

@@ -3,6 +3,8 @@ import math
 
 import pytest
 
+from urncount import harness
+from urncount.estimator import ParameterizationError
 from urncount.harness import (
     CSV_SCHEMA,
     ExperimentConfig,
@@ -46,6 +48,19 @@ class TestConfigValidation:
     def test_model_size_limits(self):
         cfg = poisson_cfg(model="hypergeometric", n_grid=(500,))
         with pytest.raises(ValueError, match="n <= k"):
+            run_risk_curve(cfg)
+
+
+class TestPlanFirst:
+    def test_interpolation_cap_fails_before_any_trial(self, monkeypatch):
+        def no_sampling(*args):
+            raise AssertionError("a trial ran before every plan was built")
+
+        monkeypatch.setattr(harness, "poissonized_color_counts", no_sampling)
+        cfg = poisson_cfg(urn_source=("uniform", 100_000, 50_000), n_grid=(1000, 20_000),
+                          trials=1, estimators=("naive", "interpolation"))
+        with pytest.raises(ParameterizationError,
+                           match=r"'interpolation' at k=100000, n=1000: .*128-node cap"):
             run_risk_curve(cfg)
 
 
@@ -143,6 +158,14 @@ class TestHardPairExperiment:
         assert rows[0].mean_c_hat == pytest.approx(1781.7)
         assert rows[1].mean_c_hat == pytest.approx(1774.96)
 
+    def test_model_is_honored(self):
+        multi = hard_pair_experiment(400, 20, [200], 20, seed=4)
+        assert hard_pair_experiment(400, 20, [200], 20, seed=4, model="multinomial") == multi
+        poi = hard_pair_experiment(400, 20, [200], 20, seed=4, model="poissonized")
+        assert [r.mean_c_hat for r in poi] != [r.mean_c_hat for r in multi]
+        with pytest.raises(ValueError, match="n <= k"):
+            hard_pair_experiment(400, 20, [500], 5, seed=4, model="hypergeometric")
+
     def test_fail_fraction_drops_when_easy(self):
         # huge delta makes the tolerance loose: the estimator rarely misses by 400
         rows = hard_pair_experiment(1000, 400, [800], 40, seed=3)
@@ -200,6 +223,20 @@ class TestSerialization:
         }))
         written = run_experiment_files(cfg, tmp_path)
         assert [p.name for p in written] == ["hard_pair.csv"]
+
+    def test_hard_pair_config_model_reaches_sampler(self, tmp_path):
+        obj = {"urn": {"hard_pair": {"k": 100, "delta": 10}}, "n_grid": [150],
+               "trials": 5, "seed": 1}
+        assert load_experiment_config(json.dumps(obj)).model == "multinomial"
+        cfg = load_experiment_config(json.dumps({**obj, "model": "bern"}))
+        with pytest.raises(ValueError, match="n <= k"):
+            run_experiment_files(cfg, tmp_path)
+
+    def test_hard_pair_config_rejects_other_estimators(self):
+        obj = {"urn": {"hard_pair": {"k": 100, "delta": 10}}, "n_grid": [50],
+               "trials": 5, "seed": 1, "estimators": ["naive", "auto"]}
+        with pytest.raises(ValueError, match="estimators"):
+            load_experiment_config(json.dumps(obj))
 
     def test_config_missing_urn(self):
         with pytest.raises(ValueError, match="urn"):

@@ -8,12 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from urncount.orthopoly import (
-    _solve_l2_normal_equations,
     binomial_ratio_minus_one,
     chebyshev_basis,
     chebyshev_norm,
     l2_min_value,
-    l2_residual,
     l2_residual_sq_exact,
     orthonormality_deviation,
     phi_at_zero,
@@ -23,6 +21,28 @@ from urncount.orthopoly import (
     u_to_w,
     w_to_u,
 )
+
+
+# -- float oracles for the exact solve ------------------------------------------
+
+def l2_residual(w, M: int) -> float:
+    """||Bw - 1||_2 evaluated in floating point."""
+    total = 0.0
+    for a in range(1, M + 1):
+        x = a / M
+        acc = 0.0
+        for wj in reversed(w):
+            acc = (acc + wj) * x
+        total += (acc - 1.0) ** 2
+    return math.sqrt(total)
+
+
+def solve_l2_normal_equations(M: int, L: int) -> np.ndarray:
+    """Cross-check path for tiny sizes only: solve (B^T B) w = B^T 1."""
+    nodes = np.arange(1, M + 1) / M
+    B = np.column_stack([nodes**j for j in range(1, L + 1)])
+    gram = B.T @ B
+    return np.linalg.solve(gram, B.T @ np.ones(M))
 
 
 class TestBasis:
@@ -128,7 +148,7 @@ class TestSolveL2:
 
     def test_matches_normal_equations_at_tiny_sizes(self):
         for M, L in ((3, 2), (5, 3), (8, 4)):
-            w_ne = _solve_l2_normal_equations(M, L)
+            w_ne = solve_l2_normal_equations(M, L)
             vec = solve_l2(M, L)
             assert np.allclose(vec.w, w_ne, rtol=1e-8)
 

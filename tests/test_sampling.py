@@ -4,8 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from urncount.fingerprint import fingerprint, histogram
-from urncount.harness import _fingerprint_from_array
+from urncount.fingerprint import fingerprint, fingerprint_from_count_values, histogram
 from urncount.rng import RngStream
 from urncount.sampling import (
     draw_bernoulli,
@@ -175,7 +174,7 @@ class TestPoissonized:
         urn = make_uniform_support(500, 120)
         counts = poissonized_color_counts(urn, 300, RngStream(9, 3))
         batch = draw_poissonized(urn, 300, RngStream(9, 3))
-        assert _fingerprint_from_array(counts) == fingerprint(histogram(batch))
+        assert fingerprint_from_count_values(counts) == fingerprint(histogram(batch))
 
     def test_scalar_and_vector_paths_agree(self):
         # below the vector threshold the sampler walks colors one by one;

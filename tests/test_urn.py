@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,6 +23,29 @@ class TestUrnSpec:
     def test_probabilities_sum_to_one(self):
         urn = UrnSpec(((1, 3), (2, 1)))
         assert sum(urn.probabilities()) == pytest.approx(1.0)
+
+    def test_arrays_follow_canonical_order(self):
+        urn = UrnSpec(((9, 4), (2**64 - 1, 1), (3, 2)))
+        assert urn.ids.dtype == np.uint64 and urn.mults.dtype == np.int64
+        assert urn.ids.tolist() == [cid for cid, _ in urn.colors] == [3, 9, 2**64 - 1]
+        assert urn.mults.tolist() == [2, 4, 1]
+        assert not urn.ids.flags.writeable and not urn.mults.flags.writeable
+        assert urn == UrnSpec(((3, 2), (9, 4), (2**64 - 1, 1)))
+
+    def test_mult_groups(self):
+        urn = UrnSpec(((1, 3), (2, 1), (3, 3), (4, 2)))
+        values, order, bounds = urn.mult_groups
+        assert values.tolist() == [1, 2, 3]
+        assert bounds.tolist() == [0, 1, 2, 4]
+        assert urn.mults[order].tolist() == [1, 2, 3, 3]
+
+    def test_error_messages(self):
+        with pytest.raises(ValueError, match="outside 64-bit"):
+            UrnSpec(((1, 1), (-1, 1)))
+        with pytest.raises(ValueError, match="non-positive multiplicity -2"):
+            UrnSpec(((1, 1), (2, -2)))
+        with pytest.raises(ValueError, match="duplicate color id 5"):
+            UrnSpec(((5, 1), (2, 2), (5, 3)))
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
