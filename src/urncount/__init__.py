@@ -75,9 +75,10 @@ from .urn import (
 from .vandermonde import (
     NodeMatrix,
     build_matrix,
-    jacobi_eigenvalues,
+    certify_sigma_min_bound,
     sigma_min,
     sigma_min_bound,
+    sigma_min_exceeds,
     tm_modulus_check,
 )
 

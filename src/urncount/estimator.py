@@ -10,9 +10,9 @@ hurts.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -112,34 +112,32 @@ def select_params(
     return EstimatorParams(k, n, a, b, e, L, M, REGIME_L2)
 
 
-_COEFF_CACHE: dict[tuple, CoefficientVector] = {}
-_CACHE_LOCK = threading.Lock()
+COEFF_CACHE_SIZE = 256
 
 
 def build_estimator(params: EstimatorParams) -> CoefficientVector:
-    """Coefficient vector for the given parameters, cached by
-    (k, n, L, M, regime)."""
-    key = (params.k, params.n, params.L, params.M, params.regime)
-    cached = _COEFF_CACHE.get(key)
-    if cached is not None:
-        return cached
-    if params.regime == REGIME_L2:
-        coeffs = solve_l2(params.M, params.L).with_sample_params(params.k, params.n)
-    else:
-        if params.M >= MAX_TABLE_N:  # the coefficients need s(M+1, .)
-            raise ParameterizationError(
-                f"interpolation at k={params.k}, n={params.n} needs M={params.M} nodes, "
-                f"past the {MAX_TABLE_N}-node cap of the exact Stirling table "
-                f"(M <= {MAX_TABLE_N - 1})"
-            )
-        coeffs = interp_coeffs(params.M, params.k, params.n)
-        if coeffs.overflow:
-            raise ParameterizationError(
-                f"interpolation coefficients overflow at k={params.k}, n={params.n}, "
-                f"M={params.M}; use the l2 regime (n <= eta*k) instead"
-            )
-    with _CACHE_LOCK:
-        _COEFF_CACHE.setdefault(key, coeffs)
+    """Coefficient vector for the given parameters, from a bounded LRU cache
+    keyed by (k, n, L, M, regime); ``_coefficients.cache_info()`` counts hits
+    and misses."""
+    return _coefficients(params.k, params.n, params.L, params.M, params.regime)
+
+
+@lru_cache(maxsize=COEFF_CACHE_SIZE)
+def _coefficients(k: int, n: int, L: int, M: int, regime: str) -> CoefficientVector:
+    if regime == REGIME_L2:
+        return solve_l2(M, L).with_sample_params(k, n)
+    if M >= MAX_TABLE_N:  # the coefficients need s(M+1, .)
+        raise ParameterizationError(
+            f"interpolation at k={k}, n={n} needs M={M} nodes, "
+            f"past the {MAX_TABLE_N}-node cap of the exact Stirling table "
+            f"(M <= {MAX_TABLE_N - 1})"
+        )
+    coeffs = interp_coeffs(M, k, n)
+    if coeffs.overflow:
+        raise ParameterizationError(
+            f"interpolation coefficients overflow at k={k}, n={n}, "
+            f"M={M}; use the l2 regime (n <= eta*k) instead"
+        )
     return coeffs
 
 
@@ -155,9 +153,12 @@ def estimate(
     params: EstimatorParams | None = None,
 ) -> EstimateResult:
     """c_tilde = c_seen + sum_j u_j phi_j, clamped into [c_seen, k] and rounded
-    to the nearest integer (ties to even)."""
+    to the nearest integer (ties to even).  A fingerprint with c_seen > k
+    cannot come from a k-ball urn and is rejected."""
     if fp.c_seen == 0:
         raise ValueError("empty fingerprint: zero samples carry no information")
+    if fp.c_seen > k:
+        raise ValueError(f"c_seen = {fp.c_seen} colors were seen, more than k = {k} balls")
     if coeffs.u is None:
         raise ParameterizationError("coefficient vector has no float u (overflow?)")
     if coeffs.k is not None and coeffs.k != k:

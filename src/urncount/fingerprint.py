@@ -30,6 +30,16 @@ class Fingerprint:
     phi: dict[int, int]  # j -> number of colors seen exactly j times (j >= 1)
     c_seen: int
 
+    def __post_init__(self):
+        for j, cnt in self.phi.items():
+            if j < 1:
+                raise ValueError(f"fingerprint index must be >= 1, got {j}")
+            if cnt < 0:
+                raise ValueError(f"fingerprint count must be >= 0, got phi[{j}] = {cnt}")
+        total = sum(self.phi.values())
+        if self.c_seen != total:
+            raise ValueError(f"c_seen = {self.c_seen} but the fingerprint counts sum to {total}")
+
     @property
     def sample_size(self) -> int:
         return sum(j * cnt for j, cnt in self.phi.items())

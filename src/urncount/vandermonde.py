@@ -1,21 +1,25 @@
 """Node matrices, minimum singular values, and modulus checks.
 
 The estimator's variance is controlled by how small the least singular value
-of the node matrix can get; the checks here verify the closed-form lower
-bound numerically.  Eigenvalues come from a cyclic Jacobi sweep on the Gram
-matrix: squared conditioning is acceptable because the asserted inequalities
-have orders of magnitude of slack at desk sizes.
+of the node matrix can get.  Reported values come from LAPACK's SVD of the
+matrix itself.  The closed-form lower bound is decided exactly instead:
+sigma_min(Bbar / sqrt(M)) > c holds iff G - c^2 I is positive definite, where
+G = Bbar^T Bbar / M.  The congruence D = diag(M^j), scaled by M, turns G into
+the integer Hankel matrix H_{jl} = S_{j+l} of power sums S_p = sum_{i<=M} i^p,
+so with c^2 = p/q the test is q H - p M diag(M^(2j)) > 0: every leading
+principal minor positive (Sylvester), read off fraction-free elimination on
+Python ints.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
-from .orthopoly import chebyshev_basis
+from .orthopoly import ChebyshevBasis, chebyshev_basis
 
 
 class BoundCheckError(AssertionError):
@@ -45,55 +49,13 @@ def build_matrix(M: int, L: int, with_ones: bool = False) -> NodeMatrix:
     return NodeMatrix(M, L, with_ones, np.column_stack(cols))
 
 
-def jacobi_eigenvalues(sym: np.ndarray, tol: float = 1e-14, max_sweeps: int = 60) -> np.ndarray:
-    """Eigenvalues of a symmetric matrix by cyclic Jacobi rotations.
-
-    Sweeps until the off-diagonal Frobenius norm drops below
-    tol * max(1, ||A||_F).  Returns eigenvalues sorted ascending.
-    """
-    a = np.array(sym, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("matrix must be square")
-    if not np.allclose(a, a.T, rtol=0, atol=1e-12 * max(1.0, np.abs(a).max())):
-        raise ValueError("matrix must be symmetric")
-    n = a.shape[0]
-    if n == 1:
-        return a[0, :1].copy()
-    stop = tol * max(1.0, float(np.linalg.norm(a)))
-
-    def off_norm() -> float:
-        off = a - np.diag(np.diag(a))
-        return float(np.linalg.norm(off))
-
-    for _ in range(max_sweeps):
-        if off_norm() <= stop:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                rot = np.array([[c, -s], [s, c]])
-                a[[p, q], :] = rot @ a[[p, q], :]
-                a[:, [p, q]] = a[:, [p, q]] @ rot.T
-                a[p, q] = a[q, p] = 0.0
-    if off_norm() > stop:
-        raise RuntimeError("Jacobi sweep did not converge")
-    return np.sort(np.diag(a))
-
-
 def sigma_min(matrix) -> float:
-    """Smallest singular value via a Jacobi eigen-solve of the Gram matrix."""
+    """Smallest singular value, from LAPACK's SVD of the matrix itself."""
     a = matrix.array if isinstance(matrix, NodeMatrix) else np.asarray(matrix, dtype=float)
     rows, cols = a.shape
     if rows < cols:
         raise ValueError(f"need rows >= columns, got {rows} x {cols}")
-    eigs = jacobi_eigenvalues(a.T @ a)
-    return math.sqrt(max(float(eigs[0]), 0.0))
+    return float(np.linalg.svd(a, compute_uv=False)[-1])
 
 
 def sigma_min_bound(M: int, L: int) -> float:
@@ -107,6 +69,72 @@ def sigma_min_bound(M: int, L: int) -> float:
     return lead * ((M + L) / (math.e * M)) ** (L + 0.5)
 
 
+def power_sums(M: int, top: int) -> list[int]:
+    """S_p = sum_{i=1}^{M} i^p for p = 0..top, exactly."""
+    sums = [0] * (top + 1)
+    for i in range(1, M + 1):
+        x = 1
+        for p in range(top + 1):
+            sums[p] += x
+            x *= i
+    return sums
+
+
+def _positive_definite(a: list[list[int]]) -> bool:
+    """Sylvester's criterion on a symmetric integer matrix (modified in place).
+
+    Bareiss elimination: the k-th pivot is the k-th leading principal minor,
+    and every division is exact.  Only the upper triangle is read or updated.
+    """
+    n = len(a)
+    prev = 1
+    for k in range(n):
+        piv = a[k][k]
+        if piv <= 0:
+            return False
+        row_k = a[k]
+        for i in range(k + 1, n):
+            aki = row_k[i]
+            row_i = a[i]
+            for j in range(i, n):
+                row_i[j] = (row_i[j] * piv - aki * row_k[j]) // prev
+        prev = piv
+    return True
+
+
+def sigma_min_exceeds(M: int, L: int, c, sums: list[int] | None = None) -> bool:
+    """Exactly whether sigma_min(Bbar / sqrt(M)) > c, for Bbar = build_matrix(M,
+    L, with_ones=True) in exact arithmetic.
+
+    ``c`` is a float or a Fraction, taken at its exact value; ``sums`` may
+    pass power_sums(M, top) for any top >= 2L, shared across L.
+    """
+    if sums is None:
+        sums = power_sums(M, 2 * L)
+    c2 = Fraction(c) ** 2
+    p, q = c2.numerator, c2.denominator
+    a = [[q * sums[j + l] for l in range(L + 1)] for j in range(L + 1)]
+    for j in range(L + 1):
+        a[j][j] -= p * M ** (2 * j + 1)
+    return _positive_definite(a)
+
+
+def certify_sigma_min_bound(M: int, L: int, sigma_hat: float,
+                            sums: list[int] | None = None) -> bool:
+    """Exactly whether sigma_min(Bbar / sqrt(M)) > sigma_min_bound(M, L).
+
+    ``sigma_hat`` (a float estimate of sigma_min) only picks the threshold: the
+    power of two c with b <= c <= sigma_hat / 2 keeps the integers short.  If
+    there is none, or the test at c fails, the test runs at b itself.
+    """
+    b = sigma_min_bound(M, L)
+    if sigma_hat / 2 >= b:
+        c = math.ldexp(1.0, math.frexp(sigma_hat / 2)[1] - 1)
+        if c >= b and sigma_min_exceeds(M, L, c, sums):
+            return True
+    return sigma_min_exceeds(M, L, b, sums)
+
+
 @dataclass(frozen=True)
 class TmBoundReport:
     M: int
@@ -116,46 +144,45 @@ class TmBoundReport:
     worst_point: complex
 
 
-def tm_bound_at(M: int, m: int, z: complex) -> float:
-    """m^2 2^(6m) (max(|z|, |z+m|) v M)^m; |z + xi| is maximized at an endpoint."""
-    reach = max(abs(z), abs(z + m), float(M))
+def tm_bound_at(M: int, m: int, z):
+    """m^2 2^(6m) (max(|z|, |z+m|) v M)^m; |z + xi| is maximized at an endpoint.
+
+    ``z`` may be a complex number or an array of them.
+    """
+    reach = np.maximum(np.maximum(np.abs(z), np.abs(z + m)), float(M))
     return m * m * 2.0 ** (6 * m) * reach**m
 
 
-def tm_modulus_check(M: int, m: int, num_points: int) -> TmBoundReport:
+def tm_modulus_check(M: int, m: int, num_points: int,
+                     basis: ChebyshevBasis | None = None) -> TmBoundReport:
     """Check |t_m(z)| against its modulus bound on the unit circle and [-1, M].
 
-    Exact coefficients, Horner in floating point; raises BoundCheckError with
-    the offending point if any ratio exceeds 1.
+    Exact coefficients, one vectorized Horner pass in floating point; raises
+    BoundCheckError with the first offending point if any ratio exceeds 1.
+    ``basis`` may pass a chebyshev_basis(M, L) with L >= m, shared across m.
     """
     if m < 1 or m > M - 1:
         raise ValueError(f"need 1 <= m <= M-1, got m={m}, M={M}")
     if num_points < 1:
         raise ValueError("num_points must be >= 1")
-    basis = chebyshev_basis(M, m)
-    coeffs = [float(c) for c in basis.coeffs[m]]
+    if basis is None:
+        basis = chebyshev_basis(M, m)
+    elif basis.M != M or basis.L < m:
+        raise ValueError(f"basis (M={basis.M}, L={basis.L}) does not cover t_{m} at M={M}")
+    coeffs = [float(Fraction(c, math.factorial(m))) for c in basis.numerators[m]]
 
-    def t_at(z: complex) -> complex:
-        acc = 0j
-        for c in reversed(coeffs):
-            acc = acc * z + c
-        return acc
-
-    points = [cmath.exp(2j * math.pi * i / num_points) for i in range(num_points)]
+    circle = np.exp(2j * np.pi * np.arange(num_points) / num_points)
     if num_points == 1:
-        points.append(complex(M, 0.0))
+        line = np.array([M], dtype=complex)
     else:
-        step = (M + 1.0) / (num_points - 1)
-        points += [complex(-1.0 + step * i, 0.0) for i in range(num_points)]
-    worst_ratio = -1.0
-    worst_point = points[0]
-    for z in points:
-        ratio = abs(t_at(z)) / tm_bound_at(M, m, z)
-        if ratio > worst_ratio:
-            worst_ratio = ratio
-            worst_point = z
-        if ratio > 1.0:
-            raise BoundCheckError(
-                f"|t_{m}(z)| exceeds its bound at z={z} (M={M}, ratio={ratio:.3g})"
-            )
-    return TmBoundReport(M, m, num_points, worst_ratio, worst_point)
+        line = (-1.0 + (M + 1.0) / (num_points - 1) * np.arange(num_points)).astype(complex)
+    points = np.concatenate([circle, line])
+    ratios = np.abs(np.polyval(coeffs[::-1], points)) / tm_bound_at(M, m, points)
+    over = np.flatnonzero(ratios > 1.0)
+    if over.size:
+        z, ratio = complex(points[over[0]]), float(ratios[over[0]])
+        raise BoundCheckError(
+            f"|t_{m}(z)| exceeds its bound at z={z} (M={M}, ratio={ratio:.3g})"
+        )
+    worst = int(np.argmax(ratios))
+    return TmBoundReport(M, m, num_points, float(ratios[worst]), complex(points[worst]))

@@ -115,6 +115,23 @@ class TestVerify:
         assert "VERIFY PASS" in out
         assert "n,m,abs_s_over_nfact,c" in out
 
+    def test_spectral_suite_certifies_to_degree_12(self, capsys):
+        rc = main(["verify", "--spectral"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "VERIFY PASS" in out
+        assert any(line.startswith("13,12,") for line in out.splitlines())
+        assert "exact certificate [ok]" in out
+
+    def test_spectral_suite_fails_without_certificate(self, capsys, monkeypatch):
+        import urncount.verify as verify
+
+        monkeypatch.setattr(verify, "certify_sigma_min_bound", lambda *args: False)
+        rc = main(["verify", "--spectral"])
+        out = capsys.readouterr().out
+        assert rc == 1
+        assert "exact certificate [FAIL]" in out and "VERIFY FAIL" in out
+
     def test_estimator_suite(self, capsys):
         rc = main(["verify", "--estimator"])
         out = capsys.readouterr().out

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from urncount.estimator import (
+    COEFF_CACHE_SIZE,
     EstimatorParams,
     ParameterizationError,
     adapt_fixed_to_randomized,
@@ -15,6 +16,7 @@ from urncount.estimator import (
     naive_coefficients,
     select_params,
     variance_diagnostic,
+    _coefficients,
 )
 from urncount.fingerprint import Fingerprint, fingerprint_from_count_values
 from urncount.orthopoly import CoefficientVector, l2_min_value
@@ -92,6 +94,23 @@ class TestBuildEstimator:
         assert build_estimator(p).digest == build_estimator(p).digest
         assert build_estimator(p) is build_estimator(p)
 
+    def test_cache_is_bounded_lru(self):
+        _coefficients.cache_clear()
+        first = select_params(10_000, 5_000)
+        build_estimator(first)
+        build_estimator(first)
+        info = _coefficients.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+        assert info.maxsize == COEFF_CACHE_SIZE
+        for n in range(1, COEFF_CACHE_SIZE + 1):  # COEFF_CACHE_SIZE more keys
+            build_estimator(EstimatorParams(10, n, 0.5, 2.0, 1.0, 1, 2, "l2"))
+        info = _coefficients.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, COEFF_CACHE_SIZE + 1, COEFF_CACHE_SIZE)
+        build_estimator(first)  # the oldest entry was evicted
+        assert _coefficients.cache_info().misses == COEFF_CACHE_SIZE + 2
+        build_estimator(EstimatorParams(10, COEFF_CACHE_SIZE, 0.5, 2.0, 1.0, 1, 2, "l2"))
+        assert _coefficients.cache_info().hits == 2  # the newest one was kept
+
     def test_stirling_cap_raises_parameterization_error(self):
         p = select_params(100_000, 1000, regime="interpolation")
         assert p.M > 127
@@ -127,6 +146,12 @@ class TestEstimate:
         coeffs = CoefficientVector(kind="l2", L=1, M=2, w=(0.0,), u=(-2.0,))
         res = estimate(Fingerprint({1: 3}, 3), coeffs, 10)
         assert res.c_hat == 3
+
+    def test_more_seen_than_k_is_error(self):
+        coeffs = CoefficientVector(kind="interpolation", L=2, M=2,
+                                   w=(3.0, -2.0), u=(1.5, -1.0))
+        with pytest.raises(ValueError, match="c_seen = 10 .* k = 5"):
+            estimate(Fingerprint({1: 10}, 10), coeffs, k=5)
 
     def test_empty_fingerprint_is_error(self):
         with pytest.raises(ValueError, match="zero samples"):

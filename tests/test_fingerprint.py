@@ -54,6 +54,15 @@ class TestFingerprint:
         fp = Fingerprint({1: 4, 3: 1}, 5)
         assert fp.dense(4) == [4, 0, 1, 0]
 
+    def test_constructor_validates(self):
+        with pytest.raises(ValueError, match="c_seen = 7 but the fingerprint counts sum to 3"):
+            Fingerprint({1: 3}, 7)
+        with pytest.raises(ValueError, match="index must be >= 1"):
+            Fingerprint({0: 2, 1: 1}, 3)
+        with pytest.raises(ValueError, match=r"phi\[2\] = -1"):
+            Fingerprint({1: 2, 2: -1}, 1)
+        assert Fingerprint({1: 3, 2: 0}, 3).c_seen == 3
+
     def test_from_count_values(self):
         fp = fingerprint_from_count_values([0, 2, 1, 0, 2])
         assert fp.phi == {2: 2, 1: 1} and fp.c_seen == 3

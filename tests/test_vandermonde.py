@@ -7,9 +7,11 @@ from urncount.orthopoly import solve_l2
 from urncount.vandermonde import (
     BoundCheckError,
     build_matrix,
-    jacobi_eigenvalues,
+    certify_sigma_min_bound,
+    power_sums,
     sigma_min,
     sigma_min_bound,
+    sigma_min_exceeds,
     tm_bound_at,
     tm_modulus_check,
 )
@@ -33,36 +35,6 @@ class TestBuildMatrix:
         m = build_matrix(3, 2)
         with pytest.raises(ValueError):
             m.array[0, 0] = 5.0
-
-
-class TestJacobi:
-    def test_analytic_2x2(self):
-        # Gram of Bbar/sqrt(2) at (M=2, L=1): eigenvalues (13 +- sqrt(153))/16
-        g = np.array([[1.0, 0.75], [0.75, 0.625]])
-        eigs = jacobi_eigenvalues(g)
-        assert eigs[0] == pytest.approx((13 - math.sqrt(153)) / 16, abs=1e-12)
-        assert eigs[1] == pytest.approx((13 + math.sqrt(153)) / 16, abs=1e-12)
-
-    def test_analytic_3x3_tridiagonal(self):
-        eigs = jacobi_eigenvalues([[2.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 2.0]])
-        expect = [2 - math.sqrt(2), 2.0, 2 + math.sqrt(2)]
-        assert np.allclose(eigs, expect, atol=1e-10)
-
-    def test_diagonal_passthrough(self):
-        eigs = jacobi_eigenvalues(np.diag([3.0, 1.0, 2.0]))
-        assert eigs.tolist() == [1.0, 2.0, 3.0]
-
-    def test_rejects_nonsymmetric(self):
-        with pytest.raises(ValueError):
-            jacobi_eigenvalues([[1.0, 2.0], [0.0, 1.0]])
-
-    def test_random_symmetric_vs_numpy(self):
-        rng = np.random.default_rng(7)
-        for n in (2, 3, 5, 8):
-            x = rng.normal(size=(n, n))
-            s = (x + x.T) / 2
-            assert np.allclose(jacobi_eigenvalues(s), np.sort(np.linalg.eigvalsh(s)),
-                               atol=1e-10)
 
 
 class TestSigmaMin:
@@ -119,6 +91,56 @@ class TestSigmaMinBound:
                 assert sigma_min(bar.array / math.sqrt(M)) >= sigma_min_bound(M, L)
 
 
+CERT_CELLS = [(M, L) for L in range(1, 13) for M in sorted({L + 1, 2 * L + 1, 64})]
+
+
+def _svd_sigma(M, L):
+    return sigma_min(build_matrix(M, L, with_ones=True).array / math.sqrt(M))
+
+
+class TestCertificate:
+    def test_power_sums(self):
+        assert power_sums(4, 3) == [4, 10, 30, 100]
+
+    @pytest.mark.parametrize("M,L", CERT_CELLS)
+    def test_brackets_svd_value(self, M, L):
+        # pins the SVD value to 1e-6 relative, also where the Gram matrix is
+        # too ill-conditioned for float eigen-solves (L >= 11)
+        s = _svd_sigma(M, L)
+        sums = power_sums(M, 2 * L)
+        assert sigma_min_exceeds(M, L, s * (1 - 1e-6), sums)
+        assert not sigma_min_exceeds(M, L, s * (1 + 1e-6), sums)
+
+    @pytest.mark.parametrize("M,L", CERT_CELLS)
+    def test_bound_certified(self, M, L):
+        assert certify_sigma_min_bound(M, L, _svd_sigma(M, L))
+
+    def test_float_estimate_only_picks_threshold(self):
+        # a wrong estimate cannot fake a pass or a failure: the verdict is the
+        # exact one at the bound
+        for M, L in ((13, 12), (5, 4), (64, 3)):
+            assert certify_sigma_min_bound(M, L, 0.0)
+            assert certify_sigma_min_bound(M, L, 1e6)
+
+    def test_rejects_bound_above_sigma(self, monkeypatch):
+        import urncount.vandermonde as vd
+
+        s = _svd_sigma(13, 12)
+        monkeypatch.setattr(vd, "sigma_min_bound", lambda M, L: s * (1 + 1e-6))
+        assert not vd.certify_sigma_min_bound(13, 12, s)
+        assert not vd.certify_sigma_min_bound(13, 12, 1e6)
+        # no power of two in [b, s/2]: decided at b itself
+        monkeypatch.setattr(vd, "sigma_min_bound", lambda M, L: s * (1 - 1e-6))
+        assert vd.certify_sigma_min_bound(13, 12, s)
+
+    def test_exact_at_analytic_value(self):
+        # (M=2, L=1): lambda_min of the Gram matrix is (13 - sqrt(153))/16
+        lam = (13 - math.sqrt(153)) / 16
+        assert sigma_min_exceeds(2, 1, math.sqrt(lam * (1 - 1e-12)))
+        assert not sigma_min_exceeds(2, 1, math.sqrt(lam * (1 + 1e-12)))
+        assert sigma_min_exceeds(2, 1, 0)
+
+
 class TestCoefficientNormBound:
     def test_w_norm_within_sigma_budget(self):
         # ||w*||_2 <= ||1||_2 / sigma_min(B) for the least-squares solution
@@ -158,6 +180,17 @@ class TestModulusCheck:
         assert (report.M, report.m, report.num_points) == (5, 2, 16)
         assert 0 <= report.worst_ratio < 1
         assert isinstance(report.worst_point, complex)
+
+    def test_shared_basis_matches_own(self):
+        from urncount.orthopoly import chebyshev_basis
+
+        basis = chebyshev_basis(9, 6)
+        for m in range(1, 7):
+            assert tm_modulus_check(9, m, 32, basis=basis) == tm_modulus_check(9, m, 32)
+        with pytest.raises(ValueError, match="does not cover"):
+            tm_modulus_check(9, 7, 32, basis=basis)
+        with pytest.raises(ValueError, match="does not cover"):
+            tm_modulus_check(10, 2, 32, basis=basis)
 
     def test_invalid_degree(self):
         with pytest.raises(ValueError):
