@@ -15,10 +15,7 @@ from .estimator import (
 )
 from .fingerprint import (
     Fingerprint,
-    Histogram,
-    fingerprint,
     fingerprint_from_count_values,
-    histogram,
     parse_fingerprint,
     serialize_fingerprint,
 )
@@ -58,7 +55,6 @@ from .sampling import (
 )
 from .stirling import (
     LogMagnitude,
-    StirlingTable,
     interp_coeffs,
     stirling_bound_report,
     stirling_first,

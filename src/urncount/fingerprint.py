@@ -1,28 +1,15 @@
-"""Histograms and fingerprints: the sufficient statistics of a sample.
+"""Fingerprints: the sufficient statistic of a sample.
 
-The histogram counts how often each color was seen; the fingerprint counts
-how many colors were seen exactly j times.  The number of unseen colors is
-deliberately not a field anywhere here: it is the unobservable target.
+The fingerprint counts how many colors were seen exactly j times; it is built
+from per-color counts.  The number of unseen colors is deliberately not a
+field anywhere here: it is the unobservable target.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
-
-from .sampling import SampleBatch
-
-
-@dataclass(frozen=True)
-class Histogram:
-    counts: dict[int, int]  # color_id -> times seen; zero entries omitted
-
-    @property
-    def sample_size(self) -> int:
-        return sum(self.counts.values())
 
 
 @dataclass(frozen=True)
@@ -47,25 +34,6 @@ class Fingerprint:
     def dense(self, j_max: int) -> list[int]:
         """Dense view [phi_1, ..., phi_j_max]."""
         return [self.phi.get(j, 0) for j in range(1, j_max + 1)]
-
-
-def histogram(batch: SampleBatch) -> Histogram:
-    return Histogram(dict(Counter(batch.draws)))
-
-
-def histogram_from_counts(counts: Mapping[int, int]) -> Histogram:
-    """Histogram from an existing color -> count map; zero counts dropped."""
-    clean = {}
-    for cid, cnt in counts.items():
-        if cnt < 0:
-            raise ValueError(f"negative count for color {cid}")
-        if cnt > 0:
-            clean[cid] = int(cnt)
-    return Histogram(clean)
-
-
-def fingerprint(h: Histogram) -> Fingerprint:
-    return fingerprint_from_count_values(list(h.counts.values()))
 
 
 def fingerprint_from_count_values(count_values) -> Fingerprint:

@@ -3,10 +3,14 @@
 The polynomials t_0, ..., t_{M-1} are orthogonal under the counting measure
 on {0, ..., M-1}; t_m is the m-th forward difference of
 p_m(x) = x(x-1)...(x-m+1) * (x-M)(x-M-1)...(x-M-m+1), divided by m!.
-All coefficient arithmetic is exact (big integers over the common denominator
-m!, rationals at the interface); floating point appears only at the boundary,
-because the coefficients and norms overflow 64-bit integers almost
-immediately and the verification identities demand exactness.
+They are not built from that definition: m! * t_m comes from the integer
+three-term recurrence of Abramowitz & Stegun 22.7, which gives coefficients
+in x, coefficients after the substitution x -> Mx - 1, and values at the
+nodes alike.  All coefficient arithmetic is exact (big integers over the
+common denominator m!, rationals at the interface); floating point appears
+only at the boundary, because the coefficients and norms overflow 64-bit
+integers almost immediately and the verification identities demand
+exactness.
 """
 
 from __future__ import annotations
@@ -24,56 +28,27 @@ if TYPE_CHECKING:  # pragma: no cover
     from .stirling import LogMagnitude
 
 
-# -- exact integer polynomial helpers (ascending coefficient lists) ----------
+# -- the three-term recurrence ------------------------------------------------
 
-def _poly_mul(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return out
+def _gram_numerators(M: int, L: int, one, times_x) -> list:
+    """N_m = m! * t_m for m = 0..L by the recurrence of A&S 22.7.
 
-
-def _poly_shift_one(c: list[int]) -> list[int]:
-    """Coefficients of p(x+1) from those of p(x)."""
-    n = len(c)
-    out = [0] * n
-    for i, ci in enumerate(c):
-        if ci:
-            for j in range(i + 1):
-                out[j] += ci * comb(i, j)
-    return out
+    N_0 = 1, N_1 = x, N_{m+1} = (2m+1) x N_m - m^2 (M^2 - m^2) N_{m-1}, where
+    x = 2y - M + 1 and ``times_x`` multiplies a value by x.  Values are numpy
+    object arrays of Python ints, so every step is exact.
+    """
+    rows = [one, times_x(one)]
+    for m in range(1, L):
+        rows.append((2 * m + 1) * times_x(rows[m]) - m * m * (M * M - m * m) * rows[m - 1])
+    return rows[:L + 1]
 
 
-def _forward_diff(c: list[int]) -> list[int]:
-    shifted = _poly_shift_one(c)
-    out = [s - ci for s, ci in zip(shifted, c)]
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def _pm_coeffs(m: int, M: int) -> list[int]:
-    poly = [1]
-    for i in range(m):
-        poly = _poly_mul(poly, [-i, 1])
-    for i in range(m):
-        poly = _poly_mul(poly, [-(M + i), 1])
-    return poly
-
-
-def _pm_values(m: int, M: int, x_hi: int) -> list[int]:
-    """p_m evaluated at the integers 0..x_hi, exactly."""
-    vals = []
-    for x in range(x_hi + 1):
-        v = 1
-        for i in range(m):
-            v *= x - i
-        for i in range(m):
-            v *= x - M - i
-        vals.append(v)
-    return vals
+def _gram_coefficients(M: int, L: int, a: int, b: int) -> list[tuple[int, ...]]:
+    """Ascending integer coefficients in z of m! * t_m, m = 0..L, where 2y - M + 1 = a + b z."""
+    one = np.zeros(L + 1, dtype=object)
+    one[0] = 1
+    rows = _gram_numerators(M, L, one, lambda v: a * v + b * np.concatenate(([0], v[:-1])))
+    return [tuple(row[:m + 1]) for m, row in enumerate(rows)]
 
 
 def chebyshev_norm(M: int, m: int) -> Fraction:
@@ -120,46 +95,25 @@ def chebyshev_basis(M: int, L: int) -> ChebyshevBasis:
         raise ValueError("M must be >= 1")
     if L < 0 or L >= M:
         raise ValueError(f"basis requires 0 <= L <= M-1, got L={L}, M={M}")
-    numerators = []
-    norms = []
-    for m in range(L + 1):
-        c = _pm_coeffs(m, M)
-        for _ in range(m):
-            c = _forward_diff(c)
-        if len(c) != m + 1:
-            raise AssertionError(f"t_{m} degree mismatch for M={M}")
-        numerators.append(tuple(c))
-        norms.append(chebyshev_norm(M, m))
+    numerators = _gram_coefficients(M, L, 1 - M, 2)
+    norms = [chebyshev_norm(M, m) for m in range(L + 1)]
     return ChebyshevBasis(M, L, tuple(numerators), tuple(norms))
 
 
-def _t_value_table(M: int, m: int) -> list[int]:
-    """m! * t_m at x = 0..M-1 via an exact difference table of p_m values."""
-    vals = _pm_values(m, M, M - 1 + m)
-    for _ in range(m):
-        vals = [b - a for a, b in zip(vals, vals[1:])]
-    return vals[:M]
+def orthonormality_deviation(M: int, L: int) -> float:
+    """max_{i,j <= L} |<phi_i, phi_j> - delta_ij| under the node inner product.
 
-
-def orthonormal_value_matrix(M: int, L: int) -> np.ndarray:
-    """phi_m(i/M) = t_m(i-1)/sqrt(c(M,m)) for m <= L, i in [M].
-
-    Values are computed exactly and rounded once, so the float inner products
-    below are accurate to a few ulps despite the huge alternating coefficients.
+    phi_m(i/M) = t_m(i-1)/sqrt(c(M,m)) for i in [M].  The node values are exact
+    and rounded once, so the float inner products are accurate to a few ulps
+    despite the huge alternating coefficients.
     """
     if L < 0 or L >= M:
         raise ValueError(f"need 0 <= L <= M-1, got L={L}, M={M}")
-    rows = []
-    for m in range(L + 1):
-        fm = factorial(m)
-        scale = math.sqrt(float(chebyshev_norm(M, m)))
-        rows.append([(v / fm) / scale for v in _t_value_table(M, m)])
-    return np.array(rows)
-
-
-def orthonormality_deviation(M: int, L: int) -> float:
-    """max_{i,j <= L} |<phi_i, phi_j> - delta_ij| under the node inner product."""
-    v = orthonormal_value_matrix(M, L)
+    x = np.arange(1 - M, M, 2, dtype=object)  # 2y - M + 1 at y = 0..M-1
+    rows = _gram_numerators(M, L, np.ones(M, dtype=object), lambda v: x * v)
+    v = np.empty((L + 1, M))
+    for m, row in enumerate(rows):
+        v[m] = row / factorial(m) / math.sqrt(float(chebyshev_norm(M, m)))
     gram = v @ v.T
     return float(np.max(np.abs(gram - np.eye(L + 1))))
 
@@ -279,19 +233,10 @@ def solve_l2(M: int, L: int) -> CoefficientVector:
         raise ValueError("L must be >= 1")
     if M <= L:
         raise ValueError(f"need M >= L+1, got M={M}, L={L}")
-    basis = chebyshev_basis(M, L)
     S = phi_norm_sq(M, L)
     coeffs = [Fraction(0)] * (L + 1)
-    for m in range(L + 1):
-        q = basis.numerators[m]
-        # integer coefficients of q(Mx - 1)
-        composed = [0] * len(q)
-        for j in range(len(q)):
-            acc = 0
-            for i in range(j, len(q)):
-                term = q[i] * comb(i, j)
-                acc += -term if (i - j) % 2 else term
-            composed[j] = acc * M**j
+    # 2y - M + 1 at y = Mx - 1 is -(M+1) + 2M x: coefficients of m! t_m(Mx - 1) in x
+    for m, composed in enumerate(_gram_coefficients(M, L, -M - 1, 2 * M)):
         scale = Fraction(-t_at_minus_one(M, m)) / (S * chebyshev_norm(M, m) * factorial(m))
         for j, cj in enumerate(composed):
             coeffs[j] += scale * cj

@@ -46,23 +46,6 @@ def stirling_first(n: int, m: int) -> int:
 
 
 @dataclass(frozen=True)
-class StirlingTable:
-    """A materialized view of s(n, m) for 0 <= m <= n <= max_n."""
-
-    max_n: int
-
-    def __post_init__(self):
-        if self.max_n > MAX_TABLE_N:
-            raise ValueError(f"exact table capped at n = {MAX_TABLE_N}")
-        _ensure_rows(self.max_n)
-
-    def entry(self, n: int, m: int) -> int:
-        if n > self.max_n:
-            raise ValueError(f"table built to n = {self.max_n}")
-        return stirling_first(n, m)
-
-
-@dataclass(frozen=True)
 class LogMagnitude:
     """Sign plus natural log of absolute value; overflow-safe multiplication."""
 

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from urncount.cli import main
+from urncount.cli import build_parser, main
 from urncount.urn import make_uniform_support, serialize_urn
 
 
@@ -64,11 +64,39 @@ class TestEstimate:
         assert json.loads(outs[0])["c_seen"] == 4
 
     def test_samples_non_integer_line_raises(self, tmp_path):
+        # the command raises; main turns that into one stderr line (below)
         for text in ("5\nabc\n", "5\n  # indented comment\n"):
             samples = tmp_path / "s.txt"
             samples.write_text(text)
+            args = build_parser().parse_args(
+                ["estimate", "--k", "10", "--n", "2", "--samples", str(samples)])
             with pytest.raises(ValueError):
-                main(["estimate", "--k", "10", "--n", "2", "--samples", str(samples)])
+                args.func(args)
+
+    @pytest.mark.parametrize("flag, text, message", [
+        ("--fingerprint", "1 10\n", "c_seen = 10 colors were seen, more than k = 5 balls"),
+        ("--fingerprint", "1 x\n", "line 1: non-integer field in '1 x'"),
+        ("--samples", "5\nabc\n", "invalid literal for int()"),
+    ])
+    def test_input_error_is_one_line_and_exit_2(self, tmp_path, capsys, flag, text, message):
+        path = tmp_path / "in.txt"
+        path.write_text(text)
+        rc = main(["estimate", "--k", "5", "--n", "10", flag, str(path)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.startswith("urncount estimate: error: ")
+        assert message in captured.err
+        assert captured.err.count("\n") == 1
+
+    def test_urn_parse_error_is_one_line(self, tmp_path, capsys):
+        urn = tmp_path / "urn.txt"
+        urn.write_text("1 2\n1 3\n")
+        rc = main(["simulate", "--urn", str(urn), "--model", "multi", "--n", "3",
+                   "--seed", "1", "--out", str(tmp_path / "x.txt")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err == "urncount simulate: error: line 2: duplicate color id 1\n"
 
     def test_from_fingerprint_text(self, tmp_path, capsys):
         fp = tmp_path / "fp.txt"
@@ -108,6 +136,14 @@ class TestExperiment:
 
 
 class TestVerify:
+    def test_orthopoly_suite(self, capsys):
+        rc = main(["verify", "--orthopoly"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "VERIFY PASS" in out
+        assert any(line.startswith("orthonormality (M<=64, L<=16)") and line.endswith("[ok]")
+                   for line in out.splitlines())
+
     def test_stirling_suite(self, capsys):
         rc = main(["verify", "--stirling"])
         out = capsys.readouterr().out

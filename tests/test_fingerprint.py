@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,49 +7,28 @@ from hypothesis import strategies as st
 
 from urncount.fingerprint import (
     Fingerprint,
-    fingerprint,
     fingerprint_from_count_values,
-    histogram,
-    histogram_from_counts,
     parse_fingerprint,
     serialize_fingerprint,
 )
-from urncount.sampling import SampleBatch
 
 
-def batch_of(draws):
-    return SampleBatch(tuple(draws), len(draws), "multinomial")
-
-
-class TestHistogram:
-    def test_empty(self):
-        assert histogram(batch_of([])).counts == {}
-
-    def test_direct_count(self):
-        h = histogram(batch_of([5, 7, 5, 9, 7, 5]))
-        assert h.counts == {5: 3, 7: 2, 9: 1}
-
-    def test_single_draw(self):
-        assert histogram(batch_of([4])).counts == {4: 1}
-
-    def test_from_counts_drops_zeros(self):
-        assert histogram_from_counts({1: 2, 2: 0}).counts == {1: 2}
-        with pytest.raises(ValueError):
-            histogram_from_counts({1: -1})
+def fingerprint_of(draws):
+    return fingerprint_from_count_values(list(Counter(draws).values()))
 
 
 class TestFingerprint:
     def test_direct(self):
-        fp = fingerprint(histogram(batch_of([5, 7, 5, 9, 7, 5])))
+        fp = fingerprint_of([5, 7, 5, 9, 7, 5])
         assert fp.phi == {1: 1, 2: 1, 3: 1}
         assert fp.c_seen == 3
 
     def test_empty(self):
-        fp = fingerprint(histogram(batch_of([])))
+        fp = fingerprint_of([])
         assert fp.phi == {} and fp.c_seen == 0
 
     def test_all_doubles(self):
-        fp = fingerprint(histogram(batch_of([1, 1, 2, 2, 3, 3])))
+        fp = fingerprint_of([1, 1, 2, 2, 3, 3])
         assert fp.phi == {2: 3} and fp.c_seen == 3
 
     def test_dense_view(self):
@@ -78,7 +59,7 @@ class TestFingerprint:
     @given(st.lists(st.integers(0, 30), max_size=200))
     @settings(max_examples=200, deadline=None)
     def test_mass_and_count_identities(self, draws):
-        fp = fingerprint(histogram(batch_of(draws)))
+        fp = fingerprint_of(draws)
         assert sum(j * cnt for j, cnt in fp.phi.items()) == len(draws)
         assert sum(fp.phi.values()) == fp.c_seen
 
@@ -88,8 +69,8 @@ class TestFingerprint:
         relabeled = [(d * 2654435761 + salt) % (2**64) for d in draws]
         if len(set(relabeled)) != len(set(draws)):
             return  # hash collision: not an injective relabeling
-        a = fingerprint(histogram(batch_of(draws)))
-        b = fingerprint(histogram(batch_of(relabeled)))
+        a = fingerprint_of(draws)
+        b = fingerprint_of(relabeled)
         assert a == b
 
 
@@ -119,7 +100,7 @@ class TestIdentitiesAcrossSamplers:
                 draw_poissonized(urn, n, rng),
             ]
             for batch in batches:
-                fp = fingerprint(histogram(batch))
+                fp = fingerprint_of(batch.draws)
                 assert sum(j * c for j, c in fp.phi.items()) == batch.realized_size
                 assert sum(fp.phi.values()) == fp.c_seen
                 assert fp.c_seen <= urn.C

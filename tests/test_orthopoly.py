@@ -65,14 +65,19 @@ class TestBasis:
         assert dot == 0
 
     def test_norms_match_values_exactly(self):
-        for M in (3, 5, 9):
-            basis = chebyshev_basis(M, M - 1)
-            for m in range(M):
-                assert sum(basis.eval_exact(m, x) ** 2 for x in range(M)) == basis.norms[m]
+        # degree, exact orthogonality, norm and t_m(-1) fix t_m uniquely
+        for M, L in ((3, 2), (5, 4), (9, 8), (40, 20), (127, 12)):
+            basis = chebyshev_basis(M, L)
+            values = [[basis.eval_exact(m, x) for x in range(M)] for m in range(L + 1)]
+            for m in range(L + 1):
+                assert len(basis.numerators[m]) == m + 1 and basis.numerators[m][-1] != 0
+                assert sum(v * v for v in values[m]) == basis.norms[m]
+                for i in range(m):
+                    assert sum(a * b for a, b in zip(values[i], values[m])) == 0
 
     def test_t_at_minus_one_matches_eval(self):
-        for M in (2, 5, 11):
-            basis = chebyshev_basis(M, min(4, M - 1))
+        for M, L in ((2, 1), (5, 4), (11, 4), (40, 20), (127, 12)):
+            basis = chebyshev_basis(M, L)
             for m in range(basis.L + 1):
                 assert basis.eval_exact(m, -1) == t_at_minus_one(M, m)
 

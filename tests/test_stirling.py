@@ -8,7 +8,6 @@ from urncount.orthopoly import u_to_w
 from urncount.stirling import (
     MAX_TABLE_N,
     LogMagnitude,
-    StirlingTable,
     interp_coeffs,
     stirling_bound_report,
     stirling_first,
@@ -63,9 +62,6 @@ class TestTable:
     def test_cap(self):
         with pytest.raises(ValueError):
             stirling_first(MAX_TABLE_N + 1, 1)
-        with pytest.raises(ValueError):
-            StirlingTable(MAX_TABLE_N + 1)
-        assert StirlingTable(10).entry(10, 3) == stirling_first(10, 3)
 
 
 class TestLogMagnitude:
