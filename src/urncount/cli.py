@@ -55,11 +55,15 @@ def _cmd_estimate(args) -> int:
     params = select_params(args.k, args.n, alpha=args.alpha, beta=args.beta, eta=args.eta)
     coeffs = build_estimator(params)
     if args.samples:
-        draws = [
-            int(line.strip())
-            for line in Path(args.samples).read_text().splitlines()
-            if line.strip() and not line.startswith("#")
-        ]
+        lines = Path(args.samples).read_text().splitlines()
+        try:
+            draws = [
+                int(line.strip())
+                for line in lines
+                if line.strip() and not line.startswith("#")
+            ]
+        except ValueError:
+            raise ValueError(_bad_sample_line(lines)) from None
         try:
             ids = np.array(draws, dtype=np.int64)
         except OverflowError:  # ids past the int64 range
@@ -84,6 +88,17 @@ def _cmd_estimate(args) -> int:
         for key, value in payload.items():
             print(f"{key}: {value}")
     return 0
+
+
+def _bad_sample_line(lines: list[str]) -> str:
+    """The first sample line that is not an integer, named by its number."""
+    for lineno, line in enumerate(lines, start=1):
+        if line.strip() and not line.startswith("#"):
+            try:
+                int(line.strip())
+            except ValueError as exc:
+                return f"line {lineno}: {exc}"
+    raise AssertionError("every sample line parses")
 
 
 def _cmd_experiment(args) -> int:
@@ -152,11 +167,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one command; an input error (any ValueError) is one stderr line and exit 2."""
+    """Run one command; an input error (a ValueError, or an OSError from a
+    missing or unreadable file) is one stderr line and exit 2."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"urncount {args.command}: error: {exc}", file=sys.stderr)
         return 2
 

@@ -13,14 +13,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Sequence
 
 import numpy as np
 
 from .fingerprint import Fingerprint
-from .orthopoly import CoefficientVector, solve_l2
-from .rng import RngStream
-from .stirling import MAX_TABLE_N, interp_coeffs
+from .orthopoly import CoefficientVector, ParameterizationError, poly_value_exact, solve_l2
+from .stirling import interp_coeffs
 from .urn import UrnSpec
 
 DEFAULT_ALPHA = 0.5
@@ -30,10 +28,6 @@ INTERPOLATION_BETA = 3.5
 
 REGIME_L2 = "l2"
 REGIME_INTERPOLATION = "interpolation"
-
-
-class ParameterizationError(ValueError):
-    """The requested (k, n, L, M) needs coefficients beyond float range."""
 
 
 @dataclass(frozen=True)
@@ -126,19 +120,7 @@ def build_estimator(params: EstimatorParams) -> CoefficientVector:
 def _coefficients(k: int, n: int, L: int, M: int, regime: str) -> CoefficientVector:
     if regime == REGIME_L2:
         return solve_l2(M, L).with_sample_params(k, n)
-    if M >= MAX_TABLE_N:  # the coefficients need s(M+1, .)
-        raise ParameterizationError(
-            f"interpolation at k={k}, n={n} needs M={M} nodes, "
-            f"past the {MAX_TABLE_N}-node cap of the exact Stirling table "
-            f"(M <= {MAX_TABLE_N - 1})"
-        )
-    coeffs = interp_coeffs(M, k, n)
-    if coeffs.overflow:
-        raise ParameterizationError(
-            f"interpolation coefficients overflow at k={k}, n={n}, "
-            f"M={M}; use the l2 regime (n <= eta*k) instead"
-        )
-    return coeffs
+    return interp_coeffs(M, k, n)
 
 
 def naive_coefficients() -> CoefficientVector:
@@ -160,7 +142,10 @@ def estimate(
     if fp.c_seen > k:
         raise ValueError(f"c_seen = {fp.c_seen} colors were seen, more than k = {k} balls")
     if coeffs.u is None:
-        raise ParameterizationError("coefficient vector has no float u (overflow?)")
+        raise ParameterizationError(
+            "coefficient vector is not bound to sample parameters (k, n); "
+            "bind it with with_sample_params(k, n) or build it with build_estimator"
+        )
     if coeffs.k is not None and coeffs.k != k:
         raise ValueError(f"coefficients were built for k={coeffs.k}, not k={k}")
     correction = 0.0
@@ -172,19 +157,11 @@ def estimate(
     return EstimateResult(c_hat, c_tilde, fp.c_seen, params, coeffs.digest)
 
 
-def _poly_value_float(coeffs: CoefficientVector, a: int) -> float:
+def _poly_value_float(w, a: int, M: int) -> float:
     """p(a/M) = sum_j w_j (a/M)^j in floating point."""
-    x = a / coeffs.M
+    x = a / M
     acc = 0.0
-    for wj in reversed(coeffs.w):
-        acc = (acc + wj) * x
-    return acc
-
-
-def _poly_value_exact(coeffs: CoefficientVector, a: int) -> Fraction:
-    x = Fraction(a, coeffs.M)
-    acc = Fraction(0)
-    for wj in reversed(coeffs.w_exact):
+    for wj in reversed(w):
         acc = (acc + wj) * x
     return acc
 
@@ -202,67 +179,15 @@ def exact_bias(urn: UrnSpec, coeffs: CoefficientVector, n: int, *, exact: bool =
     if exact:
         if coeffs.w_exact is None:
             raise ValueError("no exact coefficients retained on this vector")
-        poly = _poly_value_exact
-        one = Fraction(1)
+        poly, w, one = poly_value_exact, coeffs.w_exact, Fraction(1)
     else:
-        if coeffs.w is None:
-            raise ParameterizationError("coefficient vector has no float w (overflow?)")
-        poly = _poly_value_float
-        one = 1.0
+        poly, w, one = _poly_value_float, coeffs.w, 1.0
     values, _, bounds = urn.mult_groups
     total = 0.0
     for mult, count in zip(values.tolist(), np.diff(bounds).tolist()):
-        gap = poly(coeffs, mult) - one
+        gap = poly(w, mult, coeffs.M) - one
         if gap == 0:
             continue
         total += count * math.exp(-n * mult / urn.k) * float(gap)
     return total
 
-
-def variance_diagnostic(coeffs: CoefficientVector, k: int, n: int) -> float:
-    """max_{m in [M]} E[u_N^2] for N ~ Poisson(n m / k).
-
-    A diagnostic only; the sum is finite because u vanishes beyond L.
-    """
-    if coeffs.u is None:
-        raise ParameterizationError("coefficient vector has no float u (overflow?)")
-    worst = 0.0
-    for m in range(1, coeffs.M + 1):
-        lam = n * m / k
-        acc = 0.0
-        for j, uj in enumerate(coeffs.u, start=1):
-            if uj != 0.0:
-                acc += uj * uj * math.exp(j * math.log(lam) - lam - math.lgamma(j + 1))
-        worst = max(worst, acc)
-    return worst
-
-
-def adapt_fixed_to_randomized(
-    est: Callable[[Sequence[int]], float], n: int
-) -> Callable[[Sequence[int]], float]:
-    """Run a fixed-size-n estimator on a randomized-size sample: use the first
-    n draws when enough arrived, otherwise output 0."""
-
-    def wrapped(draws: Sequence[int]) -> float:
-        if len(draws) >= n:
-            return est(list(draws)[:n])
-        return 0.0
-
-    return wrapped
-
-
-def adapt_randomized_to_fixed(
-    est: Callable[[Sequence[int]], float],
-    n: int,
-    sample_size_law: Callable[[RngStream], int],
-) -> Callable[[Sequence[int], RngStream], float]:
-    """Run a randomized-size estimator on exactly n draws: resample a size m
-    from the law, feed the first m draws when m <= n, otherwise output 0."""
-
-    def wrapped(draws: Sequence[int], rng: RngStream) -> float:
-        m = sample_size_law(rng)
-        if m <= n:
-            return est(list(draws)[:m])
-        return 0.0
-
-    return wrapped

@@ -27,14 +27,6 @@ class Fingerprint:
         if self.c_seen != total:
             raise ValueError(f"c_seen = {self.c_seen} but the fingerprint counts sum to {total}")
 
-    @property
-    def sample_size(self) -> int:
-        return sum(j * cnt for j, cnt in self.phi.items())
-
-    def dense(self, j_max: int) -> list[int]:
-        """Dense view [phi_1, ..., phi_j_max]."""
-        return [self.phi.get(j, 0) for j in range(1, j_max + 1)]
-
 
 def fingerprint_from_count_values(count_values) -> Fingerprint:
     """Fingerprint of per-color counts (an int array or sequence; zeros allowed).

@@ -20,12 +20,8 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import comb, factorial
-from typing import TYPE_CHECKING
 
 import numpy as np
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .stirling import LogMagnitude
 
 
 # -- the three-term recurrence ------------------------------------------------
@@ -146,25 +142,6 @@ def binomial_ratio_minus_one(M: int, L: int) -> Fraction:
     return Fraction(comb(M + L + 1, L + 1), comb(M, L + 1)) - 1
 
 
-def phi_at_zero(M: int, L: int) -> tuple[list[float], Fraction]:
-    """(phi_0(0), ..., phi_L(0)) as floats, plus ||phi(0)||^2 as an exact rational.
-
-    phi_m(0) = (-1)^m sqrt((2m+1)/M * prod_{j<=m} (M+j)/(M-j)).
-    """
-    if L < 0 or L >= M:
-        raise ValueError(f"need 0 <= L <= M-1, got L={L}, M={M}")
-    values = []
-    norm_sq = Fraction(0)
-    for m in range(L + 1):
-        sq = Fraction(2 * m + 1, M)
-        for j in range(1, m + 1):
-            sq *= Fraction(M + j, M - j)
-        norm_sq += sq
-        mag = math.sqrt(float(sq))
-        values.append(-mag if m % 2 else mag)
-    return values, norm_sq
-
-
 def l2_min_value(M: int, L: int) -> float:
     """The minimum of ||Bw - 1||_2 over w, in closed form."""
     if L < 1:
@@ -182,27 +159,29 @@ def _float_hex(values) -> str:
     return ",".join(float(v).hex() for v in values)
 
 
+class ParameterizationError(ValueError):
+    """The requested (k, n, L, M) has no usable coefficients: they lie past
+    float range or past the 128-node cap of the exact Stirling table, or the
+    vector was never bound to (k, n)."""
+
+
 @dataclass(frozen=True)
 class CoefficientVector:
     """Estimator coefficients u_1..u_L and polynomial coefficients w_1..w_L.
 
     The two are linked by u_j = w_j * j! * (k/(nM))^j once sample parameters
-    (k, n) are bound.  ``w_exact`` retains the exact rationals when the build
-    path produced them; ``u_log`` carries log-magnitude coefficients when the
-    float conversion would overflow (``overflow`` is then set and ``u`` is
-    None rather than a silent infinity).
+    (k, n) are bound; ``u`` is None until then.  ``w_exact`` retains the exact
+    rationals when the build path produced them.
     """
 
     kind: str  # "l2" or "interpolation"
     L: int
     M: int
-    w: tuple[float, ...] | None
+    w: tuple[float, ...]
     u: tuple[float, ...] | None = None
     k: int | None = None
     n: int | None = None
     w_exact: tuple[Fraction, ...] | None = None
-    u_log: tuple["LogMagnitude", ...] | None = None
-    overflow: bool = False
 
     @property
     def digest(self) -> str:
@@ -214,8 +193,6 @@ class CoefficientVector:
 
     def with_sample_params(self, k: int, n: int) -> "CoefficientVector":
         """Bind (k, n) and fill u from w."""
-        if self.w is None:
-            raise ValueError("cannot bind sample parameters without w")
         u = w_to_u(self.w, k, n, self.M)
         return replace(self, k=k, n=n, u=tuple(u))
 
@@ -250,15 +227,20 @@ def solve_l2(M: int, L: int) -> CoefficientVector:
     )
 
 
+def poly_value_exact(w_exact, a: int, M: int) -> Fraction:
+    """p(a/M) = sum_j w_j (a/M)^j with exact rational w, by Horner's rule."""
+    x = Fraction(a, M)
+    acc = Fraction(0)
+    for wj in reversed(w_exact):
+        acc = (acc + wj) * x
+    return acc
+
+
 def l2_residual_sq_exact(w_exact, M: int) -> Fraction:
     """sum_{a in [M]} (p(a/M) - 1)^2 with exact rational w."""
     total = Fraction(0)
     for a in range(1, M + 1):
-        x = Fraction(a, M)
-        acc = Fraction(0)
-        for wj in reversed(w_exact):
-            acc = (acc + wj) * x
-        total += (acc - 1) ** 2
+        total += (poly_value_exact(w_exact, a, M) - 1) ** 2
     return total
 
 
@@ -274,15 +256,3 @@ def w_to_u(w, k: int, n: int, M: int) -> tuple[float, ...]:
         out.append(float(wj) * float(ratio**j * factorial(j)))
     return tuple(out)
 
-
-def u_to_w(u, k: int, n: int, M: int) -> tuple[float, ...]:
-    """Inverse of w_to_u: w_j = u_j * (nM/k)^j / j!."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if k < 1 or M < 1:
-        raise ValueError("k and M must be >= 1")
-    ratio = Fraction(n * M, k)
-    out = []
-    for j, uj in enumerate(u, start=1):
-        out.append(float(uj) * float(ratio**j / factorial(j)))
-    return tuple(out)

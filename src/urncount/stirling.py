@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .orthopoly import CoefficientVector
+from .orthopoly import CoefficientVector, ParameterizationError
 from .rng import LOG_FLOAT_LIMIT
 
 MAX_TABLE_N = 128
@@ -45,78 +45,46 @@ def stirling_first(n: int, m: int) -> int:
     return _rows[n][m]
 
 
-@dataclass(frozen=True)
-class LogMagnitude:
-    """Sign plus natural log of absolute value; overflow-safe multiplication."""
-
-    sign: int  # -1, 0, +1
-    log_abs: float  # -inf for zero
-
-    @classmethod
-    def from_int(cls, v: int) -> "LogMagnitude":
-        if v == 0:
-            return cls(0, -math.inf)
-        return cls(1 if v > 0 else -1, math.log(abs(v)))
-
-    def __mul__(self, other: "LogMagnitude") -> "LogMagnitude":
-        s = self.sign * other.sign
-        if s == 0:
-            return LogMagnitude(0, -math.inf)
-        return LogMagnitude(s, self.log_abs + other.log_abs)
-
-    @property
-    def overflows(self) -> bool:
-        return self.log_abs > LOG_FLOAT_LIMIT
-
-    def to_float(self) -> float:
-        if self.overflows:
-            raise OverflowError(f"log magnitude {self.log_abs:.1f} exceeds float range")
-        if self.sign == 0:
-            return 0.0
-        return self.sign * math.exp(self.log_abs)
-
-
 def interp_coeffs(M: int, k: int, n: int) -> CoefficientVector:
     """Coefficients that interpolate exactly through all M node values.
 
-    u_j = (-1)^(M+1) (j!/M!) (k/n)^j s(M+1, j+1), assembled in log-magnitude
-    arithmetic and converted to floats; the induced polynomial satisfies
-    p(a/M) = 1 for every a in [M] (exactly so in the retained rationals).
-    If any u_j would overflow the float range the vector is returned flagged,
-    with the log-magnitude coefficients in place of floats.
+    w_j = (-1)^(M+1) M^j s(M+1, j+1) / M! is kept exactly, so the induced
+    polynomial satisfies p(a/M) = 1 for every a in [M] in the retained
+    rationals.  u_j = (-1)^(M+1) (j!/M!) (k/n)^j s(M+1, j+1) is rounded from
+    its logarithm, lgamma(j+1) - lgamma(M+1) + j log(k/n) + log|s(M+1, j+1)|.
+    Raises ParameterizationError when M reaches the 128-node cap of the
+    Stirling table or any u_j lies past float range.
     """
     if M < 1:
         raise ValueError("M must be >= 1")
     if k < 1 or n < 1:
         raise ValueError("k and n must be >= 1")
+    if M >= MAX_TABLE_N:  # the coefficients need s(M+1, .)
+        raise ParameterizationError(
+            f"interpolation at k={k}, n={n} needs M={M} nodes, "
+            f"past the {MAX_TABLE_N}-node cap of the exact Stirling table "
+            f"(M <= {MAX_TABLE_N - 1})"
+        )
     front = 1 if M % 2 else -1  # (-1)^(M+1)
     log_kn = math.log(k) - math.log(n)
     log_mfact = math.lgamma(M + 1)
-    u_log = []
-    for j in range(1, M + 1):
-        s = stirling_first(M + 1, j + 1)
-        mag = LogMagnitude.from_int(s)
-        u_log.append(LogMagnitude(
-            front * mag.sign,
-            math.lgamma(j + 1) - log_mfact + j * log_kn + mag.log_abs,
-        ))
     mfact = factorial(M)
-    w_exact = tuple(
-        Fraction(front * M**j * stirling_first(M + 1, j + 1), mfact)
-        for j in range(1, M + 1)
-    )
-    if any(term.overflows for term in u_log):
-        return CoefficientVector(
-            kind="interpolation", L=M, M=M, k=k, n=n,
-            w=None, u=None, w_exact=w_exact, u_log=tuple(u_log), overflow=True,
-        )
-    u = tuple(term.to_float() for term in u_log)
+    u, w_exact = [], []
+    for j in range(1, M + 1):
+        s = front * stirling_first(M + 1, j + 1)
+        log_u = math.lgamma(j + 1) - log_mfact + j * log_kn + math.log(abs(s))
+        if log_u > LOG_FLOAT_LIMIT:
+            raise ParameterizationError(
+                f"interpolation coefficients overflow at k={k}, n={n}, "
+                f"M={M}; use the l2 regime (n <= eta*k) instead"
+            )
+        u.append(math.exp(log_u) if s > 0 else -math.exp(log_u))
+        w_exact.append(Fraction(M**j * s, mfact))
     # float w from the exact rationals: the node identity p(a/M) = 1 is
     # conditioned like binom(2M, M), so w needs full double precision.
-    w = tuple(float(wj) for wj in w_exact)
     return CoefficientVector(
         kind="interpolation", L=M, M=M, k=k, n=n,
-        w=w, u=u, w_exact=w_exact, u_log=tuple(u_log),
+        w=tuple(float(wj) for wj in w_exact), u=tuple(u), w_exact=tuple(w_exact),
     )
 
 

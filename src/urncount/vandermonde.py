@@ -26,32 +26,21 @@ class BoundCheckError(AssertionError):
     """A verified inequality failed; the message carries the offending point."""
 
 
-@dataclass(frozen=True)
-class NodeMatrix:
-    """Rows i in [M], columns j: entries (i/M)^j; j starts at 0 when the
-    leading all-ones column is included."""
-
-    M: int
-    L: int
-    with_ones: bool
-    array: np.ndarray
-
-    def __post_init__(self):
-        self.array.flags.writeable = False
-
-
-def build_matrix(M: int, L: int, with_ones: bool = False) -> NodeMatrix:
+def build_matrix(M: int, L: int, with_ones: bool = False) -> np.ndarray:
+    """Read-only node matrix: rows i in [M], columns j: entries (i/M)^j; j
+    starts at 0 when the leading all-ones column is included."""
     if M < 1 or L < 1:
         raise ValueError("M and L must be >= 1")
     nodes = np.arange(1, M + 1) / M
     j_lo = 0 if with_ones else 1
-    cols = [nodes**j for j in range(j_lo, L + 1)]
-    return NodeMatrix(M, L, with_ones, np.column_stack(cols))
+    matrix = np.column_stack([nodes**j for j in range(j_lo, L + 1)])
+    matrix.flags.writeable = False
+    return matrix
 
 
 def sigma_min(matrix) -> float:
     """Smallest singular value, from LAPACK's SVD of the matrix itself."""
-    a = matrix.array if isinstance(matrix, NodeMatrix) else np.asarray(matrix, dtype=float)
+    a = np.asarray(matrix, dtype=float)
     rows, cols = a.shape
     if rows < cols:
         raise ValueError(f"need rows >= columns, got {rows} x {cols}")

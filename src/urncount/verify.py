@@ -22,6 +22,7 @@ from .orthopoly import (
     l2_residual_sq_exact,
     orthonormality_deviation,
     phi_norm_sq,
+    poly_value_exact,
     solve_l2,
 )
 from .stirling import interp_coeffs, stirling_bound_report, stirling_first
@@ -125,13 +126,8 @@ def stirling_report() -> tuple[list[str], bool]:
     interp_ok = True
     for M in range(1, 31):
         vec = interp_coeffs(M, 2, 1)  # node identity does not depend on k/n
-        for a in range(1, M + 1):
-            x = Fraction(a, M)
-            acc = Fraction(0)
-            for wj in reversed(vec.w_exact):
-                acc = (acc + wj) * x
-            if acc != 1:
-                interp_ok = False
+        if any(poly_value_exact(vec.w_exact, a, M) != 1 for a in range(1, M + 1)):
+            interp_ok = False
     if not interp_ok:
         ok = False
     lines.append(f"interpolation hits 1 at every node, exact rationals (M<=30) "
@@ -154,7 +150,7 @@ def spectral_report() -> tuple[list[str], bool]:
     worst_bound = (math.inf, 0, 0)  # (sigma_min / bound, M, L)
     for L in range(1, SPECTRAL_L_MAX + 1):
         for M in range(L + 1, SPECTRAL_M_MAX + 1):
-            bar = build_matrix(M, L, with_ones=True).array / math.sqrt(M)
+            bar = build_matrix(M, L, with_ones=True) / math.sqrt(M)
             s_bar = sigma_min(bar)
             bnd = sigma_min_bound(M, L)
             if not certify_sigma_min_bound(M, L, s_bar, sums[M]):

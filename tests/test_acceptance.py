@@ -72,13 +72,13 @@ def test_criterion_2_orthonormality():
 
 def test_criterion_3_sigma_min_bound():
     with _Stopwatch("criterion 3: minimum singular value bound", 10):
-        spot = sigma_min(build_matrix(2, 1, with_ones=True).array / math.sqrt(2))
+        spot = sigma_min(build_matrix(2, 1, with_ones=True) / math.sqrt(2))
         assert spot == pytest.approx(0.19854, abs=5e-6)
         assert sigma_min_bound(2, 1) == pytest.approx(1.068e-3, rel=1e-3)
         assert spot >= sigma_min_bound(2, 1)
         for L in range(1, 9):
             for M in range(L + 1, 65):
-                s = sigma_min(build_matrix(M, L, with_ones=True).array / math.sqrt(M))
+                s = sigma_min(build_matrix(M, L, with_ones=True) / math.sqrt(M))
                 assert s >= sigma_min_bound(M, L), (M, L)
 
 

@@ -70,13 +70,14 @@ class TestEstimate:
             samples.write_text(text)
             args = build_parser().parse_args(
                 ["estimate", "--k", "10", "--n", "2", "--samples", str(samples)])
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match="^line 2: invalid literal for int"):
                 args.func(args)
 
     @pytest.mark.parametrize("flag, text, message", [
         ("--fingerprint", "1 10\n", "c_seen = 10 colors were seen, more than k = 5 balls"),
         ("--fingerprint", "1 x\n", "line 1: non-integer field in '1 x'"),
         ("--samples", "5\nabc\n", "invalid literal for int()"),
+        ("--samples", "5\n\n# note\nabc\n", "line 4: invalid literal for int() with base 10: 'abc'"),
     ])
     def test_input_error_is_one_line_and_exit_2(self, tmp_path, capsys, flag, text, message):
         path = tmp_path / "in.txt"
@@ -87,6 +88,23 @@ class TestEstimate:
         assert captured.out == ""
         assert captured.err.startswith("urncount estimate: error: ")
         assert message in captured.err
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["estimate", "--k", "5", "--n", "10", "--fingerprint", "{missing}"],
+        ["estimate", "--k", "5", "--n", "10", "--samples", "{missing}"],
+        ["simulate", "--urn", "{missing}", "--model", "multi", "--n", "3", "--seed", "1",
+         "--out", "{tmp}/x.txt"],
+        ["experiment", "--config", "{missing}", "--out", "{tmp}/out"],
+    ])
+    def test_missing_file_is_one_line_and_exit_2(self, tmp_path, capsys, argv):
+        missing = tmp_path / "no-such-file.txt"
+        rc = main([a.format(missing=missing, tmp=tmp_path) for a in argv])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"urncount {argv[0]}: error: ")
+        assert str(missing) in captured.err
         assert captured.err.count("\n") == 1
 
     def test_urn_parse_error_is_one_line(self, tmp_path, capsys):

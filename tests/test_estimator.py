@@ -8,18 +8,16 @@ from urncount.estimator import (
     COEFF_CACHE_SIZE,
     EstimatorParams,
     ParameterizationError,
-    adapt_fixed_to_randomized,
-    adapt_randomized_to_fixed,
     build_estimator,
     estimate,
     exact_bias,
     naive_coefficients,
     select_params,
-    variance_diagnostic,
     _coefficients,
 )
+from urncount import orthopoly
 from urncount.fingerprint import Fingerprint, fingerprint_from_count_values
-from urncount.orthopoly import CoefficientVector, l2_min_value
+from urncount.orthopoly import CoefficientVector, l2_min_value, solve_l2
 from urncount.rng import RngStream
 from urncount.sampling import poissonized_color_counts
 from urncount.stirling import interp_coeffs
@@ -122,6 +120,10 @@ class TestBuildEstimator:
         with pytest.raises(ParameterizationError, match="l2"):
             build_estimator(p)
 
+    def test_one_error_class(self):
+        # raised by interp_coeffs and estimate alike, re-exported here
+        assert ParameterizationError is orthopoly.ParameterizationError
+
 
 class TestEstimate:
     def test_linear_correction(self):
@@ -156,6 +158,10 @@ class TestEstimate:
     def test_empty_fingerprint_is_error(self):
         with pytest.raises(ValueError, match="zero samples"):
             estimate(Fingerprint({}, 0), naive_coefficients(), 10)
+
+    def test_unbound_vector_names_the_missing_binding(self):
+        with pytest.raises(ParameterizationError, match=r"not bound to sample parameters \(k, n\)"):
+            estimate(Fingerprint({1: 2, 2: 1}, 3), solve_l2(5, 2), 10)
 
     def test_k_mismatch_is_error(self):
         coeffs = build_estimator(select_params(100, 400))
@@ -233,52 +239,3 @@ class TestExactBias:
         mean = sum(tildes) / trials
         std = math.sqrt(sum((x - mean) ** 2 for x in tildes) / (trials - 1))
         assert abs(mean - 50) <= 5 * std / math.sqrt(trials)
-
-
-class TestVarianceDiagnostic:
-    def test_matches_direct_sum(self):
-        coeffs = CoefficientVector(kind="interpolation", L=2, M=2,
-                                   w=(3.0, -2.0), u=(1.5, -1.0), k=4, n=4)
-        # lam in {1, 2}; direct evaluation of sum_j u_j^2 e^-lam lam^j / j!
-        direct = max(
-            sum(u * u * math.exp(-lam) * lam**j / math.factorial(j)
-                for j, u in ((1, 1.5), (2, -1.0)))
-            for lam in (1.0, 2.0)
-        )
-        assert variance_diagnostic(coeffs, 4, 4) == pytest.approx(direct, rel=1e-12)
-
-
-class TestSampleSizeAdapters:
-    def test_fixed_to_randomized_uses_first_n(self):
-        calls = []
-
-        def est(draws):
-            calls.append(tuple(draws))
-            return float(len(draws))
-
-        wrapped = adapt_fixed_to_randomized(est, 3)
-        assert wrapped([1, 2, 3, 4, 5]) == 3.0
-        assert calls[-1] == (1, 2, 3)
-
-    def test_fixed_to_randomized_outputs_zero_when_short(self):
-        wrapped = adapt_fixed_to_randomized(lambda d: 99.0, 3)
-        assert wrapped([1, 2]) == 0.0
-
-    def test_randomized_to_fixed(self):
-        def est(draws):
-            return float(sum(draws))
-
-        # law that always returns 2 -> first two draws are used
-        wrapped = adapt_randomized_to_fixed(est, 4, lambda rng: 2)
-        assert wrapped([5, 6, 7, 8], RngStream(0, 0)) == 11.0
-        # law that exceeds the budget -> 0
-        wrapped = adapt_randomized_to_fixed(est, 4, lambda rng: 9)
-        assert wrapped([5, 6, 7, 8], RngStream(0, 0)) == 0.0
-
-    def test_randomized_to_fixed_draws_from_law(self):
-        # a Poisson law exercised through the stream: deterministic per seed
-        wrapped = adapt_randomized_to_fixed(
-            lambda d: float(len(d)), 100, lambda rng: rng.poisson(5.0))
-        v1 = wrapped(list(range(100)), RngStream(7, 0))
-        v2 = wrapped(list(range(100)), RngStream(7, 0))
-        assert v1 == v2 and 0 <= v1 <= 100

@@ -31,10 +31,6 @@ class TestFingerprint:
         fp = fingerprint_of([1, 1, 2, 2, 3, 3])
         assert fp.phi == {2: 3} and fp.c_seen == 3
 
-    def test_dense_view(self):
-        fp = Fingerprint({1: 4, 3: 1}, 5)
-        assert fp.dense(4) == [4, 0, 1, 0]
-
     def test_constructor_validates(self):
         with pytest.raises(ValueError, match="c_seen = 7 but the fingerprint counts sum to 3"):
             Fingerprint({1: 3}, 7)

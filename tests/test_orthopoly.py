@@ -14,11 +14,9 @@ from urncount.orthopoly import (
     l2_min_value,
     l2_residual_sq_exact,
     orthonormality_deviation,
-    phi_at_zero,
     phi_norm_sq,
     solve_l2,
     t_at_minus_one,
-    u_to_w,
     w_to_u,
 )
 
@@ -90,24 +88,33 @@ class TestBasis:
             assert orthonormality_deviation(M, min(8, M - 1)) <= 1e-9
 
 
+def phi_at_zero(M: int, m: int) -> float:
+    """phi_m(0) = t_m(-1) / sqrt(c(M, m)), the pieces solve_l2 projects with."""
+    return t_at_minus_one(M, m) / math.sqrt(chebyshev_norm(M, m))
+
+
 class TestPhiAtZero:
     def test_m3_value(self):
-        values, _ = phi_at_zero(3, 1)
-        assert values[1] == pytest.approx(-math.sqrt(2), rel=1e-14)
+        assert phi_at_zero(3, 1) == pytest.approx(-math.sqrt(2), rel=1e-14)
 
     def test_norm_sq_closed_form_m2(self):
-        _, norm_sq = phi_at_zero(2, 1)
-        assert norm_sq == Fraction(comb(4, 2), comb(2, 2)) - 1 == 5
+        assert phi_norm_sq(2, 1) == Fraction(comb(4, 2), comb(2, 2)) - 1 == 5
 
     def test_constant_basis(self):
-        values, norm_sq = phi_at_zero(7, 0)
-        assert values == [pytest.approx(1 / math.sqrt(7))]
-        assert norm_sq == Fraction(1, 7)
+        assert phi_at_zero(7, 0) == pytest.approx(1 / math.sqrt(7))
+        assert phi_norm_sq(7, 0) == Fraction(1, 7)
 
     def test_norm_identity_exact_grid(self):
         for L in range(0, 9):
             for M in range(L + 1, L + 15):
-                assert phi_at_zero(M, L)[1] == binomial_ratio_minus_one(M, L)
+                # phi_m(0)^2 = (2m+1)/M prod_{j<=m} (M+j)/(M-j), summed exactly
+                by_product = Fraction(0)
+                for m in range(L + 1):
+                    sq = Fraction(2 * m + 1, M)
+                    for j in range(1, m + 1):
+                        sq *= Fraction(M + j, M - j)
+                    by_product += sq
+                assert by_product == binomial_ratio_minus_one(M, L)
                 assert phi_norm_sq(M, L) == binomial_ratio_minus_one(M, L)
 
     def test_telescoping_identity(self):
@@ -196,7 +203,10 @@ class TestCoefficientTransform:
     )
     @settings(max_examples=150, deadline=None)
     def test_roundtrip(self, w, k, n, M):
-        back = u_to_w(w_to_u(tuple(w), k, n, M), k, n, M)
+        # inverse oracle: w_j = u_j * (nM/k)^j / j!
+        u = w_to_u(tuple(w), k, n, M)
+        back = [uj * float(Fraction(n * M, k) ** j / math.factorial(j))
+                for j, uj in enumerate(u, start=1)]
         for a, b in zip(w, back):
             assert b == pytest.approx(a, rel=1e-12, abs=1e-15)
 

@@ -1,13 +1,15 @@
+import json
 import math
 from fractions import Fraction
 from math import factorial
+from pathlib import Path
 
 import pytest
 
-from urncount.orthopoly import u_to_w
+from urncount.estimator import EstimatorParams, ParameterizationError, build_estimator
+from urncount.orthopoly import w_to_u
 from urncount.stirling import (
     MAX_TABLE_N,
-    LogMagnitude,
     interp_coeffs,
     stirling_bound_report,
     stirling_first,
@@ -24,6 +26,27 @@ def falling_factorial_coeffs(n):
             nxt[j] -= i * c
         poly = nxt
     return poly
+
+
+# interp_coeffs bit for bit at M in {1, 2, 12, 60, 127} over six k/n ratios:
+# every u as a float hex, and the digest, which covers w too.  Recorded once;
+# re-record only for an intended change of the coefficients.
+PINS = json.loads((Path(__file__).parent / "data" / "interp_pins.json").read_text())
+
+
+class TestPinnedBits:
+    @pytest.mark.parametrize("cell", list(PINS))
+    def test_u_bits_and_digest(self, cell):
+        M, k, n = map(int, cell.split(","))
+        vec = interp_coeffs(M, k, n)
+        assert [uj.hex() for uj in vec.u] == PINS[cell]["u"]
+        assert vec.digest == PINS[cell]["digest"]
+
+    @pytest.mark.parametrize("M", [60, 127])
+    def test_overflow_cell_raises(self, M):
+        params = EstimatorParams(10**6, 1, 0.5, 3.5, 1.0, M, M, "interpolation")
+        with pytest.raises(ParameterizationError, match="l2"):
+            build_estimator(params)
 
 
 class TestTable:
@@ -64,27 +87,6 @@ class TestTable:
             stirling_first(MAX_TABLE_N + 1, 1)
 
 
-class TestLogMagnitude:
-    def test_from_int_and_mul(self):
-        a = LogMagnitude.from_int(-6)
-        b = LogMagnitude.from_int(4)
-        prod = a * b
-        assert prod.sign == -1
-        assert prod.log_abs == pytest.approx(math.log(24))
-        assert prod.to_float() == pytest.approx(-24.0)
-
-    def test_zero(self):
-        z = LogMagnitude.from_int(0)
-        assert z.sign == 0 and z.to_float() == 0.0
-        assert (z * LogMagnitude.from_int(5)).sign == 0
-
-    def test_overflow_flagged(self):
-        big = LogMagnitude(1, 750.0)
-        assert big.overflows
-        with pytest.raises(OverflowError):
-            big.to_float()
-
-
 class TestInterpCoeffs:
     def test_m2_k_equals_n(self):
         vec = interp_coeffs(2, 5, 5)
@@ -106,8 +108,8 @@ class TestInterpCoeffs:
 
     def test_w_consistent_with_u(self):
         vec = interp_coeffs(7, 5, 4)
-        back = u_to_w(vec.u, 5, 4, 7)
-        for a, b in zip(vec.w, back):
+        forward = w_to_u(vec.w, 5, 4, 7)
+        for a, b in zip(vec.u, forward):
             assert b == pytest.approx(a, rel=1e-12)
 
     def test_node_identity_exact_rationals(self):
@@ -133,11 +135,14 @@ class TestInterpCoeffs:
                     acc = (acc + wj) * x
                 assert abs(acc - 1.0) <= 1e-6
 
-    def test_overflow_is_flagged_not_silent(self):
-        vec = interp_coeffs(60, 10**6, 1)
-        assert vec.overflow
-        assert vec.u is None and vec.w is None
-        assert vec.u_log is not None and any(t.overflows for t in vec.u_log)
+    def test_overflow_raises_parameterization_error(self):
+        with pytest.raises(ParameterizationError, match="l2"):
+            interp_coeffs(60, 10**6, 1)
+
+    def test_cap_raises_parameterization_error(self):
+        assert interp_coeffs(MAX_TABLE_N - 1, 1, 1000).L == MAX_TABLE_N - 1
+        with pytest.raises(ParameterizationError, match="128-node cap"):
+            interp_coeffs(MAX_TABLE_N, 1, 1000)
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
