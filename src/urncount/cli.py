@@ -30,11 +30,11 @@ def _cmd_simulate(args) -> int:
     model = MODEL_ALIASES[args.model]
     if model == "bernoulli":
         if args.p is None:
-            raise SystemExit("simulate: --p is required for the bernoulli model")
+            raise ValueError("--p is required for the bernoulli model")
         batch = draw_bernoulli(urn, args.p, rng)
     else:
         if args.n is None:
-            raise SystemExit(f"simulate: --n is required for the {model} model")
+            raise ValueError(f"--n is required for the {model} model")
         if model == "multinomial":
             batch = draw_with_replacement(urn, args.n, rng)
         elif model == "hypergeometric":
@@ -55,19 +55,7 @@ def _cmd_estimate(args) -> int:
     params = select_params(args.k, args.n, alpha=args.alpha, beta=args.beta, eta=args.eta)
     coeffs = build_estimator(params)
     if args.samples:
-        lines = Path(args.samples).read_text().splitlines()
-        try:
-            draws = [
-                int(line.strip())
-                for line in lines
-                if line.strip() and not line.startswith("#")
-            ]
-        except ValueError:
-            raise ValueError(_bad_sample_line(lines)) from None
-        try:
-            ids = np.array(draws, dtype=np.int64)
-        except OverflowError:  # ids past the int64 range
-            ids = np.array(draws, dtype=object)
+        ids = _sample_ids(Path(args.samples).read_text())
         _, counts = np.unique(ids, return_counts=True)
         fp = fingerprint_from_count_values(counts)
     else:
@@ -88,6 +76,31 @@ def _cmd_estimate(args) -> int:
         for key, value in payload.items():
             print(f"{key}: {value}")
     return 0
+
+
+def _sample_ids(text: str) -> np.ndarray:
+    """The color ids of a samples file, one integer per line; blank lines and
+    lines starting with '#' are skipped."""
+    lines = text.splitlines()
+    if "#" not in text:
+        # numpy parses each stripped line as int() does; a line it rejects
+        # (a bad line, or an id past int64) goes to the exact path below
+        try:
+            return np.array(list(filter(None, map(str.strip, lines))), dtype=np.int64)
+        except (ValueError, OverflowError):
+            pass
+    try:
+        draws = [
+            int(line.strip())
+            for line in lines
+            if line.strip() and not line.startswith("#")
+        ]
+    except ValueError:
+        raise ValueError(_bad_sample_line(lines)) from None
+    try:
+        return np.array(draws, dtype=np.int64)
+    except OverflowError:  # ids past the int64 range
+        return np.array(draws, dtype=object)
 
 
 def _bad_sample_line(lines: list[str]) -> str:

@@ -1,7 +1,7 @@
 """The four sampling models and the cross-model simulation.
 
 Each model has one counts core: an int64 array of per-color counts aligned
-with ``urn.colors``, which is all a fingerprint needs.  The ``SampleBatch``
+with ``urn.ids``, which is all a fingerprint needs.  The ``SampleBatch``
 draw lists, for ``urncount simulate`` and callers that want the draws
 themselves, are views over the same cores.
 
@@ -139,7 +139,7 @@ def draw_bernoulli(urn: UrnSpec, p: float, rng: RngStream) -> SampleBatch:
 
 
 def poissonized_color_counts(urn: UrnSpec, n: float, rng: RngStream) -> np.ndarray:
-    """Per-color counts N_i ~ Poisson(n * k_i / k), aligned with urn.colors.
+    """Per-color counts N_i ~ Poisson(n * k_i / k), aligned with urn.ids.
 
     Colors take the stream in canonical order, as ``rng.poisson`` per color
     would: a color with mean below 30 takes one uniform and inverts it through

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -22,37 +22,40 @@ class UrnParseError(ValueError):
     """Malformed urn text; the message names the offending line."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class UrnSpec:
     """A population of colored balls, canonically sorted by color id.
 
-    ``ids`` (uint64) and ``mults`` (int64) are read-only arrays aligned with
-    ``colors``; samplers return per-color counts in this order.  Immutable
-    after construction and safe for concurrent reads.
+    The urn is its read-only ``ids`` (uint64) and ``mults`` (int64) arrays;
+    samplers return per-color counts in this order.  ``UrnSpec(pairs)`` takes
+    ``(color_id, multiplicity)`` pairs in any order.  Equality and hashing
+    follow the arrays.  Immutable after construction and safe for concurrent
+    reads.
     """
 
-    colors: tuple[tuple[int, int], ...]  # (color_id, multiplicity)
-    k: int = field(init=False)
-    C: int = field(init=False)
-    ids: np.ndarray = field(init=False, repr=False, compare=False)
-    mults: np.ndarray = field(init=False, repr=False, compare=False)
+    ids: np.ndarray = field(repr=False)
+    mults: np.ndarray = field(repr=False)
+    k: int
+    C: int
 
-    def __post_init__(self):
-        colors = tuple(self.colors)
-        if not colors:
+    def __init__(self, colors: Iterable[tuple[int, int]]):
+        pairs = tuple(colors)
+        self._adopt(*_as_arrays([cid for cid, _ in pairs], [mult for _, mult in pairs]))
+
+    @classmethod
+    def _from_arrays(cls, ids: np.ndarray, mults: np.ndarray) -> "UrnSpec":
+        """An urn that takes ownership of freshly built uint64/int64 arrays."""
+        urn = cls.__new__(cls)
+        urn._adopt(ids, mults)
+        return urn
+
+    def _adopt(self, ids: np.ndarray, mults: np.ndarray) -> None:
+        """Validate the arrays, sort them by id and make them this urn."""
+        if not ids.size:
             raise ValueError("urn must contain at least one color")
-        try:
-            ids = np.fromiter((cid for cid, _ in colors), np.uint64, len(colors))
-        except OverflowError:
-            bad = next(cid for cid, _ in colors if not 0 <= cid <= MAX_COLOR_ID)
-            raise ValueError(f"color id {bad} outside 64-bit unsigned range") from None
-        try:
-            mults = np.fromiter((mult for _, mult in colors), np.int64, len(colors))
-        except OverflowError:
-            raise ValueError("multiplicities must fit in 64-bit signed integers") from None
         bad = np.flatnonzero(mults < 1)
         if bad.size:
-            cid, mult = colors[bad[0]]
+            cid, mult = int(ids[bad[0]]), int(mults[bad[0]])
             raise ValueError(f"color {cid} has non-positive multiplicity {mult}")
         if np.any(ids[1:] <= ids[:-1]):  # not already canonical
             order = np.argsort(ids, kind="stable")
@@ -60,25 +63,31 @@ class UrnSpec:
             dup = np.flatnonzero(ids[1:] == ids[:-1])
             if dup.size:
                 raise ValueError(f"duplicate color id {int(ids[dup[0]])}")
-            colors = tuple(colors[i] for i in order.tolist())
         ids.flags.writeable = False
         mults.flags.writeable = False
-        object.__setattr__(self, "colors", colors)
         object.__setattr__(self, "ids", ids)
         object.__setattr__(self, "mults", mults)
         object.__setattr__(self, "k", int(mults.sum()))
-        object.__setattr__(self, "C", len(colors))
+        object.__setattr__(self, "C", ids.size)
 
     @classmethod
     def from_counts(cls, counts: Mapping[int, int] | Iterable[tuple[int, int]]) -> "UrnSpec":
         items = counts.items() if isinstance(counts, Mapping) else counts
-        return cls(tuple(items))
+        return cls(items)
 
-    def multiplicities(self) -> tuple[int, ...]:
-        return tuple(mult for _, mult in self.colors)
+    def __eq__(self, other):
+        if not isinstance(other, UrnSpec):
+            return NotImplemented
+        return np.array_equal(self.ids, other.ids) and np.array_equal(self.mults, other.mults)
 
-    def probabilities(self) -> tuple[float, ...]:
-        return tuple(mult / self.k for _, mult in self.colors)
+    def __hash__(self):
+        return hash((self.ids.tobytes(), self.mults.tobytes()))
+
+    @cached_property
+    def colors(self) -> tuple[tuple[int, int], ...]:
+        """The ``(color_id, multiplicity)`` pairs in canonical order, built on
+        first use."""
+        return tuple(zip(self.ids.tolist(), self.mults.tolist()))
 
     @cached_property
     def mult_groups(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -90,6 +99,21 @@ class UrnSpec:
         starts = np.flatnonzero(np.diff(sorted_mults)) + 1
         bounds = np.concatenate(([0], starts, [self.C]))
         return sorted_mults[bounds[:-1]], order, bounds
+
+
+def _as_arrays(ids: Sequence[int], mults: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Color ids as uint64 and multiplicities as int64, or a ValueError naming
+    the first id outside the uint64 range."""
+    try:
+        id_arr = np.fromiter(ids, np.uint64, len(ids))
+    except OverflowError:
+        bad = next(cid for cid in ids if not 0 <= cid <= MAX_COLOR_ID)
+        raise ValueError(f"color id {bad} outside 64-bit unsigned range") from None
+    try:
+        mult_arr = np.fromiter(mults, np.int64, len(mults))
+    except OverflowError:
+        raise ValueError("multiplicities must fit in 64-bit signed integers") from None
+    return id_arr, mult_arr
 
 
 @dataclass(frozen=True)
@@ -121,8 +145,9 @@ def make_uniform_support(k: int, C: int) -> UrnSpec:
     if C < 1 or C > k:
         raise ValueError(f"need 1 <= C <= k, got C={C}, k={k}")
     base, extra = divmod(k, C)
-    colors = tuple((i + 1, base + 1 if i < extra else base) for i in range(C))
-    return UrnSpec(colors)
+    mults = np.full(C, base, dtype=np.int64)
+    mults[:extra] += 1
+    return UrnSpec._from_arrays(np.arange(1, C + 1, dtype=np.uint64), mults)
 
 
 def make_hard_pair(k: int, delta: int, seed: int) -> HardInstancePair:
@@ -146,16 +171,17 @@ def make_hard_pair(k: int, delta: int, seed: int) -> HardInstancePair:
         c1 = remaining - c2
     ids = list(range(1, k + 1))
     RngStream(seed, 0).partial_shuffle(ids, remaining)
-    alt_colors = [(cid, b1) for cid in ids[:c1]]
-    alt_colors += [(cid, b2) for cid in ids[c1:remaining]]
-    null_urn = UrnSpec(tuple((cid, 1) for cid in range(1, k + 1)))
-    alt_urn = UrnSpec(tuple(alt_colors))
+    null_urn = UrnSpec._from_arrays(np.arange(1, k + 1, dtype=np.uint64),
+                                    np.ones(k, dtype=np.int64))
+    alt_urn = UrnSpec._from_arrays(np.array(ids[:remaining], dtype=np.uint64),
+                                   np.repeat(np.array([b1, b2], dtype=np.int64), [c1, c2]))
     return HardInstancePair(null_urn, alt_urn, delta, b1, b2, c1, c2)
 
 
 def parse_urn(text: str) -> UrnSpec:
     """Parse "color_id count" lines; '#' comments and blank lines ignored."""
-    entries: list[tuple[int, int]] = []
+    ids: list[int] = []
+    counts: list[int] = []
     ids_seen: set[int] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -175,12 +201,13 @@ def parse_urn(text: str) -> UrnSpec:
         if cid in ids_seen:
             raise UrnParseError(f"line {lineno}: duplicate color id {cid}")
         ids_seen.add(cid)
-        entries.append((cid, mult))
-    if not entries:
+        ids.append(cid)
+        counts.append(mult)
+    if not ids:
         raise UrnParseError("empty urn: no 'color_id count' lines found")
-    return UrnSpec(tuple(entries))
+    return UrnSpec._from_arrays(*_as_arrays(ids, counts))
 
 
 def serialize_urn(urn: UrnSpec) -> str:
     """Canonical text form: one "color_id count" per line, ids increasing."""
-    return "\n".join(f"{cid} {mult}" for cid, mult in urn.colors)
+    return "\n".join(f"{cid} {mult}" for cid, mult in zip(urn.ids.tolist(), urn.mults.tolist()))

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from urncount.cli import build_parser, main
@@ -24,10 +25,21 @@ class TestSimulate:
         assert out1.read_text() == out2.read_text()
         assert len(out1.read_text().splitlines()) == 30
 
-    def test_bernoulli_requires_p(self, tmp_path, urn_file):
-        with pytest.raises(SystemExit):
-            main(["simulate", "--urn", str(urn_file), "--model", "bern",
-                  "--n", "30", "--seed", "9", "--out", str(tmp_path / "x.txt")])
+    def test_bernoulli_requires_p(self, tmp_path, urn_file, capsys):
+        rc = main(["simulate", "--urn", str(urn_file), "--model", "bern",
+                   "--n", "30", "--seed", "9", "--out", str(tmp_path / "x.txt")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "urncount simulate: error: --p is required for the bernoulli model\n")
+
+    @pytest.mark.parametrize("alias, model", [
+        ("multi", "multinomial"), ("hyper", "hypergeometric"), ("poi", "poissonized")])
+    def test_other_models_require_n(self, tmp_path, urn_file, capsys, alias, model):
+        rc = main(["simulate", "--urn", str(urn_file), "--model", alias,
+                   "--seed", "9", "--out", str(tmp_path / "x.txt")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"urncount simulate: error: --n is required for the {model} model\n")
 
     def test_poissonized(self, tmp_path, urn_file):
         out = tmp_path / "p.txt"
@@ -63,6 +75,31 @@ class TestEstimate:
         assert outs[0] == outs[1]
         assert json.loads(outs[0])["c_seen"] == 4
 
+    def test_numpy_parses_sample_lines_as_int_does(self):
+        texts = ["+5", "1_000", " 7 ", "-0", "007", "\u0661\u0662"]
+        assert np.array(texts, dtype=np.int64).tolist() == [int(t) for t in texts]
+        for bad in ("1 2", "1.0", "0x10", "1__0", "+ 5"):
+            with pytest.raises(ValueError):
+                np.array([bad], dtype=np.int64)
+        with pytest.raises(OverflowError):
+            np.array([str(2**63)], dtype=np.int64)
+
+    @pytest.mark.parametrize("text", [
+        "+5\n1_000\n 7 \n5\n",
+        f"5\n{2**64 - 1}\n-3\n5\n{-2**63 - 1}\n",
+        "\n\n5\n  \n\t6\r\n5",
+    ])
+    def test_samples_fast_path_matches_exact_parse(self, tmp_path, capsys, text):
+        # a '#' line sends the file down the exact per-line int() path
+        outs = []
+        for body in (text, "# exact path\n" + text):
+            path = tmp_path / "s.txt"
+            path.write_text(body)
+            assert main(["estimate", "--k", "10", "--n", "5", "--samples", str(path),
+                         "--json"]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+
     def test_samples_non_integer_line_raises(self, tmp_path):
         # the command raises; main turns that into one stderr line (below)
         for text in ("5\nabc\n", "5\n  # indented comment\n"):
@@ -78,6 +115,7 @@ class TestEstimate:
         ("--fingerprint", "1 x\n", "line 1: non-integer field in '1 x'"),
         ("--samples", "5\nabc\n", "invalid literal for int()"),
         ("--samples", "5\n\n# note\nabc\n", "line 4: invalid literal for int() with base 10: 'abc'"),
+        ("--samples", "5\n1 2\n", "line 2: invalid literal for int() with base 10: '1 2'"),
     ])
     def test_input_error_is_one_line_and_exit_2(self, tmp_path, capsys, flag, text, message):
         path = tmp_path / "in.txt"

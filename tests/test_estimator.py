@@ -214,7 +214,7 @@ class TestExactBias:
         coeffs = build_estimator(params)
         for C in (k, k // 2, k // 3):
             urn = make_uniform_support(k, C)
-            if max(urn.multiplicities()) > params.M:
+            if max(urn.mults.tolist()) > params.M:
                 continue
             per_node = sum(
                 math.exp(-n * mult / k)

@@ -22,7 +22,7 @@ class TestUrnSpec:
 
     def test_probabilities_sum_to_one(self):
         urn = UrnSpec(((1, 3), (2, 1)))
-        assert sum(urn.probabilities()) == pytest.approx(1.0)
+        assert urn.mults.sum() == urn.k
 
     def test_arrays_follow_canonical_order(self):
         urn = UrnSpec(((9, 4), (2**64 - 1, 1), (3, 2)))
@@ -58,15 +58,63 @@ class TestUrnSpec:
             UrnSpec(((2**64, 1),))
 
 
+# Canonical pairs of urns from the array-building constructors, pinned as
+# literals so each must match the urn built from the same pairs exactly.
+UNIFORM_10_6 = ((1, 2), (2, 2), (3, 2), (4, 2), (5, 1), (6, 1))
+HARD_50_5_ALT = (
+    (1, 1), (2, 1), (4, 2), (5, 1), (6, 1), (7, 1), (8, 2), (9, 2), (10, 2), (11, 2),
+    (12, 1), (13, 1), (14, 1), (15, 1), (16, 1), (17, 2), (18, 2), (20, 1), (23, 1), (24, 2),
+    (25, 1), (26, 1), (27, 2), (30, 1), (31, 1), (33, 1), (34, 1), (36, 1), (37, 1), (39, 1),
+    (41, 2), (42, 1), (43, 1), (44, 1), (45, 1), (46, 1), (47, 1), (48, 1), (49, 1), (50, 1),
+)
+PARSED_UNSORTED = ((1, 5), (2, 1), (3, 2))
+
+
+def _built_urns():
+    pair = make_hard_pair(50, 5, seed=123)
+    return [
+        (make_uniform_support(10, 6), UNIFORM_10_6),
+        (pair.alt_urn, HARD_50_5_ALT),
+        (pair.null_urn, tuple((cid, 1) for cid in range(1, 51))),
+        (parse_urn("3 2\n# note\n1 5\n\n2 1\n"), PARSED_UNSORTED),
+    ]
+
+
+class TestArrayUrn:
+    def test_colors_match_literals(self):
+        for urn, pairs in _built_urns():
+            assert urn.colors == pairs
+            assert urn.ids.tolist() == [cid for cid, _ in pairs]
+            assert urn.mults.tolist() == [mult for _, mult in pairs]
+
+    def test_eq_and_hash_follow_content(self):
+        for urn, pairs in _built_urns():
+            from_pairs = UrnSpec(tuple(reversed(pairs)))
+            assert urn == from_pairs and hash(urn) == hash(from_pairs)
+            changed = UrnSpec(pairs[:-1] + ((pairs[-1][0], pairs[-1][1] + 1),))
+            assert urn != changed and hash(urn) != hash(changed)
+
+    def test_serialize_is_byte_identical(self):
+        for urn, pairs in _built_urns():
+            text = "\n".join(f"{cid} {mult}" for cid, mult in pairs)
+            assert serialize_urn(urn) == text
+            assert serialize_urn(UrnSpec(pairs)) == text
+
+    def test_large_uniform_urn_does_not_build_colors(self):
+        urn = make_uniform_support(10**6, 5 * 10**5)
+        assert "colors" not in urn.__dict__
+        assert (urn.C, urn.k) == (5 * 10**5, 10**6)
+
+
 class TestUniformSupport:
     def test_identity_case(self):
         urn = make_uniform_support(10, 10)
-        assert urn.multiplicities() == (1,) * 10
+        assert urn.mults.tolist() == [1] * 10
 
     def test_two_multiplicities(self):
         # c1 + c2 = 6 and c1 + 2 c2 = 10 force four doubles and two singles
         urn = make_uniform_support(10, 6)
-        assert urn.multiplicities() == (2, 2, 2, 2, 1, 1)
+        assert urn.mults.tolist() == [2, 2, 2, 2, 1, 1]
 
     def test_single_color(self):
         urn = make_uniform_support(7, 1)
@@ -83,7 +131,7 @@ class TestUniformSupport:
     def test_invariants(self, k, data):
         C = data.draw(st.integers(1, k))
         urn = make_uniform_support(k, C)
-        mults = urn.multiplicities()
+        mults = urn.mults.tolist()
         assert sum(mults) == k
         assert len(mults) == C
         assert max(mults) - min(mults) <= 1
@@ -93,7 +141,7 @@ class TestHardPair:
     def test_example_k10(self):
         pair = make_hard_pair(10, 2, seed=1)
         assert pair.null_urn.C == 10
-        assert all(m == 1 for m in pair.null_urn.multiplicities())
+        assert all(m == 1 for m in pair.null_urn.mults.tolist())
         assert pair.alt_urn.C == 6
         assert (pair.b1, pair.b2) == (1, 2)
         assert (pair.c1, pair.c2) == (2, 4)
@@ -114,7 +162,7 @@ class TestHardPair:
     def test_divisible_case_uses_single_multiplicity(self):
         pair = make_hard_pair(12, 3, seed=4)
         assert pair.alt_urn.C == 6
-        assert set(pair.alt_urn.multiplicities()) == {2}
+        assert set(pair.alt_urn.mults.tolist()) == {2}
 
     def test_seed_determinism(self):
         a = make_hard_pair(50, 5, seed=123)
@@ -133,7 +181,7 @@ class TestHardPair:
         assert pair.null_urn.C - pair.alt_urn.C == 2 * delta
         assert pair.null_urn.k == pair.alt_urn.k == k
         assert pair.b2 - pair.b1 <= 1
-        assert set(pair.alt_urn.multiplicities()) <= {pair.b1, pair.b2}
+        assert set(pair.alt_urn.mults.tolist()) <= {pair.b1, pair.b2}
 
 
 class TestParseSerialize:
