@@ -1,6 +1,7 @@
 """Distinct-color estimation for k-ball urns from random samples."""
 
 from .estimator import (
+    CoefficientVector,
     EstimateResult,
     EstimatorParams,
     ParameterizationError,
@@ -10,7 +11,6 @@ from .estimator import (
     select_params,
 )
 from .fingerprint import Fingerprint, fingerprint_from_count_values
-from .orthopoly import CoefficientVector
 from .rng import RngStream
 from .sampling import (
     SampleBatch,

@@ -1,24 +1,29 @@
-"""Parameter selection, estimate assembly, and the exact bias oracle.
+"""Parameter selection, coefficient vectors, estimate assembly, and the
+exact bias oracle.
 
 The estimate is the seen-color count plus a linear correction over the first
 L fingerprints.  Coefficients come from either the closed-form least-squares
 solve (undersampled regime) or node interpolation via Stirling numbers
-(oversampled regime); the raw value is clamped into [c_seen, k], which never
-hurts.
+(oversampled regime); the naive count is the vector with L = 0.  The raw
+value is clamped into [c_seen, k], which never hurts.  This module is the
+only one that builds coefficient vectors and binds them to (k, n).
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from math import factorial
 
 import numpy as np
 
 from .fingerprint import Fingerprint
-from .orthopoly import CoefficientVector, ParameterizationError, poly_value_exact, solve_l2
-from .stirling import interp_coeffs
+from .orthopoly import poly_value_exact, solve_l2
+from .rng import LOG_FLOAT_LIMIT
+from .stirling import MAX_TABLE_N, stirling_first
 from .urn import UrnSpec
 
 DEFAULT_ALPHA = 0.5
@@ -106,6 +111,86 @@ def select_params(
     return EstimatorParams(k, n, a, b, e, L, M, REGIME_L2)
 
 
+class ParameterizationError(ValueError):
+    """The requested (k, n, L, M) has no usable coefficients: they lie past
+    float range or past the 128-node cap of the exact Stirling table."""
+
+
+@dataclass(frozen=True)
+class CoefficientVector:
+    """Estimator coefficients u_1..u_L bound to the sample parameters (k, n),
+    and the exact polynomial coefficients w_1..w_L they come from:
+    u_j = w_j * j! * (k/(nM))^j.  ``kind`` is "naive" (L = 0), "l2" or
+    "interpolation"."""
+
+    kind: str
+    L: int
+    M: int
+    k: int
+    n: int
+    w_exact: tuple[Fraction, ...]
+    u: tuple[float, ...]
+
+    @cached_property
+    def w(self) -> tuple[float, ...]:
+        """``w_exact``, each rounded once to the nearest double."""
+        return tuple(float(wj) for wj in self.w_exact)
+
+    @cached_property
+    def digest(self) -> str:
+        hexes = [",".join(v.hex() for v in values) for values in (self.w, self.u)]
+        payload = "|".join([self.kind, str(self.L), str(self.M), str(self.k), str(self.n), *hexes])
+        return hashlib.sha256(payload.encode()).hexdigest()[:16]
+
+
+def w_to_u(w, k: int, n: int, M: int) -> tuple[float, ...]:
+    """u_j = w_j * j! * (k/(nM))^j, elementwise."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if k < 1 or M < 1:
+        raise ValueError("k and M must be >= 1")
+    ratio = Fraction(k, n * M)
+    return tuple(float(wj) * float(ratio**j * factorial(j)) for j, wj in enumerate(w, start=1))
+
+
+def interp_coeffs(M: int, k: int, n: int) -> CoefficientVector:
+    """Coefficients that interpolate exactly through all M node values.
+
+    w_j = (-1)^(M+1) M^j s(M+1, j+1) / M! is kept exactly, so the induced
+    polynomial satisfies p(a/M) = 1 for every a in [M] in the retained
+    rationals.  u_j = (-1)^(M+1) (j!/M!) (k/n)^j s(M+1, j+1) is rounded from
+    its logarithm, lgamma(j+1) - lgamma(M+1) + j log(k/n) + log|s(M+1, j+1)|.
+    Raises ParameterizationError when M reaches the 128-node cap of the
+    Stirling table or any u_j lies past float range.
+    """
+    if M < 1:
+        raise ValueError("M must be >= 1")
+    if k < 1 or n < 1:
+        raise ValueError("k and n must be >= 1")
+    if M >= MAX_TABLE_N:  # the coefficients need s(M+1, .)
+        raise ParameterizationError(
+            f"interpolation at k={k}, n={n} needs M={M} nodes, "
+            f"past the {MAX_TABLE_N}-node cap of the exact Stirling table "
+            f"(M <= {MAX_TABLE_N - 1})"
+        )
+    front = 1 if M % 2 else -1  # (-1)^(M+1)
+    log_kn = math.log(k) - math.log(n)
+    log_mfact = math.lgamma(M + 1)
+    mfact = factorial(M)
+    u, w_exact = [], []
+    for j in range(1, M + 1):
+        s = front * stirling_first(M + 1, j + 1)
+        log_u = math.lgamma(j + 1) - log_mfact + j * log_kn + math.log(abs(s))
+        if log_u > LOG_FLOAT_LIMIT:
+            raise ParameterizationError(
+                f"interpolation coefficients overflow at k={k}, n={n}, "
+                f"M={M}; use the l2 regime (n <= eta*k) instead"
+            )
+        u.append(math.exp(log_u) if s > 0 else -math.exp(log_u))
+        w_exact.append(Fraction(M**j * s, mfact))
+    return CoefficientVector(REGIME_INTERPOLATION, M, M, k, n, tuple(w_exact), tuple(u))
+
+
 COEFF_CACHE_SIZE = 256
 
 
@@ -119,13 +204,14 @@ def build_estimator(params: EstimatorParams) -> CoefficientVector:
 @lru_cache(maxsize=COEFF_CACHE_SIZE)
 def _coefficients(k: int, n: int, L: int, M: int, regime: str) -> CoefficientVector:
     if regime == REGIME_L2:
-        return solve_l2(M, L).with_sample_params(k, n)
+        w_exact = solve_l2(M, L)
+        return CoefficientVector(REGIME_L2, L, M, k, n, w_exact, w_to_u(w_exact, k, n, M))
     return interp_coeffs(M, k, n)
 
 
-def naive_coefficients() -> CoefficientVector:
-    """The all-zero correction: the estimate degenerates to the seen count."""
-    return CoefficientVector(kind=REGIME_L2, L=0, M=1, w=(), u=(), w_exact=())
+def naive_coefficients(k: int, n: int) -> CoefficientVector:
+    """The all-zero correction (L = 0): the estimate is the seen count."""
+    return CoefficientVector("naive", 0, 1, k, n, (), ())
 
 
 def estimate(
@@ -141,12 +227,7 @@ def estimate(
         raise ValueError("empty fingerprint: zero samples carry no information")
     if fp.c_seen > k:
         raise ValueError(f"c_seen = {fp.c_seen} colors were seen, more than k = {k} balls")
-    if coeffs.u is None:
-        raise ParameterizationError(
-            "coefficient vector is not bound to sample parameters (k, n); "
-            "bind it with with_sample_params(k, n) or build it with build_estimator"
-        )
-    if coeffs.k is not None and coeffs.k != k:
+    if coeffs.k != k:
         raise ValueError(f"coefficients were built for k={coeffs.k}, not k={k}")
     correction = 0.0
     for j, cnt in sorted(fp.phi.items()):  # fixed order: reproducible float sums
@@ -171,14 +252,14 @@ def exact_bias(urn: UrnSpec, coeffs: CoefficientVector, n: int, *, exact: bool =
 
     Equals sum_i exp(-n p_i) (p(k_i/M) - 1): the correction is a degree-L
     polynomial identity in each color's multiplicity, so no truncation is
-    involved.  With ``exact=True`` the polynomial part is evaluated in
+    involved, but only for the urn size k and sample size n that ``coeffs``
+    was built for.  With ``exact=True`` the polynomial part is evaluated in
     rationals, so an interpolating vector yields literally 0.0.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    if (coeffs.k, coeffs.n) != (urn.k, n):
+        raise ValueError(f"coefficients were built for (k, n) = ({coeffs.k}, {coeffs.n}), "
+                         f"not ({urn.k}, {n})")
     if exact:
-        if coeffs.w_exact is None:
-            raise ValueError("no exact coefficients retained on this vector")
         poly, w, one = poly_value_exact, coeffs.w_exact, Fraction(1)
     else:
         poly, w, one = _poly_value_float, coeffs.w, 1.0

@@ -20,7 +20,7 @@ from .estimator import (
     naive_coefficients,
     select_params,
 )
-from .fingerprint import Fingerprint, fingerprint_from_count_values
+from .fingerprint import fingerprint_from_count_values
 from .rng import RngStream
 from .sampling import (
     bernoulli_counts,
@@ -115,8 +115,24 @@ def _check_model_size(model: str, n_grid, k: int) -> None:
         raise ValueError(f"n_grid: model {model} needs n <= k = {k}")
 
 
-def _draw_fingerprint(urn: UrnSpec, model: str, n: int, rng: RngStream) -> Fingerprint:
-    """One sample's fingerprint: the model's per-color counts, then one bincount."""
+def _plan(tag: str, k: int, n: int) -> tuple:
+    """(tag, params, coeffs) for one estimator tag; naive has no params."""
+    if tag == "naive":
+        return tag, None, naive_coefficients(k, n)
+    params = select_params(k, n, regime=None if tag == "auto" else tag)
+    try:
+        return tag, params, build_estimator(params)
+    except ParameterizationError as exc:
+        raise ParameterizationError(f"estimators: tag {tag!r} at k={k}, n={n}: {exc}") from None
+
+
+def _trial(urn: UrnSpec, model: str, n: int, rng: RngStream, plans) -> list[tuple[int, float]]:
+    """One sample, estimated by every plan: (c_hat, c_tilde) per plan.
+
+    The sample is the model's per-color counts, fingerprinted by one
+    bincount.  An empty sample gives (0, 0.0), the estimator's value at
+    phi = 0, for every plan; ``estimate`` itself rejects empty fingerprints.
+    """
     if model == "poissonized":
         counts = poissonized_color_counts(urn, n, rng)
     elif model == "multinomial":
@@ -127,18 +143,11 @@ def _draw_fingerprint(urn: UrnSpec, model: str, n: int, rng: RngStream) -> Finge
         counts = bernoulli_counts(urn, n / urn.k, rng)
     else:
         raise ValueError(f"model: unknown tag {model!r}")
-    return fingerprint_from_count_values(counts)
-
-
-def _plan(tag: str, k: int, n: int) -> tuple:
-    """(tag, params, coeffs) for one estimator tag; naive has no params."""
-    if tag == "naive":
-        return tag, None, naive_coefficients()
-    params = select_params(k, n, regime=None if tag == "auto" else tag)
-    try:
-        return tag, params, build_estimator(params)
-    except ParameterizationError as exc:
-        raise ParameterizationError(f"estimators: tag {tag!r} at k={k}, n={n}: {exc}") from None
+    fp = fingerprint_from_count_values(counts)
+    if fp.c_seen == 0:
+        return [(0, 0.0)] * len(plans)
+    results = (estimate(fp, coeffs, urn.k, params) for _, params, coeffs in plans)
+    return [(res.c_hat, res.c_tilde) for res in results]
 
 
 def run_risk_curve(cfg: ExperimentConfig) -> list[RiskRow]:
@@ -157,13 +166,7 @@ def run_risk_curve(cfg: ExperimentConfig) -> list[RiskRow]:
         acc = {tag: [0.0, 0.0, 0.0] for tag in cfg.estimators}  # sum_hat, sum_sq, sum_tilde
         for t in range(cfg.trials):
             rng = RngStream(cfg.master_seed, (ni << 32) | t)
-            fp = _draw_fingerprint(urn, cfg.model, n, rng)
-            for tag, params, coeffs in plans:
-                if tag == "naive":
-                    c_hat, c_tilde = fp.c_seen, float(fp.c_seen)
-                else:
-                    res = estimate(fp, coeffs, k, params)
-                    c_hat, c_tilde = res.c_hat, res.c_tilde
+            for (tag, _, _), (c_hat, c_tilde) in zip(plans, _trial(urn, cfg.model, n, rng, plans)):
                 a = acc[tag]
                 a[0] += c_hat
                 a[1] += (c_hat - c_true) ** 2
@@ -239,17 +242,15 @@ def hard_pair_experiment(
     pair = make_hard_pair(k, delta, seed)
     rows = []
     for ni, n in enumerate(sorted(n_grid)):
-        params = select_params(k, n)
-        coeffs = build_estimator(params)
+        plans = [_plan("auto", k, n)]
         for ui, (label, urn) in enumerate((("null", pair.null_urn), ("alt", pair.alt_urn))):
             fails = 0
             total_hat = 0.0
             for t in range(trials):
                 rng = RngStream(seed, ((ni * 2 + ui) << 32) | t)
-                fp = _draw_fingerprint(urn, model, n, rng)
-                res = estimate(fp, coeffs, k, params)
-                total_hat += res.c_hat
-                if abs(res.c_hat - urn.C) >= delta:
+                [(c_hat, _)] = _trial(urn, model, n, rng, plans)
+                total_hat += c_hat
+                if abs(c_hat - urn.C) >= delta:
                     fails += 1
             rows.append(HardPairRow(
                 n=n, urn=label, c_true=urn.C,
@@ -288,26 +289,41 @@ def rows_to_json(rows) -> str:
     ) + "\n"
 
 
+def _fields(obj, where: str, required: tuple = (), optional: tuple = ()) -> dict:
+    """``obj`` as a JSON object holding every required key and no key outside
+    required + optional; a ValueError names the key that breaks this."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where}: expected an object, got {obj!r}")
+    for key in obj:
+        if key not in required + optional:
+            raise ValueError(f"{where}: unknown key {key!r}")
+    for key in required:
+        if key not in obj:
+            raise ValueError(f"{where}: missing key {key!r}")
+    return obj
+
+
 def load_experiment_config(source: str | dict) -> ExperimentConfig:
     """Parse the experiment JSON.
 
     Keys: urn {file | uniform{k,C} | hard_pair{k,delta}}, model, n_grid,
-    trials, seed, estimators, outputs.
+    trials, seed, estimators, outputs.  Any other key, or an urn with other
+    than exactly one source, is an error.
     """
     obj = json.loads(source) if isinstance(source, str) else source
-    if "urn" not in obj:
-        raise ValueError("urn: missing")
-    urn_obj = obj["urn"]
+    obj = _fields(obj, "config", ("urn",),
+                  ("model", "n_grid", "trials", "seed", "estimators", "outputs"))
+    urn_obj = _fields(obj["urn"], "urn", (), ("file", "uniform", "hard_pair"))
+    if len(urn_obj) != 1:
+        raise ValueError(f"urn: expected one of file / uniform / hard_pair, got {sorted(urn_obj)}")
     if "file" in urn_obj:
         urn_source = ("file", str(urn_obj["file"]))
     elif "uniform" in urn_obj:
-        u = urn_obj["uniform"]
+        u = _fields(urn_obj["uniform"], "urn.uniform", ("k", "C"))
         urn_source = ("uniform", int(u["k"]), int(u["C"]))
-    elif "hard_pair" in urn_obj:
-        h = urn_obj["hard_pair"]
-        urn_source = ("hard_pair", int(h["k"]), int(h["delta"]))
     else:
-        raise ValueError("urn: expected one of file / uniform / hard_pair")
+        h = _fields(urn_obj["hard_pair"], "urn.hard_pair", ("k", "delta"))
+        urn_source = ("hard_pair", int(h["k"]), int(h["delta"]))
     # hard pairs were defined under with-replacement sampling
     default_model = "multinomial" if urn_source[0] == "hard_pair" else "poissonized"
     model_raw = obj.get("model", default_model)

@@ -15,9 +15,8 @@ exactness.
 
 from __future__ import annotations
 
-import hashlib
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
@@ -151,54 +150,9 @@ def l2_min_value(M: int, L: int) -> float:
     return float(binomial_ratio_minus_one(M, L)) ** -0.5
 
 
-# -- coefficient vectors -------------------------------------------------------
-
-def _float_hex(values) -> str:
-    if values is None:
-        return "-"
-    return ",".join(float(v).hex() for v in values)
-
-
-class ParameterizationError(ValueError):
-    """The requested (k, n, L, M) has no usable coefficients: they lie past
-    float range or past the 128-node cap of the exact Stirling table, or the
-    vector was never bound to (k, n)."""
-
-
-@dataclass(frozen=True)
-class CoefficientVector:
-    """Estimator coefficients u_1..u_L and polynomial coefficients w_1..w_L.
-
-    The two are linked by u_j = w_j * j! * (k/(nM))^j once sample parameters
-    (k, n) are bound; ``u`` is None until then.  ``w_exact`` retains the exact
-    rationals when the build path produced them.
-    """
-
-    kind: str  # "l2" or "interpolation"
-    L: int
-    M: int
-    w: tuple[float, ...]
-    u: tuple[float, ...] | None = None
-    k: int | None = None
-    n: int | None = None
-    w_exact: tuple[Fraction, ...] | None = None
-
-    @property
-    def digest(self) -> str:
-        payload = "|".join([
-            self.kind, str(self.L), str(self.M), str(self.k), str(self.n),
-            _float_hex(self.w), _float_hex(self.u),
-        ])
-        return hashlib.sha256(payload.encode()).hexdigest()[:16]
-
-    def with_sample_params(self, k: int, n: int) -> "CoefficientVector":
-        """Bind (k, n) and fill u from w."""
-        u = w_to_u(self.w, k, n, self.M)
-        return replace(self, k=k, n=n, u=tuple(u))
-
-
-def solve_l2(M: int, L: int) -> CoefficientVector:
-    """Minimize ||Bw - 1||_2 by projection in the orthonormal basis.
+def solve_l2(M: int, L: int) -> tuple[Fraction, ...]:
+    """The exact w_1..w_L minimizing ||Bw - 1||_2, by projection in the
+    orthonormal basis.
 
     Works in exact rationals throughout: the optimum is
     -(1/S) sum_m [t_m(-1)/c(M,m)] t_m(Mx - 1) with S = ||phi(0)||^2, whose
@@ -219,12 +173,7 @@ def solve_l2(M: int, L: int) -> CoefficientVector:
             coeffs[j] += scale * cj
     if coeffs[0] != -1:
         raise AssertionError(f"projection lost the constraint at (M={M}, L={L})")
-    w_exact = tuple(coeffs[1:])
-    return CoefficientVector(
-        kind="l2", L=L, M=M,
-        w=tuple(float(c) for c in w_exact),
-        w_exact=w_exact,
-    )
+    return tuple(coeffs[1:])
 
 
 def poly_value_exact(w_exact, a: int, M: int) -> Fraction:
@@ -242,17 +191,3 @@ def l2_residual_sq_exact(w_exact, M: int) -> Fraction:
     for a in range(1, M + 1):
         total += (poly_value_exact(w_exact, a, M) - 1) ** 2
     return total
-
-
-def w_to_u(w, k: int, n: int, M: int) -> tuple[float, ...]:
-    """u_j = w_j * j! * (k/(nM))^j, elementwise."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if k < 1 or M < 1:
-        raise ValueError("k and M must be >= 1")
-    ratio = Fraction(k, n * M)
-    out = []
-    for j, wj in enumerate(w, start=1):
-        out.append(float(wj) * float(ratio**j * factorial(j)))
-    return tuple(out)
-

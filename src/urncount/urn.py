@@ -16,6 +16,7 @@ import numpy as np
 from .rng import RngStream
 
 MAX_COLOR_ID = 2**64 - 1
+INT64_MAX = 2**63 - 1
 
 
 class UrnParseError(ValueError):
@@ -63,11 +64,17 @@ class UrnSpec:
             dup = np.flatnonzero(ids[1:] == ids[:-1])
             if dup.size:
                 raise ValueError(f"duplicate color id {int(ids[dup[0]])}")
+        if int(mults.max()) > INT64_MAX // ids.size:  # an int64 sum could wrap
+            k = sum(mults.tolist())
+            if k > INT64_MAX:
+                raise ValueError(f"total multiplicity k = {k} exceeds 64-bit signed range")
+        else:
+            k = int(mults.sum())
         ids.flags.writeable = False
         mults.flags.writeable = False
         object.__setattr__(self, "ids", ids)
         object.__setattr__(self, "mults", mults)
-        object.__setattr__(self, "k", int(mults.sum()))
+        object.__setattr__(self, "k", k)
         object.__setattr__(self, "C", ids.size)
 
     @classmethod

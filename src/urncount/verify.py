@@ -14,7 +14,7 @@ from math import factorial
 
 import numpy as np
 
-from .estimator import select_params
+from .estimator import interp_coeffs, select_params
 from .orthopoly import (
     binomial_ratio_minus_one,
     chebyshev_basis,
@@ -25,7 +25,7 @@ from .orthopoly import (
     poly_value_exact,
     solve_l2,
 )
-from .stirling import interp_coeffs, stirling_bound_report, stirling_first
+from .stirling import stirling_bound_report, stirling_first
 from .urn import make_uniform_support
 from .vandermonde import (
     BoundCheckError,
@@ -52,8 +52,7 @@ def orthopoly_report() -> tuple[list[str], bool]:
     theta_lo, theta_hi = math.inf, -math.inf
     for L in range(1, 9):
         for M in range(L + 1, L + 21):
-            vec = solve_l2(M, L)
-            res = math.sqrt(float(l2_residual_sq_exact(vec.w_exact, M)))
+            res = math.sqrt(float(l2_residual_sq_exact(solve_l2(M, L), M)))
             closed = l2_min_value(M, L)
             rel = abs(res - closed) / closed
             worst_res = max(worst_res, rel)

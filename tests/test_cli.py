@@ -191,6 +191,15 @@ class TestExperiment:
         assert csv_text.startswith("# schema=1\n")
 
 
+    def test_unknown_config_key_is_one_line_and_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"urn": {"uniform": {"k": 40, "C": 20}}, "modle": "multi",
+                                   "n_grid": [10], "trials": 2}))
+        rc = main(["experiment", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err == "urncount experiment: error: config: unknown key 'modle'\n"
+
+
 class TestVerify:
     def test_orthopoly_suite(self, capsys):
         rc = main(["verify", "--orthopoly"])

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -6,21 +7,21 @@ from hypothesis import strategies as st
 
 from urncount.estimator import (
     COEFF_CACHE_SIZE,
+    CoefficientVector,
     EstimatorParams,
     ParameterizationError,
     build_estimator,
     estimate,
     exact_bias,
+    interp_coeffs,
     naive_coefficients,
     select_params,
     _coefficients,
 )
-from urncount import orthopoly
 from urncount.fingerprint import Fingerprint, fingerprint_from_count_values
-from urncount.orthopoly import CoefficientVector, l2_min_value, solve_l2
+from urncount.orthopoly import l2_min_value
 from urncount.rng import RngStream
 from urncount.sampling import poissonized_color_counts
-from urncount.stirling import interp_coeffs
 from urncount.urn import UrnSpec, make_uniform_support
 
 
@@ -120,48 +121,46 @@ class TestBuildEstimator:
         with pytest.raises(ParameterizationError, match="l2"):
             build_estimator(p)
 
-    def test_one_error_class(self):
-        # raised by interp_coeffs and estimate alike, re-exported here
-        assert ParameterizationError is orthopoly.ParameterizationError
+    def test_every_kind_is_bound_to_k_and_n(self):
+        naive = naive_coefficients(100, 40)
+        assert (naive.kind, naive.L, naive.M, naive.k, naive.n) == ("naive", 0, 1, 100, 40)
+        assert naive.w_exact == naive.w == naive.u == ()
+        for n, kind in ((40, "l2"), (400, "interpolation")):
+            coeffs = build_estimator(select_params(100, n))
+            assert (coeffs.kind, coeffs.k, coeffs.n) == (kind, 100, n)
+            assert coeffs.w == tuple(float(wj) for wj in coeffs.w_exact)
 
 
 class TestEstimate:
     def test_linear_correction(self):
-        coeffs = CoefficientVector(kind="interpolation", L=2, M=2,
-                                   w=(3.0, -2.0), u=(1.5, -1.0))
+        coeffs = interp_coeffs(2, 10, 10)  # u = (1.5, -1.0)
         res = estimate(Fingerprint({1: 2}, 2), coeffs, 10)
         assert res.c_tilde == pytest.approx(5.0)
         assert res.c_hat == 5
 
     def test_naive_degenerates_to_seen(self):
-        res = estimate(Fingerprint({1: 2, 3: 1}, 3), naive_coefficients(), 10)
+        res = estimate(Fingerprint({1: 2, 3: 1}, 3), naive_coefficients(10, 5), 10)
         assert res.c_hat == res.c_seen == 3
 
     def test_clamp_at_k(self):
-        coeffs = CoefficientVector(kind="interpolation", L=2, M=2,
-                                   w=(3.0, -2.0), u=(1.5, -1.0))
+        coeffs = interp_coeffs(2, 10, 10)
         res = estimate(Fingerprint({1: 10}, 10), coeffs, 10)
         assert res.c_tilde == pytest.approx(25.0)
         assert res.c_hat == 10
 
     def test_clamp_below_at_seen(self):
-        coeffs = CoefficientVector(kind="l2", L=1, M=2, w=(0.0,), u=(-2.0,))
+        coeffs = CoefficientVector("l2", 1, 2, 10, 1, (Fraction(0),), (-2.0,))
         res = estimate(Fingerprint({1: 3}, 3), coeffs, 10)
         assert res.c_hat == 3
 
     def test_more_seen_than_k_is_error(self):
-        coeffs = CoefficientVector(kind="interpolation", L=2, M=2,
-                                   w=(3.0, -2.0), u=(1.5, -1.0))
+        coeffs = interp_coeffs(2, 5, 5)
         with pytest.raises(ValueError, match="c_seen = 10 .* k = 5"):
             estimate(Fingerprint({1: 10}, 10), coeffs, k=5)
 
     def test_empty_fingerprint_is_error(self):
         with pytest.raises(ValueError, match="zero samples"):
-            estimate(Fingerprint({}, 0), naive_coefficients(), 10)
-
-    def test_unbound_vector_names_the_missing_binding(self):
-        with pytest.raises(ParameterizationError, match=r"not bound to sample parameters \(k, n\)"):
-            estimate(Fingerprint({1: 2, 2: 1}, 3), solve_l2(5, 2), 10)
+            estimate(Fingerprint({}, 0), naive_coefficients(10, 5), 10)
 
     def test_k_mismatch_is_error(self):
         coeffs = build_estimator(select_params(100, 400))
@@ -177,8 +176,8 @@ class TestEstimate:
     def test_clamp_monotonicity(self, phi, u, extra):
         c_seen = sum(phi.values())
         k = c_seen + extra  # a sample can never reveal more colors than k
-        coeffs = CoefficientVector(kind="l2", L=len(u), M=len(u) + 1,
-                                   w=tuple(0.0 for _ in u), u=tuple(u))
+        coeffs = CoefficientVector("l2", len(u), len(u) + 1, k, 1,
+                                   tuple(Fraction(0) for _ in u), tuple(u))
         res = estimate(Fingerprint(phi, c_seen), coeffs, k)
         assert c_seen <= res.c_hat <= k
 
@@ -191,9 +190,16 @@ class TestExactBias:
         assert exact_bias(urn, coeffs, 6, exact=True) == 0.0
         assert abs(exact_bias(urn, coeffs, 6)) < 1e-12
 
+    def test_urn_or_n_other_than_built_for_is_error(self):
+        coeffs = build_estimator(select_params(10_000, 5_000))
+        with pytest.raises(ValueError, match=r"built for \(k, n\) = \(10000, 5000\), not \(10000, 20000\)"):
+            exact_bias(make_uniform_support(10_000, 5_000), coeffs, 20_000)
+        with pytest.raises(ValueError, match=r"not \(5000, 5000\)"):
+            exact_bias(make_uniform_support(5_000, 5_000), coeffs, 5_000)
+
     def test_naive_bias_uniform_full(self):
         urn = make_uniform_support(100, 100)
-        b = exact_bias(urn, naive_coefficients(), 50)
+        b = exact_bias(urn, naive_coefficients(100, 50), 50)
         assert b == pytest.approx(-100 * math.exp(-0.5), rel=1e-12)
 
     def test_l2_bias_matches_node_formula(self):

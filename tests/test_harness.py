@@ -1,10 +1,12 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from urncount import harness
-from urncount.estimator import ParameterizationError
+from urncount.estimator import ParameterizationError, build_estimator, estimate, select_params
+from urncount.fingerprint import fingerprint_from_count_values
 from urncount.harness import (
     CSV_SCHEMA,
     ExperimentConfig,
@@ -16,6 +18,8 @@ from urncount.harness import (
     run_experiment_files,
     run_risk_curve,
 )
+from urncount.rng import RngStream
+from urncount.sampling import multinomial_counts, poissonized_color_counts
 from urncount.urn import UrnSpec, make_uniform_support
 
 
@@ -111,6 +115,38 @@ class TestRiskCurve:
         rows = run_risk_curve(cfg)
         assert rows[0].bias_exact is None
 
+    @pytest.mark.parametrize("model, counts", [("poissonized", poissonized_color_counts),
+                                               ("multinomial", multinomial_counts)])
+    def test_naive_rows_are_the_seen_counts(self, model, counts):
+        # pinned against the counts themselves, over the harness's own streams
+        urn, trials, seed = make_uniform_support(300, 120), 40, 13
+        cfg = poisson_cfg(urn_source=("uniform", 300, 120), model=model, n_grid=(50, 200),
+                          trials=trials, master_seed=seed, estimators=("naive", "l2"))
+        rows = [row for row in run_risk_curve(cfg) if row.estimator == "naive"]
+        for ni, (n, row) in enumerate(zip(cfg.n_grid, rows)):
+            seen = [int(np.count_nonzero(counts(urn, n, RngStream(seed, (ni << 32) | t))))
+                    for t in range(trials)]
+            assert row.mean_c_hat == sum(seen) / trials
+            assert row.rmse == math.sqrt(sum((c - 120) ** 2 for c in seen) / trials)
+            assert row.bias_empirical == sum(map(float, seen)) / trials - 120
+
+    def test_empty_samples_count_as_zero(self):
+        # at n = 1 about a third of Poisson samples are empty: every tag then
+        # records the estimator's value at phi = 0, which is 0
+        urn, trials = make_uniform_support(100, 50), 20
+        cfg = poisson_cfg(urn_source=("uniform", 100, 50), n_grid=(1,), trials=trials,
+                          master_seed=3, estimators=("naive", "auto"))
+        fps = [fingerprint_from_count_values(poissonized_color_counts(urn, 1, RngStream(3, t)))
+               for t in range(trials)]
+        assert any(fp.c_seen == 0 for fp in fps)
+        coeffs = build_estimator(select_params(100, 1))
+        hats = {"naive": [fp.c_seen for fp in fps],
+                "auto": [estimate(fp, coeffs, 100).c_hat if fp.c_seen else 0 for fp in fps]}
+        rows = run_risk_curve(cfg)
+        assert [row.estimator for row in rows] == ["naive", "auto"]
+        for row in rows:
+            assert row.mean_c_hat == sum(hats[row.estimator]) / trials
+
 
 class TestCorrelationExperiment:
     def test_single_color_urn_degenerate(self):
@@ -165,6 +201,11 @@ class TestHardPairExperiment:
         assert [r.mean_c_hat for r in poi] != [r.mean_c_hat for r in multi]
         with pytest.raises(ValueError, match="n <= k"):
             hard_pair_experiment(400, 20, [500], 5, seed=4, model="hypergeometric")
+
+    def test_empty_samples_count_as_zero(self):
+        rows = hard_pair_experiment(10, 2, [1], 20, 0, model="poissonized")
+        assert [(r.urn, r.c_true) for r in rows] == [("null", 10), ("alt", 6)]
+        assert all(0 <= r.mean_c_hat <= 10 for r in rows)
 
     def test_fail_fraction_drops_when_easy(self):
         # huge delta makes the tolerance loose: the estimator rarely misses by 400
@@ -241,3 +282,22 @@ class TestSerialization:
     def test_config_missing_urn(self):
         with pytest.raises(ValueError, match="urn"):
             load_experiment_config("{}")
+
+    @pytest.mark.parametrize("change, message", [
+        ({"modle": "multi"}, r"^config: unknown key 'modle'$"),
+        ({"estimator": ["l2"]}, r"^config: unknown key 'estimator'$"),
+        ({"urn": {}}, r"^urn: expected one of file / uniform / hard_pair, got \[\]$"),
+        ({"urn": {"uniform": {"k": 100, "C": 50}, "file": "urn.txt"}},
+         r"^urn: expected one of file / uniform / hard_pair, got \['file', 'uniform'\]$"),
+        ({"urn": {"unifrom": {"k": 100, "C": 50}}}, r"^urn: unknown key 'unifrom'$"),
+        ({"urn": {"uniform": {"k": 100}}}, r"^urn.uniform: missing key 'C'$"),
+        ({"urn": {"uniform": {"k": 100, "C": 50, "c": 5}}}, r"^urn.uniform: unknown key 'c'$"),
+        ({"urn": {"hard_pair": {"k": 100}}}, r"^urn.hard_pair: missing key 'delta'$"),
+        ({"urn": {"hard_pair": {"k": 100, "delta": 10, "seed": 1}}},
+         r"^urn.hard_pair: unknown key 'seed'$"),
+        ({"urn": {"uniform": [100, 50]}}, r"^urn.uniform: expected an object, got \[100, 50\]$"),
+    ])
+    def test_config_keys_fail_loudly(self, change, message):
+        base = {"urn": {"uniform": {"k": 100, "C": 50}}, "n_grid": [50], "trials": 5}
+        with pytest.raises(ValueError, match=message):
+            load_experiment_config(json.dumps({**base, **change}))

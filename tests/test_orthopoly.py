@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from urncount.estimator import _coefficients, w_to_u
 from urncount.orthopoly import (
     binomial_ratio_minus_one,
     chebyshev_basis,
@@ -17,7 +18,6 @@ from urncount.orthopoly import (
     phi_norm_sq,
     solve_l2,
     t_at_minus_one,
-    w_to_u,
 )
 
 
@@ -149,34 +149,32 @@ class TestL2MinValue:
 class TestSolveL2:
     def test_m2_l1_closed_solution(self):
         # minimize (w/2 - 1)^2 + (w - 1)^2: stationary at w = 6/5
-        vec = solve_l2(2, 1)
-        assert vec.w_exact == (Fraction(6, 5),)
-        assert l2_residual(vec.w, 2) == pytest.approx(1 / math.sqrt(5), rel=1e-12)
+        w_exact = solve_l2(2, 1)
+        assert w_exact == (Fraction(6, 5),)
+        assert l2_residual([float(wj) for wj in w_exact], 2) == pytest.approx(1 / math.sqrt(5), rel=1e-12)
 
     def test_m3_l2_residual(self):
-        vec = solve_l2(3, 2)
-        res = math.sqrt(float(l2_residual_sq_exact(vec.w_exact, 3)))
+        res = math.sqrt(float(l2_residual_sq_exact(solve_l2(3, 2), 3)))
         assert res == pytest.approx(1 / math.sqrt(19), rel=1e-14)
 
     def test_matches_normal_equations_at_tiny_sizes(self):
         for M, L in ((3, 2), (5, 3), (8, 4)):
             w_ne = solve_l2_normal_equations(M, L)
-            vec = solve_l2(M, L)
-            assert np.allclose(vec.w, w_ne, rtol=1e-8)
+            w = [float(wj) for wj in solve_l2(M, L)]
+            assert np.allclose(w, w_ne, rtol=1e-8)
 
     def test_exact_residual_equals_closed_form_on_grid(self):
         for L in range(1, 7):
             for M in range(L + 1, L + 12):
-                vec = solve_l2(M, L)
-                res_sq = l2_residual_sq_exact(vec.w_exact, M)
+                res_sq = l2_residual_sq_exact(solve_l2(M, L), M)
                 assert res_sq == 1 / binomial_ratio_minus_one(M, L)
 
     def test_float_residual_close_on_grid(self):
         for L in range(1, 9):
             for M in range(L + 1, L + 12):
-                vec = solve_l2(M, L)
+                w = [float(wj) for wj in solve_l2(M, L)]
                 closed = l2_min_value(M, L)
-                assert abs(l2_residual(vec.w, M) - closed) / closed < 1e-8
+                assert abs(l2_residual(w, M) - closed) / closed < 1e-8
 
     def test_invalid(self):
         with pytest.raises(ValueError):
@@ -211,11 +209,11 @@ class TestCoefficientTransform:
             assert b == pytest.approx(a, rel=1e-12, abs=1e-15)
 
     def test_digest_stable_and_distinct(self):
-        a = solve_l2(5, 2)
-        b = solve_l2(5, 2)
-        assert a.digest == b.digest
-        assert a.digest != solve_l2(6, 2).digest
-        assert a.with_sample_params(10, 5).digest != a.digest
+        build = _coefficients.__wrapped__  # uncached: two separate builds
+        a = build(10, 5, 2, 5, "l2")
+        assert a.digest == build(10, 5, 2, 5, "l2").digest
+        assert a.digest != build(10, 5, 2, 6, "l2").digest
+        assert a.digest != build(10, 6, 2, 5, "l2").digest
 
 
 def test_chebyshev_norm_formula():

@@ -6,14 +6,14 @@ from pathlib import Path
 
 import pytest
 
-from urncount.estimator import EstimatorParams, ParameterizationError, build_estimator
-from urncount.orthopoly import w_to_u
-from urncount.stirling import (
-    MAX_TABLE_N,
+from urncount.estimator import (
+    EstimatorParams,
+    ParameterizationError,
+    build_estimator,
     interp_coeffs,
-    stirling_bound_report,
-    stirling_first,
+    w_to_u,
 )
+from urncount.stirling import MAX_TABLE_N, stirling_bound_report, stirling_first
 
 
 def falling_factorial_coeffs(n):

@@ -47,6 +47,11 @@ class TestUrnSpec:
         with pytest.raises(ValueError, match="duplicate color id 5"):
             UrnSpec(((5, 1), (2, 2), (5, 3)))
 
+    def test_k_past_int64_is_error(self):
+        with pytest.raises(ValueError, match="k = 9223372036854775808 exceeds 64-bit"):
+            UrnSpec(((1, 2**62), (2, 2**62)))
+        assert UrnSpec(((1, 2**62), (2, 2**62 - 1))).k == 2**63 - 1
+
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
             UrnSpec(())
