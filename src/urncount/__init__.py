@@ -13,15 +13,12 @@ from .estimator import (
 from .fingerprint import Fingerprint, fingerprint_from_count_values
 from .rng import RngStream
 from .sampling import (
-    SampleBatch,
     bernoulli_counts,
-    draw_bernoulli,
-    draw_poissonized,
-    draw_with_replacement,
-    draw_without_replacement,
     hypergeometric_counts,
     multinomial_counts,
     poissonized_color_counts,
+    sample_counts,
+    sample_draws,
 )
 from .urn import UrnSpec, make_uniform_support
 

@@ -11,44 +11,27 @@ import numpy as np
 
 from .estimator import build_estimator, estimate, select_params
 from .fingerprint import fingerprint_from_count_values, parse_fingerprint
-from .harness import MODEL_ALIASES, load_experiment_config, run_experiment_files
+from .harness import load_experiment_config, run_experiment_files
 from .rng import RngStream
-from .sampling import (
-    SampleBatch,
-    draw_bernoulli,
-    draw_poissonized,
-    draw_with_replacement,
-    draw_without_replacement,
-)
+from .sampling import MODEL_ALIASES, sample_draws
 from .urn import parse_urn
 from .verify import SUITES
 
 
 def _cmd_simulate(args) -> int:
     urn = parse_urn(Path(args.urn).read_text())
-    rng = RngStream(args.seed, args.stream)
     model = MODEL_ALIASES[args.model]
-    if model == "bernoulli":
-        if args.p is None:
-            raise ValueError("--p is required for the bernoulli model")
-        batch = draw_bernoulli(urn, args.p, rng)
-    else:
-        if args.n is None:
-            raise ValueError(f"--n is required for the {model} model")
-        if model == "multinomial":
-            batch = draw_with_replacement(urn, args.n, rng)
-        elif model == "hypergeometric":
-            batch = draw_without_replacement(urn, args.n, rng)
-        else:
-            batch = draw_poissonized(urn, args.n, rng)
-    _write_batch(batch, args.out)
-    print(f"wrote {batch.realized_size} draws ({batch.model_tag}) to {args.out}")
+    # the sample size is --p for the bernoulli model and --n for the others
+    used, unused = ("p", "n") if model == "bernoulli" else ("n", "p")
+    if getattr(args, used) is None:
+        raise ValueError(f"--{used} is required for the {model} model")
+    if getattr(args, unused) is not None:
+        raise ValueError(f"--{unused} is not used by the {model} model")
+    draws = sample_draws(urn, model, getattr(args, used), RngStream(args.seed, args.stream))
+    text = "\n".join(map(str, draws))
+    Path(args.out).write_text(text + "\n" if text else "")
+    print(f"wrote {len(draws)} draws ({model}) to {args.out}")
     return 0
-
-
-def _write_batch(batch: SampleBatch, out: str) -> None:
-    text = "\n".join(str(cid) for cid in batch.draws)
-    Path(out).write_text(text + "\n" if text else "")
 
 
 def _cmd_estimate(args) -> int:
@@ -80,7 +63,7 @@ def _cmd_estimate(args) -> int:
 
 def _sample_ids(text: str) -> np.ndarray:
     """The color ids of a samples file, one integer per line; blank lines and
-    lines starting with '#' are skipped."""
+    lines whose first non-blank character is '#' are skipped."""
     lines = text.splitlines()
     if "#" not in text:
         # numpy parses each stripped line as int() does; a line it rejects
@@ -93,7 +76,7 @@ def _sample_ids(text: str) -> np.ndarray:
         draws = [
             int(line.strip())
             for line in lines
-            if line.strip() and not line.startswith("#")
+            if line.strip() and not line.strip().startswith("#")
         ]
     except ValueError:
         raise ValueError(_bad_sample_line(lines)) from None
@@ -106,7 +89,7 @@ def _sample_ids(text: str) -> np.ndarray:
 def _bad_sample_line(lines: list[str]) -> str:
     """The first sample line that is not an integer, named by its number."""
     for lineno, line in enumerate(lines, start=1):
-        if line.strip() and not line.startswith("#"):
+        if line.strip() and not line.strip().startswith("#"):
             try:
                 int(line.strip())
             except ValueError as exc:
@@ -147,8 +130,10 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="draw a sample from an urn file")
     sim.add_argument("--urn", required=True, help="urn file: 'color_id count' lines")
     sim.add_argument("--model", required=True, choices=sorted(MODEL_ALIASES))
-    sim.add_argument("--n", type=int, default=None, help="(expected) sample size")
-    sim.add_argument("--p", type=float, default=None, help="bernoulli inclusion probability")
+    sim.add_argument("--n", type=int, default=None,
+                     help="(expected) sample size; every model but bernoulli")
+    sim.add_argument("--p", type=float, default=None,
+                     help="inclusion probability; the bernoulli model only")
     sim.add_argument("--seed", type=int, required=True)
     sim.add_argument("--stream", type=int, default=0)
     sim.add_argument("--out", required=True)

@@ -22,22 +22,11 @@ from .estimator import (
 )
 from .fingerprint import fingerprint_from_count_values
 from .rng import RngStream
-from .sampling import (
-    bernoulli_counts,
-    hypergeometric_counts,
-    multinomial_counts,
-    poissonized_color_counts,
-)
+from .sampling import MODEL_ALIASES, sample_counts
 from .urn import UrnSpec, make_hard_pair, make_uniform_support, parse_urn
 
 CSV_SCHEMA = 1
 
-MODEL_ALIASES = {
-    "multi": "multinomial", "multinomial": "multinomial",
-    "hyper": "hypergeometric", "hypergeometric": "hypergeometric",
-    "bern": "bernoulli", "bernoulli": "bernoulli",
-    "poi": "poissonized", "poissonized": "poissonized",
-}
 ESTIMATOR_TAGS = ("naive", "l2", "interpolation", "auto")
 
 
@@ -133,17 +122,7 @@ def _trial(urn: UrnSpec, model: str, n: int, rng: RngStream, plans) -> list[tupl
     bincount.  An empty sample gives (0, 0.0), the estimator's value at
     phi = 0, for every plan; ``estimate`` itself rejects empty fingerprints.
     """
-    if model == "poissonized":
-        counts = poissonized_color_counts(urn, n, rng)
-    elif model == "multinomial":
-        counts = multinomial_counts(urn, n, rng)
-    elif model == "hypergeometric":
-        counts = hypergeometric_counts(urn, n, rng)
-    elif model == "bernoulli":
-        counts = bernoulli_counts(urn, n / urn.k, rng)
-    else:
-        raise ValueError(f"model: unknown tag {model!r}")
-    fp = fingerprint_from_count_values(counts)
+    fp = fingerprint_from_count_values(sample_counts(urn, model, n, rng))
     if fp.c_seen == 0:
         return [(0, 0.0)] * len(plans)
     results = (estimate(fp, coeffs, urn.k, params) for _, params, coeffs in plans)
@@ -202,7 +181,7 @@ def correlation_experiment(
         raise ValueError("j_max must be >= 1")
     series: list[list[float]] = [[] for _ in range(j_max + 1)]
     for t in range(trials):
-        fp = fingerprint_from_count_values(poissonized_color_counts(urn, n, RngStream(seed, t)))
+        fp = fingerprint_from_count_values(sample_counts(urn, "poissonized", n, RngStream(seed, t)))
         series[0].append(float(urn.C - fp.c_seen))
         for j in range(1, j_max + 1):
             series[j].append(float(fp.phi.get(j, 0)))
@@ -303,12 +282,27 @@ def _fields(obj, where: str, required: tuple = (), optional: tuple = ()) -> dict
     return obj
 
 
+_KINDS = {int: "an integer", str: "a string", list: "a list"}
+
+
+def _typed(value, kind: type, key: str):
+    """``value`` if it is a JSON ``kind`` (a bool is no integer); otherwise a
+    ValueError that names ``key``."""
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise ValueError(f"{key}: expected {_KINDS[kind]}, got {value!r}")
+    return value
+
+
+def _typed_list(value, kind: type, key: str) -> tuple:
+    return tuple(_typed(item, kind, key) for item in _typed(value, list, key))
+
+
 def load_experiment_config(source: str | dict) -> ExperimentConfig:
     """Parse the experiment JSON.
 
     Keys: urn {file | uniform{k,C} | hard_pair{k,delta}}, model, n_grid,
-    trials, seed, estimators, outputs.  Any other key, or an urn with other
-    than exactly one source, is an error.
+    trials, seed, estimators, outputs.  Any other key, an urn with other
+    than exactly one source, or a value of the wrong JSON type is an error.
     """
     obj = json.loads(source) if isinstance(source, str) else source
     obj = _fields(obj, "config", ("urn",),
@@ -317,26 +311,28 @@ def load_experiment_config(source: str | dict) -> ExperimentConfig:
     if len(urn_obj) != 1:
         raise ValueError(f"urn: expected one of file / uniform / hard_pair, got {sorted(urn_obj)}")
     if "file" in urn_obj:
-        urn_source = ("file", str(urn_obj["file"]))
+        urn_source = ("file", _typed(urn_obj["file"], str, "urn.file"))
     elif "uniform" in urn_obj:
         u = _fields(urn_obj["uniform"], "urn.uniform", ("k", "C"))
-        urn_source = ("uniform", int(u["k"]), int(u["C"]))
+        urn_source = ("uniform", _typed(u["k"], int, "urn.uniform.k"),
+                      _typed(u["C"], int, "urn.uniform.C"))
     else:
         h = _fields(urn_obj["hard_pair"], "urn.hard_pair", ("k", "delta"))
-        urn_source = ("hard_pair", int(h["k"]), int(h["delta"]))
+        urn_source = ("hard_pair", _typed(h["k"], int, "urn.hard_pair.k"),
+                      _typed(h["delta"], int, "urn.hard_pair.delta"))
     # hard pairs were defined under with-replacement sampling
     default_model = "multinomial" if urn_source[0] == "hard_pair" else "poissonized"
-    model_raw = obj.get("model", default_model)
+    model_raw = _typed(obj.get("model", default_model), str, "model")
     if model_raw not in MODEL_ALIASES:
         raise ValueError(f"model: unknown tag {model_raw!r}")
     return ExperimentConfig(
         urn_source=urn_source,
         model=MODEL_ALIASES[model_raw],
-        n_grid=tuple(int(n) for n in obj.get("n_grid", ())),
-        trials=int(obj.get("trials", 0)),
-        master_seed=int(obj.get("seed", 0)),
-        estimators=tuple(obj.get("estimators", ("auto",))),
-        outputs=tuple(obj.get("outputs", ("csv", "json"))),
+        n_grid=_typed_list(obj.get("n_grid", []), int, "n_grid"),
+        trials=_typed(obj.get("trials", 0), int, "trials"),
+        master_seed=_typed(obj.get("seed", 0), int, "seed"),
+        estimators=_typed_list(obj.get("estimators", ["auto"]), str, "estimators"),
+        outputs=_typed_list(obj.get("outputs", ["csv", "json"]), str, "outputs"),
     )
 
 

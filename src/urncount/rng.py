@@ -61,8 +61,9 @@ def _poisson_cdf(lam: float) -> np.ndarray:
 def poisson_inversion(lam: float, u: np.ndarray) -> np.ndarray:
     """Poisson(lam) variates for 0 <= lam < 30 by inverting the uniforms ``u``.
 
-    Bit-identical to ``RngStream._poisson_inversion`` fed the same uniforms:
-    the first index whose accumulated CDF reaches u, or the last table entry.
+    Bit-identical to the scalar inversion loop fed the same uniforms (the
+    reference ``_poisson_inversion`` in ``tests/test_counts.py``): the first
+    index whose accumulated CDF reaches u, or the last table entry.
     """
     cdf = _poisson_cdf(lam)
     idx = np.searchsorted(cdf, u, side="left")
@@ -210,33 +211,9 @@ class RngStream:
                         low >>= 1
             self._counter = start + used
 
-    # -- Poisson ------------------------------------------------------------
-
-    def poisson(self, lam: float) -> int:
-        """Poisson variate: CDF inversion below mean 30, else transformed
-        rejection with squeeze (Hormann's PTRS)."""
-        if lam < 0:
-            raise ValueError("poisson requires lam >= 0")
-        if lam == 0:
-            return 0
-        if lam < 30.0:
-            return self._poisson_inversion(lam)
-        return self._poisson_ptrs(lam)
-
-    def _poisson_inversion(self, lam: float) -> int:
-        u = self.random()
-        x = 0
-        p = math.exp(-lam)
-        s = p
-        while u > s:
-            x += 1
-            p *= lam / x
-            s += p
-            if p == 0.0:
-                break
-        return x
-
     def _poisson_ptrs(self, lam: float) -> int:
+        """Poisson variate for mean lam >= 30: transformed rejection with
+        squeeze (Hormann's PTRS)."""
         slam = math.sqrt(lam)
         loglam = math.log(lam)
         b = 0.931 + 2.53 * slam
@@ -255,46 +232,3 @@ class RngStream:
             if (math.log(v) + math.log(inv_alpha) - math.log(a / (us * us) + b)
                     <= k * loglam - lam - math.lgamma(k + 1.0)):
                 return int(k)
-
-    def poisson_many(self, lam: float, count: int) -> np.ndarray:
-        """``count`` iid Poisson variates.
-
-        For means below 30 this consumes exactly one uniform per variate and
-        reproduces the scalar inversion path bit-for-bit (searchsorted against
-        the same sequentially accumulated CDF).
-        """
-        if lam < 0:
-            raise ValueError("poisson requires lam >= 0")
-        if lam == 0:
-            return np.zeros(count, dtype=np.int64)
-        if lam >= 30.0:
-            return np.array([self._poisson_ptrs(lam) for _ in range(count)], dtype=np.int64)
-        return poisson_inversion(lam, self.uniforms(count))
-
-    # -- Binomial -----------------------------------------------------------
-
-    def binomial(self, n: int, p: float) -> int:
-        """Binomial(n, p) variate: n coin flips when n <= 64, else CDF
-        inversion on chunks small enough that (1-p)^chunk stays normal."""
-        if n < 0:
-            raise ValueError("binomial requires n >= 0")
-        if not 0.0 <= p <= 1.0:
-            raise ValueError("binomial requires 0 <= p <= 1")
-        if n == 0 or p == 0.0:
-            return 0
-        if p == 1.0:
-            return n
-        if n <= 64:
-            total = 0
-            for _ in range(n):
-                if self.random() < p:
-                    total += 1
-            return total
-        chunk_max = binomial_chunk_max(p)
-        total = 0
-        remaining = n
-        while remaining > 0:
-            c = min(remaining, chunk_max)
-            total += binomial_inversion(c, p, self.random())
-            remaining -= c
-        return total

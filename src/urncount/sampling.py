@@ -1,9 +1,10 @@
 """The four sampling models and the cross-model simulation.
 
 Each model has one counts core: an int64 array of per-color counts aligned
-with ``urn.ids``, which is all a fingerprint needs.  The ``SampleBatch``
-draw lists, for ``urncount simulate`` and callers that want the draws
-themselves, are views over the same cores.
+with ``urn.ids``, which is all a fingerprint needs.  ``sample_counts`` and
+``sample_draws`` are the only places that map a model name to a sampler;
+the draw lists, for ``urncount simulate`` and callers that want the draws
+themselves, come from the same cores.
 
 All samplers are pure functions of (urn, parameters, stream): identical
 inputs reproduce identical outputs byte for byte, and the stream advances
@@ -13,40 +14,22 @@ advance it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .rng import RngStream, binomial_chunk_max, binomial_inversion, poisson_inversion
 from .urn import UrnSpec
 
-MODEL_MULTINOMIAL = "multinomial"
-MODEL_HYPERGEOMETRIC = "hypergeometric"
-MODEL_BERNOULLI = "bernoulli"
-MODEL_POISSONIZED = "poissonized"
-MODEL_SIMULATED = "simulated-with-replacement"
+# every accepted model name -> its canonical name
+MODEL_ALIASES = {
+    "multi": "multinomial", "multinomial": "multinomial",
+    "hyper": "hypergeometric", "hypergeometric": "hypergeometric",
+    "bern": "bernoulli", "bernoulli": "bernoulli",
+    "poi": "poissonized", "poissonized": "poissonized",
+}
 
 # Colors per Bernoulli uniform block (at most 64 uniforms each unless chunked),
 # so memory stays flat in k.
 _COLOR_BLOCK = 4096
-
-
-@dataclass(frozen=True)
-class SampleBatch:
-    """An ordered list of observed color ids plus the realized sample size."""
-
-    draws: tuple[int, ...]
-    nominal_size: int
-    model_tag: str
-
-    @property
-    def realized_size(self) -> int:
-        return len(self.draws)
-
-
-def _expand(urn: UrnSpec, counts: np.ndarray) -> list[int]:
-    """Each color id repeated by its count, in canonical color order."""
-    return np.repeat(urn.ids, counts).tolist()
 
 
 def _multinomial_index(urn: UrnSpec, n: int, rng: RngStream) -> np.ndarray:
@@ -60,12 +43,6 @@ def _multinomial_index(urn: UrnSpec, n: int, rng: RngStream) -> np.ndarray:
 def multinomial_counts(urn: UrnSpec, n: int, rng: RngStream) -> np.ndarray:
     """Per-color counts of n independent draws, color i with probability k_i / k."""
     return np.bincount(_multinomial_index(urn, n, rng), minlength=urn.C)
-
-
-def draw_with_replacement(urn: UrnSpec, n: int, rng: RngStream) -> SampleBatch:
-    """n independent draws, color i with probability k_i / k."""
-    draws = urn.ids[_multinomial_index(urn, n, rng)].tolist()
-    return SampleBatch(tuple(draws), n, MODEL_MULTINOMIAL)
 
 
 def _hypergeometric_index(urn: UrnSpec, n: int, rng: RngStream) -> list[int]:
@@ -88,19 +65,14 @@ def hypergeometric_counts(urn: UrnSpec, n: int, rng: RngStream) -> np.ndarray:
     return np.bincount(index, minlength=urn.C)
 
 
-def draw_without_replacement(urn: UrnSpec, n: int, rng: RngStream) -> SampleBatch:
-    """A uniformly random size-n sub-multiset of the urn, in random order."""
-    draws = urn.ids[_hypergeometric_index(urn, n, rng)].tolist()
-    return SampleBatch(tuple(draws), n, MODEL_HYPERGEOMETRIC)
-
-
 def bernoulli_counts(urn: UrnSpec, p: float, rng: RngStream) -> np.ndarray:
     """Per-color inclusion counts Binomial(k_i, p), each ball kept with probability p.
 
-    Each color uses the stream as ``rng.binomial(k_i, p)`` does, and that use
-    is fixed in advance: k_i coin-flip uniforms when k_i <= 64, otherwise one
-    uniform per inversion chunk, and none at p in {0, 1}.  So the colors share
-    uniform blocks drawn in canonical color order.
+    Each color uses the stream as the scalar reference ``binomial(rng, k_i, p)``
+    in ``tests/test_counts.py`` does, and that use is fixed in advance: k_i
+    coin-flip uniforms when k_i <= 64, otherwise one uniform per inversion
+    chunk, and none at p in {0, 1}.  So the colors share uniform blocks drawn
+    in canonical color order.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError("inclusion probability must lie in [0, 1]")
@@ -128,23 +100,14 @@ def bernoulli_counts(urn: UrnSpec, p: float, rng: RngStream) -> np.ndarray:
     return out
 
 
-def draw_bernoulli(urn: UrnSpec, p: float, rng: RngStream) -> SampleBatch:
-    """Each of the k balls included independently with probability p.
-
-    Draws are emitted in canonical color order; downstream consumers use
-    counts only.
-    """
-    draws = _expand(urn, bernoulli_counts(urn, p, rng))
-    return SampleBatch(tuple(draws), int(round(urn.k * p)), MODEL_BERNOULLI)
-
-
 def poissonized_color_counts(urn: UrnSpec, n: float, rng: RngStream) -> np.ndarray:
     """Per-color counts N_i ~ Poisson(n * k_i / k), aligned with urn.ids.
 
-    Colors take the stream in canonical order, as ``rng.poisson`` per color
-    would: a color with mean below 30 takes one uniform and inverts it through
-    its mean's CDF table; a heavier color runs PTRS rejection.  Each run of
-    light colors between heavy ones draws its uniforms as one block, and the
+    Colors take the stream in canonical order, as the scalar reference
+    ``poisson(rng, lam)`` in ``tests/test_counts.py`` would per color: a
+    color with mean below 30 takes one uniform and inverts it through its
+    mean's CDF table; a heavier color runs PTRS rejection.  Each run of light
+    colors between heavy ones draws its uniforms as one block, and the
     inversion runs once per distinct multiplicity.
     """
     if n < 0:
@@ -169,32 +132,60 @@ def poissonized_color_counts(urn: UrnSpec, n: float, rng: RngStream) -> np.ndarr
     return out
 
 
-def draw_poissonized(urn: UrnSpec, n: float, rng: RngStream) -> SampleBatch:
-    """Poisson sampling model: independent per-color counts, total ~ Poi(n).
+def sample_counts(urn: UrnSpec, model: str, n, rng: RngStream) -> np.ndarray:
+    """Per-color counts of one size-n sample under the canonical ``model``.
 
-    The draw list is a uniformly shuffled expansion of the counts; only the
-    counts carry information.
+    The Bernoulli model includes each ball with probability p = n / k.  The
+    cores are looked up by name on every call, so a replacement installed at
+    ``urncount.sampling.<core>`` (a test fake, a timing hook) sees every call.
     """
-    draws = _expand(urn, poissonized_color_counts(urn, n, rng))
-    rng.shuffle(draws)
-    return SampleBatch(tuple(draws), int(n), MODEL_POISSONIZED)
+    if model == "multinomial":
+        return multinomial_counts(urn, n, rng)
+    if model == "hypergeometric":
+        return hypergeometric_counts(urn, n, rng)
+    if model == "bernoulli":
+        return bernoulli_counts(urn, n / urn.k, rng)
+    if model == "poissonized":
+        return poissonized_color_counts(urn, n, rng)
+    raise ValueError(f"model: unknown tag {model!r}")
 
 
-def simulate_with_from_without(batch: SampleBatch, k: int, rng: RngStream) -> SampleBatch:
-    """Turn a without-replacement sample into a with-replacement one.
+def sample_draws(urn: UrnSpec, model: str, size, rng: RngStream) -> list[int]:
+    """The observed color ids of one sample under the canonical ``model``.
+
+    ``size`` is the inclusion probability p for the Bernoulli model and the
+    (expected) sample size n for the others.  Multinomial and hypergeometric
+    draws come in draw order.  Bernoulli draws come in canonical color order,
+    and Poisson draws are a uniformly shuffled expansion of the counts; only
+    the counts carry information.
+    """
+    if model == "multinomial":
+        return urn.ids[_multinomial_index(urn, size, rng)].tolist()
+    if model == "hypergeometric":
+        return urn.ids[_hypergeometric_index(urn, size, rng)].tolist()
+    if model == "bernoulli":
+        return np.repeat(urn.ids, bernoulli_counts(urn, size, rng)).tolist()
+    if model == "poissonized":
+        draws = np.repeat(urn.ids, poissonized_color_counts(urn, size, rng)).tolist()
+        rng.shuffle(draws)
+        return draws
+    raise ValueError(f"model: unknown tag {model!r}")
+
+
+def simulate_with_from_without(ys: list[int], k: int, rng: RngStream) -> list[int]:
+    """Turn a without-replacement sample ``ys`` into a with-replacement one.
 
     Draw i keeps Y_i with probability 1 - (i-1)/k and otherwise reuses an
     earlier output position chosen uniformly; the result is distributed
     exactly as n independent draws.
     """
-    n = batch.realized_size
+    n = len(ys)
     if n > k:
-        raise ValueError(f"batch of size {n} cannot come from a {k}-ball urn")
-    ys = batch.draws
+        raise ValueError(f"a sample of size {n} cannot come from a {k}-ball urn")
     out: list[int] = []
     for i in range(1, n + 1):
         if i > 1 and rng.random() < (i - 1) / k:
             out.append(ys[rng.randbelow(i - 1)])
         else:
             out.append(ys[i - 1])
-    return SampleBatch(tuple(out), n, MODEL_SIMULATED)
+    return out

@@ -23,9 +23,8 @@ from urncount.orthopoly import (
 )
 from urncount.rng import RngStream
 from urncount.sampling import (
-    draw_poissonized,
-    draw_without_replacement,
     poissonized_color_counts,
+    sample_draws,
     simulate_with_from_without,
 )
 from urncount.stirling import stirling_first
@@ -171,9 +170,9 @@ def test_criterion_8_sampling_model_consistency():
         m_star, trials = 3, 20_000
         conditioned = []
         for t in range(trials):
-            batch = draw_poissonized(urn, 3, RngStream(101, t))
-            if batch.realized_size == m_star:
-                cnt = Counter(batch.draws)
+            draws = sample_draws(urn, "poissonized", 3, RngStream(101, t))
+            if len(draws) == m_star:
+                cnt = Counter(draws)
                 conditioned.append((cnt.get(1, 0), cnt.get(2, 0), cnt.get(3, 0)))
         p = (0.25, 0.25, 0.5)
         cells = [(a, b, m_star - a - b)
@@ -196,9 +195,9 @@ def test_criterion_8_sampling_model_consistency():
         sim_trials = 100_000
         for t in range(sim_trials):
             rng = RngStream(103, t)
-            batch = draw_without_replacement(two, 2, rng)
-            sim = simulate_with_from_without(batch, 2, rng)
-            counts[sim.draws] += 1
+            draws = sample_draws(two, "hypergeometric", 2, rng)
+            sim = simulate_with_from_without(draws, 2, rng)
+            counts[tuple(sim)] += 1
         tv = 0.5 * sum(
             abs(counts.get(pair, 0) / sim_trials - 0.25)
             for pair in product((1, 2), repeat=2)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -46,6 +47,50 @@ class TestSimulate:
         rc = main(["simulate", "--urn", str(urn_file), "--model", "poi",
                    "--n", "40", "--seed", "1", "--out", str(out)])
         assert rc == 0
+
+    @pytest.mark.parametrize("alias, flag, model", [
+        ("bern", "--n", "bernoulli"), ("multi", "--p", "multinomial"),
+        ("hyper", "--p", "hypergeometric"), ("poi", "--p", "poissonized")])
+    def test_flag_the_model_does_not_use_is_rejected(self, tmp_path, urn_file, capsys,
+                                                     alias, flag, model):
+        size = ["--p", "0.5"] if model == "bernoulli" else ["--n", "10"]
+        out = tmp_path / "x.txt"
+        rc = main(["simulate", "--urn", str(urn_file), "--model", alias, *size,
+                   flag, "7", "--seed", "9", "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"urncount simulate: error: {flag} is not used by the {model} model\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("urn, alias, size, printed, sha256", [
+        ("three", "multi", ["--n", "12"], "wrote 12 draws (multinomial)",
+         "7a9136635becc3e89ba1b8be3df78d4b87b9eee1cdc742fe7d372b8a9cc8ef79"),
+        ("three", "hyper", ["--n", "5"], "wrote 5 draws (hypergeometric)",
+         "639104070f064dccc392ffb66d3fe5e9ee7165b176b6d34e61ff0e5406c3ad81"),
+        ("three", "bern", ["--p", "0.4"], "wrote 2 draws (bernoulli)",
+         "9422b95a5e9325e99b4848aa8d911c6ddf0745dea8d00a54dc8915fa23de5d2f"),
+        ("three", "poi", ["--n", "9"], "wrote 6 draws (poissonized)",
+         "0bada61a993cff59dc17843f68b4064e3dae0c310d2e3e244d566bdd6d616b23"),
+        ("uniform", "multi", ["--n", "5000"], "wrote 5000 draws (multinomial)",
+         "5020c73bcc1821a4ee98bdba7d772e200bb58c67e59a48a5542f13e6f012b0af"),
+        ("uniform", "hyper", ["--n", "7000"], "wrote 7000 draws (hypergeometric)",
+         "dd86465a6e843eeb9546bb9f2036b3af2b826ecf4161e2f964a9b7f25c2657b2"),
+        ("uniform", "bern", ["--p", "0.3"], "wrote 2951 draws (bernoulli)",
+         "efbd210db8eef6fe4d0e0e0c54abb4c3c1320234b6507795da45586acfab03cd"),
+        ("uniform", "poi", ["--n", "12000"], "wrote 12078 draws (poissonized)",
+         "8ac5c3e570225c5eb76a25bfa13c1a78e419c36a561fb5a3d381fc3e803dab86"),
+    ])
+    def test_output_bytes_are_pinned(self, tmp_path, capsys, urn, alias, size, printed, sha256):
+        # frozen outputs: the draws file and the summary line at a fixed seed and stream
+        path = tmp_path / "urn.txt"
+        path.write_text("3 2\n1 1\n9 4\n" if urn == "three"
+                        else serialize_urn(make_uniform_support(10_000, 6_000)) + "\n")
+        out = tmp_path / "draws.txt"
+        rc = main(["simulate", "--urn", str(path), "--model", alias, *size,
+                   "--seed", "5", "--stream", "2", "--out", str(out)])
+        assert rc == 0
+        assert capsys.readouterr().out == f"{printed} to {out}\n"
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
 
 
 class TestEstimate:
@@ -102,13 +147,25 @@ class TestEstimate:
 
     def test_samples_non_integer_line_raises(self, tmp_path):
         # the command raises; main turns that into one stderr line (below)
-        for text in ("5\nabc\n", "5\n  # indented comment\n"):
+        for text, lineno in (("5\nabc\n", 2), ("5\n  #abc\nabc\n", 3)):
             samples = tmp_path / "s.txt"
             samples.write_text(text)
             args = build_parser().parse_args(
                 ["estimate", "--k", "10", "--n", "2", "--samples", str(samples)])
-            with pytest.raises(ValueError, match="^line 2: invalid literal for int"):
+            with pytest.raises(ValueError, match=f"^line {lineno}: invalid literal for int"):
                 args.func(args)
+
+    def test_samples_indented_comment_is_skipped(self, tmp_path, capsys):
+        # the same rule as urn and fingerprint files: a line is stripped, then tested for '#'
+        outs = []
+        for text in ("5\n  # indented note\n7\n\t#x\n", "5\n7\n"):
+            samples = tmp_path / "s.txt"
+            samples.write_text(text)
+            assert main(["estimate", "--k", "10", "--n", "2", "--samples", str(samples),
+                         "--json"]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+        assert json.loads(outs[0])["c_seen"] == 2
 
     @pytest.mark.parametrize("flag, text, message", [
         ("--fingerprint", "1 10\n", "c_seen = 10 colors were seen, more than k = 5 balls"),

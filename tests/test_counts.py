@@ -1,32 +1,88 @@
 """Counts cores against the original one-draw-at-a-time samplers.
 
 The reference samplers below are the scalar implementations the counts cores
-replaced, kept verbatim.  Every core must return the same per-color counts
-and leave its stream at the same counter as its reference.
+replaced, kept verbatim but for returning plain draw lists.  Every core must
+return the same per-color counts and leave its stream at the same counter as
+its reference.
 """
 
 import bisect
+import math
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from urncount.rng import POISSON_CDF_CACHE_SIZE, RngStream, _poisson_cdf
+from urncount.rng import (
+    POISSON_CDF_CACHE_SIZE,
+    RngStream,
+    _poisson_cdf,
+    binomial_chunk_max,
+    binomial_inversion,
+)
 from urncount.sampling import (
-    MODEL_BERNOULLI,
-    MODEL_HYPERGEOMETRIC,
-    MODEL_MULTINOMIAL,
-    SampleBatch,
     bernoulli_counts,
-    draw_bernoulli,
-    draw_poissonized,
-    draw_with_replacement,
-    draw_without_replacement,
     hypergeometric_counts,
     multinomial_counts,
     poissonized_color_counts,
+    sample_draws,
 )
 from urncount.urn import UrnSpec, make_hard_pair, make_uniform_support
+
+# -- scalar variates (verbatim, once RngStream methods) -------------------------
+
+def poisson(rng: RngStream, lam: float) -> int:
+    """Poisson variate: CDF inversion below mean 30, else transformed
+    rejection with squeeze (Hormann's PTRS)."""
+    if lam < 0:
+        raise ValueError("poisson requires lam >= 0")
+    if lam == 0:
+        return 0
+    if lam < 30.0:
+        return _poisson_inversion(rng, lam)
+    return rng._poisson_ptrs(lam)
+
+
+def _poisson_inversion(rng: RngStream, lam: float) -> int:
+    u = rng.random()
+    x = 0
+    p = math.exp(-lam)
+    s = p
+    while u > s:
+        x += 1
+        p *= lam / x
+        s += p
+        if p == 0.0:
+            break
+    return x
+
+
+def binomial(rng: RngStream, n: int, p: float) -> int:
+    """Binomial(n, p) variate: n coin flips when n <= 64, else CDF
+    inversion on chunks small enough that (1-p)^chunk stays normal."""
+    if n < 0:
+        raise ValueError("binomial requires n >= 0")
+    if not 0.0 <= p <= 1.0:
+        raise ValueError("binomial requires 0 <= p <= 1")
+    if n == 0 or p == 0.0:
+        return 0
+    if p == 1.0:
+        return n
+    if n <= 64:
+        total = 0
+        for _ in range(n):
+            if rng.random() < p:
+                total += 1
+        return total
+    chunk_max = binomial_chunk_max(p)
+    total = 0
+    remaining = n
+    while remaining > 0:
+        c = min(remaining, chunk_max)
+        total += binomial_inversion(c, p, rng.random())
+        remaining -= c
+    return total
+
 
 # -- reference samplers (verbatim) ----------------------------------------------
 
@@ -45,7 +101,7 @@ def _ball_array(urn: UrnSpec) -> list[int]:
     return balls
 
 
-def ref_draw_with_replacement(urn: UrnSpec, n: int, rng: RngStream) -> SampleBatch:
+def ref_draw_with_replacement(urn: UrnSpec, n: int, rng: RngStream) -> list[int]:
     """n independent draws, color i with probability k_i / k."""
     _require_nonempty(urn)
     if n < 0:
@@ -61,10 +117,10 @@ def ref_draw_with_replacement(urn: UrnSpec, n: int, rng: RngStream) -> SampleBat
     for _ in range(n):
         ball = rng.randbelow(k)
         draws.append(ids[bisect.bisect_right(cum, ball)])
-    return SampleBatch(tuple(draws), n, MODEL_MULTINOMIAL)
+    return draws
 
 
-def ref_draw_without_replacement(urn: UrnSpec, n: int, rng: RngStream) -> SampleBatch:
+def ref_draw_without_replacement(urn: UrnSpec, n: int, rng: RngStream) -> list[int]:
     """A uniformly random size-n sub-multiset of the urn, in random order.
 
     Partial Fisher-Yates over the expanded ball array; O(k) memory.
@@ -79,10 +135,10 @@ def ref_draw_without_replacement(urn: UrnSpec, n: int, rng: RngStream) -> Sample
     for i in range(n):
         j = i + rng.randbelow(k - i)
         balls[i], balls[j] = balls[j], balls[i]
-    return SampleBatch(tuple(balls[:n]), n, MODEL_HYPERGEOMETRIC)
+    return balls[:n]
 
 
-def ref_draw_bernoulli(urn: UrnSpec, p: float, rng: RngStream) -> SampleBatch:
+def ref_draw_bernoulli(urn: UrnSpec, p: float, rng: RngStream) -> list[int]:
     """Each of the k balls included independently with probability p.
 
     Per color the inclusion count is Binomial(k_i, p).  Draws are emitted in
@@ -93,9 +149,9 @@ def ref_draw_bernoulli(urn: UrnSpec, p: float, rng: RngStream) -> SampleBatch:
         raise ValueError("inclusion probability must lie in [0, 1]")
     draws: list[int] = []
     for cid, mult in urn.colors:
-        taken = rng.binomial(mult, p)
+        taken = binomial(rng, mult, p)
         draws.extend([cid] * taken)
-    return SampleBatch(tuple(draws), int(round(urn.k * p)), MODEL_BERNOULLI)
+    return draws
 
 
 def ref_poissonized_color_counts(urn: UrnSpec, n: float, rng: RngStream) -> np.ndarray:
@@ -113,7 +169,7 @@ def ref_poissonized_color_counts(urn: UrnSpec, n: float, rng: RngStream) -> np.n
     if urn.C >= _VECTOR_COLOR_THRESHOLD and all(m < 30.0 for m in means):
         distinct = set(means)
         if len(distinct) == 1:
-            return rng.poisson_many(means[0], urn.C)
+            return np.array([poisson(rng, means[0]) for _ in range(urn.C)], dtype=np.int64)
         u = rng.uniforms(urn.C)
         out = np.empty(urn.C, dtype=np.int64)
         means_arr = np.array(means)
@@ -126,13 +182,21 @@ def ref_poissonized_color_counts(urn: UrnSpec, n: float, rng: RngStream) -> np.n
             idx = np.searchsorted(cdf, u[mask], side="left")
             out[mask] = np.minimum(idx, len(cdf) - 1)
         return out
-    return np.array([rng.poisson(lam) for lam in means], dtype=np.int64)
+    return np.array([poisson(rng, lam) for lam in means], dtype=np.int64)
+
+
+def ref_poissonized_draws(urn: UrnSpec, n: float, rng: RngStream) -> list[int]:
+    """The reference counts expanded in canonical color order, then shuffled."""
+    counts = ref_poissonized_color_counts(urn, n, rng)
+    draws = [cid for (cid, _), cnt in zip(urn.colors, counts) for _ in range(cnt)]
+    rng.shuffle(draws)
+    return draws
 
 
 # -- the grid -------------------------------------------------------------------
 
-def _counts(urn: UrnSpec, batch: SampleBatch) -> np.ndarray:
-    seen = Counter(batch.draws)
+def _counts(urn: UrnSpec, draws: list[int]) -> np.ndarray:
+    seen = Counter(draws)
     return np.array([seen.get(cid, 0) for cid, _ in urn.colors], dtype=np.int64)
 
 
@@ -190,6 +254,7 @@ CASES = [
     ("poissonized", HEAVY_MID, HEAVY_MID.k),
     ("poissonized", HEAVY_MID, 3 * HEAVY_MID.k),
     ("poissonized", MANY_MEANS, 5000),
+    ("poissonized", make_uniform_support(31, 31), 20),  # the reference's scalar path
 ]
 
 
@@ -205,24 +270,19 @@ def test_counts_and_stream_match_reference(model, urn, param):
         assert got_rng._counter == ref_rng._counter, (model, param, seed)
 
 
-@pytest.mark.parametrize("draw,reference,param", [
-    (draw_with_replacement, ref_draw_with_replacement, 500),
-    (draw_without_replacement, ref_draw_without_replacement, 600),
-    (draw_bernoulli, ref_draw_bernoulli, 0.4),
-])
-def test_draw_lists_match_reference(draw, reference, param):
+DRAW_CASES = {  # model -> (reference draw list, urn, size)
+    "multinomial": (ref_draw_with_replacement, UNIFORM, 500),
+    "hypergeometric": (ref_draw_without_replacement, UNIFORM, 600),
+    "bernoulli": (ref_draw_bernoulli, UNIFORM, 0.4),
+    "poissonized": (ref_poissonized_draws, HEAVY_MID, 2000),
+}
+
+
+@pytest.mark.parametrize("model", DRAW_CASES)
+def test_draw_lists_match_reference(model):
+    reference, urn, size = DRAW_CASES[model]
     got_rng, ref_rng = RngStream(5, 2), RngStream(5, 2)
-    assert draw(UNIFORM, param, got_rng) == reference(UNIFORM, param, ref_rng)
-    assert got_rng._counter == ref_rng._counter
-
-
-def test_poissonized_draw_list_is_a_shuffled_expansion():
-    got_rng, ref_rng = RngStream(8, 1), RngStream(8, 1)
-    batch = draw_poissonized(HEAVY_MID, 2000, got_rng)
-    counts = ref_poissonized_color_counts(HEAVY_MID, 2000, ref_rng)
-    draws = [cid for (cid, _), cnt in zip(HEAVY_MID.colors, counts) for _ in range(cnt)]
-    ref_rng.shuffle(draws)
-    assert batch.draws == tuple(draws)
+    assert sample_draws(urn, model, size, got_rng) == reference(urn, size, ref_rng)
     assert got_rng._counter == ref_rng._counter
 
 

@@ -72,14 +72,9 @@ class TestFingerprint:
 
 class TestIdentitiesAcrossSamplers:
     def test_identities_hold_for_every_sampler(self):
-        # 1000 random (urn, sampler) batches: mass and count identities
+        # 1000 random (urn, sampler) draw lists: mass and count identities
         from urncount.rng import RngStream
-        from urncount.sampling import (
-            draw_bernoulli,
-            draw_poissonized,
-            draw_with_replacement,
-            draw_without_replacement,
-        )
+        from urncount.sampling import sample_draws
         from urncount.urn import make_uniform_support
 
         meta = RngStream(2024, 0)
@@ -89,15 +84,15 @@ class TestIdentitiesAcrossSamplers:
             urn = make_uniform_support(k, C)
             n = meta.randbelow(k + 1)
             rng = RngStream(2025, trial)
-            batches = [
-                draw_with_replacement(urn, n, rng),
-                draw_without_replacement(urn, n, rng),
-                draw_bernoulli(urn, (meta.randbelow(11)) / 10, rng),
-                draw_poissonized(urn, n, rng),
+            samples = [
+                sample_draws(urn, "multinomial", n, rng),
+                sample_draws(urn, "hypergeometric", n, rng),
+                sample_draws(urn, "bernoulli", (meta.randbelow(11)) / 10, rng),
+                sample_draws(urn, "poissonized", n, rng),
             ]
-            for batch in batches:
-                fp = fingerprint_of(batch.draws)
-                assert sum(j * c for j, c in fp.phi.items()) == batch.realized_size
+            for draws in samples:
+                fp = fingerprint_of(draws)
+                assert sum(j * c for j, c in fp.phi.items()) == len(draws)
                 assert sum(fp.phi.values()) == fp.c_seen
                 assert fp.c_seen <= urn.C
 

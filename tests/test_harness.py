@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from urncount import harness
+from urncount import sampling
 from urncount.estimator import ParameterizationError, build_estimator, estimate, select_params
 from urncount.fingerprint import fingerprint_from_count_values
 from urncount.harness import (
@@ -60,7 +60,8 @@ class TestPlanFirst:
         def no_sampling(*args):
             raise AssertionError("a trial ran before every plan was built")
 
-        monkeypatch.setattr(harness, "poissonized_color_counts", no_sampling)
+        # sample_counts looks the core up in sampling at call time
+        monkeypatch.setattr(sampling, "poissonized_color_counts", no_sampling)
         cfg = poisson_cfg(urn_source=("uniform", 100_000, 50_000), n_grid=(1000, 20_000),
                           trials=1, estimators=("naive", "interpolation"))
         with pytest.raises(ParameterizationError,
@@ -296,6 +297,24 @@ class TestSerialization:
         ({"urn": {"hard_pair": {"k": 100, "delta": 10, "seed": 1}}},
          r"^urn.hard_pair: unknown key 'seed'$"),
         ({"urn": {"uniform": [100, 50]}}, r"^urn.uniform: expected an object, got \[100, 50\]$"),
+        # wrong JSON value types name their key instead of being coerced
+        ({"n_grid": "125"}, r"^n_grid: expected a list, got '125'$"),
+        ({"n_grid": [50.0]}, r"^n_grid: expected an integer, got 50.0$"),
+        ({"n_grid": [True]}, r"^n_grid: expected an integer, got True$"),
+        ({"trials": 2.9}, r"^trials: expected an integer, got 2.9$"),
+        ({"trials": True}, r"^trials: expected an integer, got True$"),
+        ({"seed": 1.5}, r"^seed: expected an integer, got 1.5$"),
+        ({"model": ["poi"]}, r"^model: expected a string, got \['poi'\]$"),
+        ({"estimators": "auto"}, r"^estimators: expected a list, got 'auto'$"),
+        ({"estimators": [1]}, r"^estimators: expected a string, got 1$"),
+        ({"outputs": "csv"}, r"^outputs: expected a list, got 'csv'$"),
+        ({"urn": {"file": 5}}, r"^urn.file: expected a string, got 5$"),
+        ({"urn": {"uniform": {"k": 100.0, "C": 50}}}, r"^urn.uniform.k: expected an integer"),
+        ({"urn": {"uniform": {"k": 100, "C": "50"}}}, r"^urn.uniform.C: expected an integer"),
+        ({"urn": {"hard_pair": {"k": True, "delta": 10}}},
+         r"^urn.hard_pair.k: expected an integer, got True$"),
+        ({"urn": {"hard_pair": {"k": 100, "delta": 1e1}}},
+         r"^urn.hard_pair.delta: expected an integer, got 10.0$"),
     ])
     def test_config_keys_fail_loudly(self, change, message):
         base = {"urn": {"uniform": {"k": 100, "C": 50}}, "n_grid": [50], "trials": 5}
