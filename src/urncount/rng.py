@@ -36,14 +36,27 @@ def _mix(z: int) -> int:
 # Output blocks are drawn at most this many values at a time.
 _BLOCK = 1 << 16
 
+# Up to this many outputs, the scalar mix is faster than a numpy pass, whose
+# fixed set-up cost is several scalar outputs' worth.
+_SCALAR_MAX = 8
+
 # Distinct Poisson means whose inversion tables are kept (least recently used
 # evicted first).
 POISSON_CDF_CACHE_SIZE = 1024
 
+# Cells of a Poisson guide table: cell j holds the inversion of u = j / 1024.
+_GUIDE_CELLS = 1024
+
 
 @lru_cache(maxsize=POISSON_CDF_CACHE_SIZE)
-def _poisson_cdf(lam: float) -> np.ndarray:
-    """Sequentially accumulated Poisson(lam) CDF, up to the first zero pmf term."""
+def _poisson_table(lam: float) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only inversion table for Poisson(lam): the CDF and its guide.
+
+    The CDF is accumulated sequentially up to the first zero pmf term.  The
+    guide is an indexed search table (Chen & Asau 1974): int16 cell j is the
+    inversion of u = j / _GUIDE_CELLS, capped at the next-to-last CDF index so
+    that one step past it stays inside the table.
+    """
     p = math.exp(-lam)
     s = p
     cdf = [s]
@@ -53,9 +66,12 @@ def _poisson_cdf(lam: float) -> np.ndarray:
         p *= lam / x
         s += p
         cdf.append(s)
-    table = np.array(cdf)
-    table.flags.writeable = False
-    return table
+    cdf = np.array(cdf)
+    cells = np.arange(_GUIDE_CELLS) / _GUIDE_CELLS
+    guide = np.minimum(np.searchsorted(cdf, cells, side="left"), len(cdf) - 2).astype(np.int16)
+    cdf.flags.writeable = False
+    guide.flags.writeable = False
+    return cdf, guide
 
 
 def poisson_inversion(lam: float, u: np.ndarray) -> np.ndarray:
@@ -63,11 +79,20 @@ def poisson_inversion(lam: float, u: np.ndarray) -> np.ndarray:
 
     Bit-identical to the scalar inversion loop fed the same uniforms (the
     reference ``_poisson_inversion`` in ``tests/test_counts.py``): the first
-    index whose accumulated CDF reaches u, or the last table entry.
+    index whose accumulated CDF reaches u, or the last table entry.  The guide
+    cell of u gives a lower bound on that index; one ``cdf[idx] < u`` step
+    resolves all but the few uniforms whose cell spans two or more CDF
+    entries, and those fall back to a binary search of the CDF.
     """
-    cdf = _poisson_cdf(lam)
-    idx = np.searchsorted(cdf, u, side="left")
-    return np.minimum(idx, len(cdf) - 1).astype(np.int64)
+    cdf, guide = _poisson_table(lam)
+    # widen the 1024 cells once so that every gather below indexes with intp
+    idx = guide.astype(np.intp).take((u * _GUIDE_CELLS).astype(np.intp))
+    idx += cdf.take(idx) < u
+    miss = (cdf.take(idx) < u).nonzero()[0]
+    if miss.size:
+        # past the last entry means the last entry: search all but that one
+        idx[miss] = np.searchsorted(cdf[:-1], u[miss], side="left")
+    return idx
 
 
 def binomial_inversion(n: int, p: float, u: float) -> int:
@@ -121,7 +146,13 @@ class RngStream:
         return (self.next_u64() >> 11) * 2.0 ** -53
 
     def u64s(self, count: int) -> np.ndarray:
-        """Vectorized ``next_u64()``: the next ``count`` outputs as uint64."""
+        """Vectorized ``next_u64()``: the next ``count`` outputs as uint64.
+
+        Up to ``_SCALAR_MAX`` outputs come from ``next_u64()`` calls, which
+        are cheaper there than numpy's per-call set-up.
+        """
+        if count <= _SCALAR_MAX:
+            return np.array([self.next_u64() for _ in range(count)], dtype=np.uint64)
         start = self._counter + 1
         self._counter += count
         z = np.arange(start, start + count, dtype=np.uint64)
@@ -135,8 +166,12 @@ class RngStream:
         return z
 
     def uniforms(self, count: int) -> np.ndarray:
-        """Vectorized ``random()``: identical values, one numpy pass."""
-        return (self.u64s(count) >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+        """Vectorized ``random()``: identical values (short runs as in ``u64s``)."""
+        if count <= _SCALAR_MAX:
+            return np.array([self.random() for _ in range(count)])
+        z = self.u64s(count)
+        z >>= np.uint64(11)
+        return z * 2.0 ** -53
 
     def randbelow(self, n: int) -> int:
         """Uniform integer in [0, n), unbiased via top-bits rejection."""
@@ -176,40 +211,57 @@ class RngStream:
             need -= ok.size
         return np.concatenate(parts).astype(np.int64)
 
+    def _fisher_yates(self, items: list, steps: int, forward: bool) -> None:
+        """``steps`` Fisher-Yates swaps, step t drawing ``r = randbelow(m)``
+        for m = len(items) - t (steps < len(items)).
+
+        Forward, step t swaps ``items[t]`` with ``items[t + r]``; backward, it
+        swaps ``items[len(items) - 1 - t]`` with ``items[r]``.  A block of
+        outputs serves the steps until m falls to the next power of two, and
+        is shifted to that range's top bits in one numpy pass; a short block
+        is drawn one output at a time.  The stream ends just past the last
+        accepted output, where the scalar calls stop.  The acceptance bound
+        shrinks every step, so acceptance is a Python loop.
+        """
+        m = len(items)
+        i, di, off, doff = (0, 1, 0, 1) if forward else (m - 1, -1, 0, 0)
+        while steps:
+            bits = (m - 1).bit_length()
+            low = 1 << (bits - 1)  # the shift grows once m falls to this
+            want = min(steps, m - low)  # accepted outputs this block can use
+            size = min(_BLOCK, want + want // 2 + 1)
+            start = self._counter
+            if size <= _SCALAR_MAX:  # draw only the outputs the loop reads
+                rs = (self.next_u64() >> (64 - bits) for _ in range(size))
+            else:
+                rs = (self.u64s(size) >> np.uint64(64 - bits)).tolist()
+            used = 0
+            for r in rs:
+                used += 1
+                if r < m:
+                    j = r + off
+                    items[i], items[j] = items[j], items[i]
+                    i += di
+                    off += doff
+                    m -= 1
+                    steps -= 1
+                    if not steps or m == low:
+                        break
+            self._counter = start + used
+
     def shuffle(self, items: list) -> None:
-        """In-place Fisher-Yates shuffle."""
-        for i in range(len(items) - 1, 0, -1):
-            j = self.randbelow(i + 1)
-            items[i], items[j] = items[j], items[i]
+        """In-place Fisher-Yates shuffle: step i = len - 1, ..., 1 swaps
+        ``items[i]`` with ``items[randbelow(i + 1)]``."""
+        self._fisher_yates(items, max(len(items) - 1, 0), forward=False)
 
     def partial_shuffle(self, items: list, n: int) -> None:
         """Move a uniform random size-n selection, in random order, to the front.
 
         The first n steps of a forward Fisher-Yates shuffle: step i swaps
         ``items[i]`` with ``items[i + randbelow(len(items) - i)]``, consuming the
-        stream exactly as those scalar calls do.  Outputs come in numpy blocks;
-        the acceptance bound shrinks every step, so acceptance is a Python loop.
+        stream exactly as those scalar calls do (randbelow(1) consumes nothing).
         """
-        i, m = 0, len(items)  # m = k - i, the range of step i
-        while i < n and m > 1:  # randbelow(1) consumes nothing
-            shift = 64 - (m - 1).bit_length()
-            low = 1 << (63 - shift)  # the shift grows once m falls to this
-            start = self._counter
-            used = 0
-            for u in self.u64s(min(_BLOCK, 2 * (n - i) + 16)).tolist():
-                used += 1
-                r = u >> shift
-                if r < m:
-                    j = i + r
-                    items[i], items[j] = items[j], items[i]
-                    i += 1
-                    m -= 1
-                    if i == n or m == 1:
-                        break
-                    if m == low:
-                        shift += 1
-                        low >>= 1
-            self._counter = start + used
+        self._fisher_yates(items, max(0, min(n, len(items) - 1)), forward=True)
 
     def _poisson_ptrs(self, lam: float) -> int:
         """Poisson variate for mean lam >= 30: transformed rejection with

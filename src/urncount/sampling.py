@@ -14,9 +14,12 @@ advance it.
 
 from __future__ import annotations
 
+import bisect
+import math
+
 import numpy as np
 
-from .rng import RngStream, binomial_chunk_max, binomial_inversion, poisson_inversion
+from .rng import _BLOCK, RngStream, binomial_chunk_max, binomial_inversion, poisson_inversion
 from .urn import UrnSpec
 
 # every accepted model name -> its canonical name
@@ -106,10 +109,15 @@ def poissonized_color_counts(urn: UrnSpec, n: float, rng: RngStream) -> np.ndarr
     Colors take the stream in canonical order, as the scalar reference
     ``poisson(rng, lam)`` in ``tests/test_counts.py`` would per color: a
     color with mean below 30 takes one uniform and inverts it through its
-    mean's CDF table; a heavier color runs PTRS rejection.  Each run of light
-    colors between heavy ones draws its uniforms as one block, and the
-    inversion runs once per distinct multiplicity.
+    mean's CDF and guide table (``poisson_inversion``); a heavier color runs
+    PTRS rejection.  The colors go in blocks of ``_BLOCK``: each block draws
+    its light colors' uniforms between its heavy colors' rejection runs.
+    When the light colors share one multiplicity, the block is inverted in
+    place while its uniforms are still in cache; otherwise the uniforms are
+    kept and each multiplicity's colors are inverted together at the end.
     """
+    if not math.isfinite(n):
+        raise ValueError(f"expected sample size n must be finite, got {n}")
     if n < 0:
         raise ValueError("expected sample size must be >= 0")
     out = np.zeros(urn.C, dtype=np.int64)
@@ -118,17 +126,31 @@ def poissonized_color_counts(urn: UrnSpec, n: float, rng: RngStream) -> np.ndarr
     values, order, bounds = urn.mult_groups
     means = [n * mult / urn.k for mult in values.tolist()]
     light = sum(1 for lam in means if lam < 30.0)  # means increase with the multiplicity
-    u = np.empty(urn.C)
-    start = 0
-    if light < len(means):
-        for h in np.flatnonzero(urn.mults >= values[light]).tolist():
-            u[start:h] = rng.uniforms(h - start)
-            out[h] = rng._poisson_ptrs(n * int(urn.mults[h]) / urn.k)
+    heavy = np.flatnonzero(urn.mults >= values[light]).tolist() if light < len(means) else []
+    u = np.empty(urn.C) if light > 1 else None
+    h0 = 0  # first heavy color not yet drawn
+    for c0 in range(0, urn.C, _BLOCK):
+        c1 = min(c0 + _BLOCK, urn.C)
+        h1 = bisect.bisect_left(heavy, c1, h0)
+        parts, drawn, start = [], [], c0
+        for h in heavy[h0:h1]:
+            # a heavy color's place in the block is inverted and then overwritten
+            parts += [rng.uniforms(h - start), np.zeros(1)]
+            drawn.append(rng._poisson_ptrs(n * int(urn.mults[h]) / urn.k))
             start = h + 1
-    u[start:] = rng.uniforms(urn.C - start)
-    for g in range(light):
-        idx = order[bounds[g]:bounds[g + 1]]
-        out[idx] = poisson_inversion(means[g], u[idx])
+        parts.append(rng.uniforms(c1 - start))
+        block = np.concatenate(parts) if len(parts) > 1 else parts[0]
+        if light == 1:
+            out[c0:c1] = poisson_inversion(means[0], block)
+        elif light > 1:
+            u[c0:c1] = block
+        for h, x in zip(heavy[h0:h1], drawn):
+            out[h] = x
+        h0 = h1
+    if u is not None:
+        for g in range(light):
+            idx = order[bounds[g]:bounds[g + 1]]
+            out[idx] = poisson_inversion(means[g], u[idx])
     return out
 
 

@@ -13,12 +13,17 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import urncount.rng
 from urncount.rng import (
+    _BLOCK,
+    _GUIDE_CELLS,
+    _SCALAR_MAX,
     POISSON_CDF_CACHE_SIZE,
     RngStream,
-    _poisson_cdf,
+    _poisson_table,
     binomial_chunk_max,
     binomial_inversion,
+    poisson_inversion,
 )
 from urncount.sampling import (
     bernoulli_counts,
@@ -178,7 +183,7 @@ def ref_poissonized_color_counts(urn: UrnSpec, n: float, rng: RngStream) -> np.n
             if lam == 0.0:
                 out[mask] = 0
                 continue
-            cdf = _poisson_cdf(lam)
+            cdf = _poisson_table(lam)[0]
             idx = np.searchsorted(cdf, u[mask], side="left")
             out[mask] = np.minimum(idx, len(cdf) - 1)
         return out
@@ -224,6 +229,12 @@ HEAVY_MID = UrnSpec(tuple([(i, 1) for i in range(1, 200)] + [(500, 3000)]
 WIDE = UrnSpec(tuple((i, {4500: 500, 8500: 70}.get(i, 1 + i % 3)) for i in range(1, 9001)))
 # 400 distinct light means at n = 5000 (largest mean 24.9)
 MANY_MEANS = UrnSpec(tuple((i, i) for i in range(1, 401)))
+# more colors than one uniform block: two light multiplicities (the reference's
+# vectorized multi-mean path), and one light multiplicity with heavy colors on
+# both sides of the first block boundary (the reference's scalar path)
+TWO_LIGHT_WIDE = UrnSpec(tuple((i, 1 + i % 2) for i in range(_BLOCK + 5000)))
+HEAVY_AT_BLOCK_EDGE = UrnSpec(tuple((i, 40 if i in (_BLOCK - 1, _BLOCK) else 1)
+                                    for i in range(_BLOCK + 100)))
 
 CASES = [
     *[(model, urn, 0) for model in ("multinomial", "hypergeometric", "poissonized")
@@ -255,6 +266,8 @@ CASES = [
     ("poissonized", HEAVY_MID, 3 * HEAVY_MID.k),
     ("poissonized", MANY_MEANS, 5000),
     ("poissonized", make_uniform_support(31, 31), 20),  # the reference's scalar path
+    ("poissonized", TWO_LIGHT_WIDE, TWO_LIGHT_WIDE.k),
+    ("poissonized", HEAVY_AT_BLOCK_EDGE, HEAVY_AT_BLOCK_EDGE.k),
 ]
 
 
@@ -294,6 +307,19 @@ def test_u64s_match_next_u64():
     assert a._counter == b._counter
 
 
+@pytest.mark.parametrize("count", range(_SCALAR_MAX + 3))
+def test_short_blocks_match_scalar_calls(count):
+    # counts up to _SCALAR_MAX come from scalar calls, the rest from numpy
+    a, b = RngStream(3, count), RngStream(3, count)
+    got = a.u64s(count)
+    assert got.dtype == np.uint64 and got.shape == (count,)
+    assert got.tolist() == [b.next_u64() for _ in range(count)]
+    got = a.uniforms(count)
+    assert got.dtype == np.float64 and got.shape == (count,)
+    assert got.tolist() == [b.random() for _ in range(count)]
+    assert a._counter == b._counter
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 65, 100_000, 2**40 + 3])
 @pytest.mark.parametrize("count", [0, 1, 2000])
 def test_randbelow_many_matches_scalar(n, count):
@@ -316,6 +342,18 @@ def test_partial_shuffle_matches_scalar_steps(k, n):
     assert a._counter == b._counter
 
 
+@pytest.mark.parametrize("length", [0, 1, 2, 3, 50, _BLOCK + 7])
+def test_shuffle_matches_scalar_fisher_yates(length):
+    a, b = RngStream(6, length), RngStream(6, length)
+    got, want = list(range(length)), list(range(length))
+    a.shuffle(got)
+    for i in range(length - 1, 0, -1):
+        j = b.randbelow(i + 1)
+        want[i], want[j] = want[j], want[i]
+    assert got == want
+    assert a._counter == b._counter
+
+
 def test_hard_pair_uses_the_same_shuffle():
     # frozen ids of the alternative urn from the scalar shuffle loop
     pair = make_hard_pair(20, 4, seed=3)
@@ -327,15 +365,67 @@ def test_hard_pair_uses_the_same_shuffle():
     assert sorted(cid for cid, _ in pair.alt_urn.colors) == sorted(ids[:12])
 
 
+# -- the Poisson inversion table ------------------------------------------------
+
+class _FixedUniform:
+    """A stand-in stream whose every ``random()`` is ``u``."""
+
+    def __init__(self, u: float):
+        self.u = u
+
+    def random(self) -> float:
+        return self.u
+
+
+@pytest.mark.parametrize("lam", [1e-12, 0.37, 1.0, 2.0, 4.0, 12.5, 29.999])
+def test_poisson_inversion_matches_scalar_at_table_edges(lam):
+    cdf, _ = _poisson_table(lam)
+    last_cell = (_GUIDE_CELLS - 1) / _GUIDE_CELLS
+    u = np.concatenate([
+        cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 2.0),  # on and beside each entry
+        np.arange(_GUIDE_CELLS) / _GUIDE_CELLS,  # each cell's left edge
+        np.linspace(last_cell, 1.0, 500, endpoint=False),
+        [1.0 - 2.0 ** -53],
+        RngStream(8, 0).uniforms(5000),
+    ])
+    u = u[(u >= 0.0) & (u < 1.0)]
+    want = [_poisson_inversion(_FixedUniform(x), lam) for x in u.tolist()]
+    got = poisson_inversion(lam, u)
+    assert got.dtype == np.int64
+    assert got.tolist() == want
+
+
+@pytest.mark.parametrize("lam", [2.0, 29.999])
+def test_last_guide_cell_reaches_the_fallback(lam):
+    # the saturated tail crowds several CDF entries into the last cell, so a
+    # uniform past the second of them is not resolved by the one step past
+    # its guide entry, and the edge cases above reach the fallback search
+    cdf, guide = _poisson_table(lam)
+    tail = cdf[(cdf >= (_GUIDE_CELLS - 1) / _GUIDE_CELLS) & (cdf < 1.0)]
+    assert tail.size >= 2
+    u = np.nextafter(tail[1], 2.0)
+    assert guide[-1] + 1 < _poisson_inversion(_FixedUniform(u), lam)
+
+
 # -- the Poisson CDF cache ------------------------------------------------------
 
 def test_poisson_cdf_cache_is_bounded():
-    first = _poisson_cdf(0.123).copy()
+    first = [a.copy() for a in _poisson_table(0.123)]
     for i in range(POISSON_CDF_CACHE_SIZE + 300):
-        _poisson_cdf(1.0 + i / 997)
-    assert _poisson_cdf.cache_info().currsize <= POISSON_CDF_CACHE_SIZE
-    assert np.array_equal(_poisson_cdf(0.123), first)  # evicted, rebuilt identically
-    assert not _poisson_cdf(0.123).flags.writeable
+        _poisson_table(1.0 + i / 997)
+    assert _poisson_table.cache_info().currsize <= POISSON_CDF_CACHE_SIZE
+    cdf, guide = _poisson_table(0.123)  # evicted, rebuilt identically
+    assert np.array_equal(cdf, first[0]) and np.array_equal(guide, first[1])
+    assert not cdf.flags.writeable and not guide.flags.writeable
+    assert guide.dtype == np.int16 and guide.shape == (_GUIDE_CELLS,)
+    # the guide shares the CDF's entry: an inversion at a new mean adds one
+    # entry to the one cache, and the module holds no other cache
+    before = _poisson_table.cache_info()
+    poisson_inversion(0.4567, np.array([0.5]))
+    after = _poisson_table.cache_info()
+    assert (after.misses, after.currsize) == (before.misses + 1, before.currsize)
+    assert [name for name, obj in vars(urncount.rng).items()
+            if hasattr(obj, "cache_info")] == ["_poisson_table"]
 
 
 def test_more_distinct_means_than_cache_entries():
@@ -345,4 +435,4 @@ def test_more_distinct_means_than_cache_entries():
     assert np.array_equal(poissonized_color_counts(urn, n, a),
                           ref_poissonized_color_counts(urn, n, b))
     assert a._counter == b._counter
-    assert _poisson_cdf.cache_info().currsize <= POISSON_CDF_CACHE_SIZE
+    assert _poisson_table.cache_info().currsize <= POISSON_CDF_CACHE_SIZE

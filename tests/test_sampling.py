@@ -162,6 +162,15 @@ class TestPoissonized:
         with pytest.raises(ValueError):
             sample_draws(TWO, "poissonized", -1, RngStream(0, 0))
 
+    @pytest.mark.parametrize("n", [math.nan, math.inf])
+    def test_non_finite_rate_is_rejected_before_drawing(self, n):
+        # a heavy color would otherwise reach PTRS with a NaN or infinite mean
+        urn = UrnSpec(((1, 1), (2, 100)))
+        rng = RngStream(0, 0)
+        with pytest.raises(ValueError, match=f"^expected sample size n must be finite, got {n}$"):
+            poissonized_color_counts(urn, n, rng)
+        assert rng._counter == 0
+
     def test_mean_realized_size(self):
         urn = UrnSpec(((1, 1),))
         total = 0
