@@ -5,6 +5,11 @@ The generator is SplitMix64 run in counter mode: output ``i`` of a stream is
 stream index.  Counter mode means a block of outputs can be produced either
 one at a time or as a vectorized numpy batch, bit-for-bit identically, and
 streams with distinct indices never share state.
+
+Shuffles are array passes too: the draws of a Fisher-Yates pass, whose
+bound shrinks by one per step, are accepted a power-of-two range at a time
+(``randbelow_shrinking``), and the swaps they drive are resolved without
+being made (``fisher_yates_sources``).  Short runs keep the scalar loop.
 """
 
 from __future__ import annotations
@@ -39,6 +44,10 @@ _BLOCK = 1 << 16
 # Up to this many outputs, the scalar mix is faster than a numpy pass, whose
 # fixed set-up cost is several scalar outputs' worth.
 _SCALAR_MAX = 8
+
+# Fisher-Yates runs of at most this many steps draw and swap one step at a
+# time: an array pass costs dozens of scalar steps in set-up.
+_SCALAR_STEPS = 32
 
 # Distinct Poisson means whose inversion tables are kept (least recently used
 # evicted first).
@@ -95,27 +104,57 @@ def poisson_inversion(lam: float, u: np.ndarray) -> np.ndarray:
     return idx
 
 
-def binomial_inversion(n: int, p: float, u: float) -> int:
-    """Binomial(n, p) by CDF inversion of one uniform; needs (1-p)^n normal."""
-    q = 1.0 - p
-    pmf = q ** n
-    s = pmf
-    ratio = p / q
-    x = 0
-    while u > s:
-        x += 1
-        if x > n:
-            return n
-        pmf *= ratio * (n - x + 1) / x
-        s += pmf
-        if pmf == 0.0:
+def fisher_yates_sources(targets: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Resolve the swaps of a forward Fisher-Yates pass without making them.
+
+    Step t swaps positions t and ``targets[t] >= t``.  Returns ``front``, the
+    original position of the item that slot t < steps holds after the last
+    step, and ``moved`` with ``moved_from``: each position >= steps that some
+    step targeted, and the original position of the item it ends up holding.
+    Every other position keeps its item.
+
+    No later step touches slot t, which receives the item its target held
+    just before step t: the one put there by ``prev[t]``, the last earlier
+    step with the same target, or else the original one.  Step s put there
+    the item its own slot held just before step s, which the last earlier
+    step to target slot s had put there, and so on back to a slot that no
+    earlier step targeted.  One sort by (target, step) gives both links, and
+    pointer doubling follows the chains to their ends.
+    """
+    targets = np.asarray(targets, dtype=np.int64)
+    steps = targets.size
+    if not steps:
+        return targets.copy(), targets.copy(), targets.copy()
+    here = np.arange(steps)
+    if int(targets.max()) < (2**63 - 1) // steps:
+        key = targets * steps + here  # (target, step) as one int64
+        key.sort()
+        by_target = key // steps
+        order = key - by_target * steps
+    else:
+        order = np.argsort(targets, kind="stable")
+        by_target = targets[order]
+    same = by_target[1:] == by_target[:-1]
+    prev = np.full(steps, -1, dtype=np.int64)
+    prev[order[1:]] = np.where(same, order[:-1], -1)
+    # the last step to target each position, slots (targets < steps) first
+    ends = np.flatnonzero(np.append(~same, True))
+    last_target, last_step = by_target[ends], order[ends]
+    inside = int(np.searchsorted(last_target, steps))
+    # link[t]: the last step before t to target slot t, or t itself if none.
+    # Step t is the last to target slot t when it swaps t with itself; the
+    # link is then the step before it with that target.
+    link = here.copy()
+    link[last_target[:inside]] = last_step[:inside]
+    stay = np.flatnonzero(targets == here)
+    link[stay] = np.where(prev[stay] >= 0, prev[stay], stay)
+    while True:  # pointer doubling: each slot's chain ends at a slot's own item
+        nxt = link[link]
+        if np.array_equal(nxt, link):
             break
-    return x
-
-
-def binomial_chunk_max(p: float) -> int:
-    """Largest trial count one inversion handles at 0 < p < 1."""
-    return max(1, int(LOG_FLOAT_LIMIT / -math.log1p(-p)))
+        link = nxt
+    front = np.where(prev >= 0, link[prev], targets)
+    return front, last_target[inside:], link[last_step[inside:]]
 
 
 class RngStream:
@@ -211,48 +250,91 @@ class RngStream:
             need -= ok.size
         return np.concatenate(parts).astype(np.int64)
 
-    def _fisher_yates(self, items: list, steps: int, forward: bool) -> None:
-        """``steps`` Fisher-Yates swaps, step t drawing ``r = randbelow(m)``
-        for m = len(items) - t (steps < len(items)).
+    def randbelow_shrinking(self, m: int, steps: int) -> np.ndarray:
+        """``randbelow(m - t)`` for t = 0, ..., steps - 1 as one int64 array
+        (steps < m < 2**63).
 
-        Forward, step t swaps ``items[t]`` with ``items[t + r]``; backward, it
-        swaps ``items[len(items) - 1 - t]`` with ``items[r]``.  A block of
-        outputs serves the steps until m falls to the next power of two, and
-        is shifted to that range's top bits in one numpy pass; a short block
-        is drawn one output at a time.  The stream ends just past the last
-        accepted output, where the scalar calls stop.  The acceptance bound
-        shrinks every step, so acceptance is a Python loop.
+        While m - t stays in one power-of-two range (low, 2 low] the shift is
+        fixed, so a range's outputs are drawn as one block and accepted all at
+        once: output i is accepted iff r_i < m' - (outputs accepted before i),
+        for m' the bound at the block's start.  Within the range r <= low is
+        always accepted and r >= m' never; for the open outputs in between
+        this is the fixed point of ``accept = r < m' - exclusive_cumsum(accept)``.
+        Its iterates alternately over- and under-accept, and each one settles
+        at least one more leading output.  A range's run of at most
+        ``_SCALAR_STEPS`` steps comes from scalar ``randbelow`` calls.  The
+        stream ends just past the last accepted output, where the scalar calls
+        stop.
+        """
+        if not 0 <= steps < m < 2**63:
+            raise ValueError("randbelow_shrinking requires 0 <= steps < m < 2**63")
+        out = np.empty(steps, dtype=np.int64)
+        t = 0
+        while t < steps:
+            top = m - t
+            bits = (top - 1).bit_length()
+            low = 1 << (bits - 1)
+            want = min(steps - t, top - low)  # steps left in this range
+            if want <= _SCALAR_STEPS:
+                for _ in range(want):
+                    out[t] = self.randbelow(m - t)
+                    t += 1
+                continue
+            start = self._counter
+            # acceptance is above 1/2 in the range; overdraw to finish in one block
+            r = (self.u64s(min(_BLOCK, want + want // 2 + 1)) >> np.uint64(64 - bits)).view(np.int64)
+            accept = r <= low
+            open_ = np.flatnonzero((r > low) & (r < top))
+            # an open output is accepted iff fewer open ones before it were
+            # accepted than its slack
+            slack = top - r[open_] - np.cumsum(accept)[open_]
+            taken = slack > 0
+            while True:
+                settled = np.cumsum(taken) - taken < slack
+                if np.array_equal(settled, taken):
+                    break
+                taken = settled
+            accept[open_[taken]] = True
+            hits = np.flatnonzero(accept)[:want]
+            out[t:t + hits.size] = r[hits]
+            t += hits.size
+            if hits.size == want:
+                self._counter = start + int(hits[-1]) + 1
+        return out
+
+    def _permute(self, items: list, steps: int, mirrored: bool) -> None:
+        """``steps`` forward Fisher-Yates swaps on ``items`` (steps < len(items)).
+
+        Step t draws ``r = randbelow(len(items) - t)`` and swaps items t and
+        t + r, or, mirrored, t and len(items) - 1 - r.  Up to
+        ``_SCALAR_STEPS`` steps swap one at a time; longer runs are resolved
+        by ``fisher_yates_sources`` and applied at once.
         """
         m = len(items)
-        i, di, off, doff = (0, 1, 0, 1) if forward else (m - 1, -1, 0, 0)
-        while steps:
-            bits = (m - 1).bit_length()
-            low = 1 << (bits - 1)  # the shift grows once m falls to this
-            want = min(steps, m - low)  # accepted outputs this block can use
-            size = min(_BLOCK, want + want // 2 + 1)
-            start = self._counter
-            if size <= _SCALAR_MAX:  # draw only the outputs the loop reads
-                rs = (self.next_u64() >> (64 - bits) for _ in range(size))
-            else:
-                rs = (self.u64s(size) >> np.uint64(64 - bits)).tolist()
-            used = 0
-            for r in rs:
-                used += 1
-                if r < m:
-                    j = r + off
-                    items[i], items[j] = items[j], items[i]
-                    i += di
-                    off += doff
-                    m -= 1
-                    steps -= 1
-                    if not steps or m == low:
-                        break
-            self._counter = start + used
+        if steps <= _SCALAR_STEPS:
+            for t in range(steps):
+                r = self.randbelow(m - t)
+                j = m - 1 - r if mirrored else t + r
+                items[t], items[j] = items[j], items[t]
+            return
+        r = self.randbelow_shrinking(m, steps)
+        targets = m - 1 - r if mirrored else r + np.arange(steps)
+        front, moved, moved_from = (a.tolist() for a in fisher_yates_sources(targets))
+        tail = [items[i] for i in moved_from]
+        items[:steps] = [items[i] for i in front]
+        for p, item in zip(moved, tail):
+            items[p] = item
 
     def shuffle(self, items: list) -> None:
         """In-place Fisher-Yates shuffle: step i = len - 1, ..., 1 swaps
-        ``items[i]`` with ``items[randbelow(i + 1)]``."""
-        self._fisher_yates(items, max(len(items) - 1, 0), forward=False)
+        ``items[i]`` with ``items[randbelow(i + 1)]``.
+
+        On the reversed list these are forward steps: step t swaps items t
+        and len - 1 - randbelow(len - t).
+        """
+        items.reverse()
+        self._permute(items, max(len(items) - 1, 0), mirrored=True)
+        items.reverse()
 
     def partial_shuffle(self, items: list, n: int) -> None:
         """Move a uniform random size-n selection, in random order, to the front.
@@ -261,7 +343,24 @@ class RngStream:
         ``items[i]`` with ``items[i + randbelow(len(items) - i)]``, consuming the
         stream exactly as those scalar calls do (randbelow(1) consumes nothing).
         """
-        self._fisher_yates(items, max(0, min(n, len(items) - 1)), forward=True)
+        self._permute(items, max(0, min(n, len(items) - 1)), mirrored=False)
+
+    def sample_positions(self, m: int, n: int) -> np.ndarray:
+        """The positions ``partial_shuffle(list(range(m)), n)`` leaves in its
+        first n slots, in slot order, as int64 (0 <= n <= m), with the same
+        use of the stream and no m-long list."""
+        steps = min(n, m - 1)
+        if steps <= _SCALAR_STEPS:  # swap in a sparse position map
+            held: dict[int, int] = {}
+            for t in range(steps):
+                j = t + self.randbelow(m - t)
+                held[t], held[j] = held.get(j, j), held.get(t, t)
+            return np.array([held.get(t, t) for t in range(n)], dtype=np.int64)
+        front, moved, moved_from = fisher_yates_sources(self.randbelow_shrinking(m, steps)
+                                                        + np.arange(steps))
+        if n > steps:  # n = m: the last slot keeps its item unless a step took it
+            front = np.append(front, moved_from if moved.size else m - 1)
+        return front
 
     def _poisson_ptrs(self, lam: float) -> int:
         """Poisson variate for mean lam >= 30: transformed rejection with

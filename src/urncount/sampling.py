@@ -6,6 +6,16 @@ with ``urn.ids``, which is all a fingerprint needs.  ``sample_counts`` and
 the draw lists, for ``urncount simulate`` and callers that want the draws
 themselves, come from the same cores.
 
+The cores are array passes.  Multinomial and hypergeometric draws are ball
+positions, read through the urn's ball-to-color table (``ball_colors``) and
+counted with one ``bincount``: uniform ones for draws with replacement, and
+the slots of a partial Fisher-Yates resolved without the ball list
+(``RngStream.sample_positions``) for draws without.  Bernoulli colors of more
+than 64 balls split into chunks of ``binomial_chunk_max(p)`` trials, and each
+chunk inverts its uniform through a binomial CDF table kept per (chunk size,
+p) and grown only as far as the uniforms it has inverted.  Poisson colors
+invert through the rng's guide tables.
+
 All samplers are pure functions of (urn, parameters, stream): identical
 inputs reproduce identical outputs byte for byte, and the stream advances
 exactly as one scalar ``RngStream`` call per draw, color or chunk would
@@ -16,10 +26,12 @@ from __future__ import annotations
 
 import bisect
 import math
+from array import array
+from functools import lru_cache
 
 import numpy as np
 
-from .rng import _BLOCK, RngStream, binomial_chunk_max, binomial_inversion, poisson_inversion
+from .rng import _BLOCK, LOG_FLOAT_LIMIT, _SCALAR_MAX, RngStream, poisson_inversion
 from .urn import UrnSpec
 
 # every accepted model name -> its canonical name
@@ -34,13 +46,39 @@ MODEL_ALIASES = {
 # so memory stays flat in k.
 _COLOR_BLOCK = 4096
 
+# Distinct (chunk size, p) pairs whose binomial inversion tables are kept
+# (least recently used evicted first).  A table pays only when its pair
+# recurs: across a block's colors of one multiplicity, or across calls on one
+# urn.  It grows to about its chunk's mean plus 9 standard deviations, and a
+# chunk's mean is at most 700, so a table stays under about 1000 entries
+# (8 KB).  4096 tables cover every multiplicity of a Zipf-like urn of 1.2e7
+# balls (1935 distinct above 64).
+BINOMIAL_CDF_CACHE_SIZE = 4096
+
+# The ball-to-color table costs 8 bytes a ball and lives as long as its urn.
+# Past this many balls (64 MB) both ball-drawing cores find each ball's color
+# by binary search of the cumulative multiplicities instead.
+_BALL_TABLE_MAX = 1 << 23
+
+# Largest Poisson mean accepted.  Past it no PTRS variate fits in int64: a
+# uniform lies at least 2**-53 from the ends of [0, 1), so a variate falls at
+# most about 5.7e14 * sqrt(mean) below the mean, and below 2**63 only at means
+# under 4e29.
+POISSON_MEAN_MAX = 1e30
+
+
+def _colors_of(urn: UrnSpec, balls: np.ndarray) -> np.ndarray:
+    """Color index of each ball position, the balls laid out color by color."""
+    if urn.k > _BALL_TABLE_MAX:
+        return np.searchsorted(np.cumsum(urn.mults), balls, side="right")
+    return urn.ball_colors[balls]
+
 
 def _multinomial_index(urn: UrnSpec, n: int, rng: RngStream) -> np.ndarray:
     """Color index of each of n independent draws, in draw order."""
     if n < 0:
         raise ValueError("sample size must be >= 0")
-    balls = rng.randbelow_many(urn.k, n)
-    return np.searchsorted(np.cumsum(urn.mults), balls, side="right")
+    return _colors_of(urn, rng.randbelow_many(urn.k, n))
 
 
 def multinomial_counts(urn: UrnSpec, n: int, rng: RngStream) -> np.ndarray:
@@ -48,24 +86,81 @@ def multinomial_counts(urn: UrnSpec, n: int, rng: RngStream) -> np.ndarray:
     return np.bincount(_multinomial_index(urn, n, rng), minlength=urn.C)
 
 
-def _hypergeometric_index(urn: UrnSpec, n: int, rng: RngStream) -> list[int]:
+def _hypergeometric_index(urn: UrnSpec, n: int, rng: RngStream) -> np.ndarray:
     """Color indices of a uniformly random size-n sub-multiset, in random order.
 
-    Partial Fisher-Yates over the expanded ball array; O(k) memory.
+    The colors of the ball positions a partial Fisher-Yates over the
+    expanded ball array moves to its first n slots.
     """
     if n < 0:
         raise ValueError("sample size must be >= 0")
     if n > urn.k:
         raise ValueError(f"cannot draw {n} balls without replacement from a {urn.k}-ball urn")
-    balls = np.repeat(np.arange(urn.C), urn.mults).tolist()
-    rng.partial_shuffle(balls, n)
-    return balls[:n]
+    return _colors_of(urn, rng.sample_positions(urn.k, n))
 
 
 def hypergeometric_counts(urn: UrnSpec, n: int, rng: RngStream) -> np.ndarray:
     """Per-color counts of a uniformly random size-n sub-multiset."""
-    index = np.array(_hypergeometric_index(urn, n, rng), dtype=np.int64)
-    return np.bincount(index, minlength=urn.C)
+    return np.bincount(_hypergeometric_index(urn, n, rng), minlength=urn.C)
+
+
+def binomial_chunk_max(p: float) -> int:
+    """Largest trial count one inversion handles at 0 < p < 1: (1-p)^size
+    stays normal.  Capped at the int64 range, past every multiplicity."""
+    return max(1, min(int(LOG_FLOAT_LIMIT / -math.log1p(-p)), 2**63 - 1))
+
+
+class _BinomialCdf:
+    """The CDF of Binomial(size, p) for (1-p)^size normal, accumulated by the
+    scalar inversion's recurrence (the reference ``binomial_inversion`` in
+    ``tests/test_counts.py``) only as far as the uniforms inverted so far
+    reach: to the first entry at or above the largest of them, or to its end
+    at x = size or the first zero pmf term.  Inverting u gives the first
+    index whose entry reaches u, or the last entry, as the scalar loop does."""
+
+    __slots__ = ("size", "ratio", "pmf", "sums", "ended")
+
+    def __init__(self, size: int, p: float):
+        q = 1.0 - p
+        self.size, self.ratio = size, p / q
+        self.pmf = q ** size
+        self.sums = array("d", [self.pmf])
+        self.ended = False
+
+    def _reach(self, u: float) -> None:
+        sums = self.sums
+        if self.ended or u <= sums[-1]:
+            return
+        size, ratio, pmf, s = self.size, self.ratio, self.pmf, sums[-1]
+        append = sums.append
+        for x in range(len(sums), size + 1):
+            pmf *= ratio * (size - x + 1) / x
+            s += pmf
+            append(s)
+            if pmf == 0.0:
+                self.ended = True
+                break
+            if s >= u:
+                break
+        else:
+            self.ended = True
+        self.pmf = pmf
+
+    def variate(self, u: float) -> int:
+        """The variate for one uniform, by bisection."""
+        self._reach(u)
+        return min(bisect.bisect_left(self.sums, u), len(self.sums) - 1)
+
+    def invert(self, u: np.ndarray) -> np.ndarray:
+        """The variates for an array of uniforms, by one ``searchsorted``."""
+        self._reach(float(u.max()))
+        table = np.frombuffer(self.sums)  # a view, released before the next append
+        return np.minimum(np.searchsorted(table, u, side="left"), table.size - 1)
+
+
+@lru_cache(maxsize=BINOMIAL_CDF_CACHE_SIZE)
+def _binomial_cdf(size: int, p: float) -> _BinomialCdf:
+    return _BinomialCdf(size, p)
 
 
 def bernoulli_counts(urn: UrnSpec, p: float, rng: RngStream) -> np.ndarray:
@@ -75,7 +170,13 @@ def bernoulli_counts(urn: UrnSpec, p: float, rng: RngStream) -> np.ndarray:
     in ``tests/test_counts.py`` does, and that use is fixed in advance: k_i
     coin-flip uniforms when k_i <= 64, otherwise one uniform per inversion
     chunk, and none at p in {0, 1}.  So the colors share uniform blocks drawn
-    in canonical color order.
+    in canonical color order.  Chunks hold ``binomial_chunk_max(p)`` trials
+    but for each color's last, so a block's chunks of one size invert their
+    uniforms together through that size's CDF table.  The tables are cached,
+    which pays when sizes repeat: across a block's colors of one
+    multiplicity, and across calls on one urn.  When they do not, a table is
+    accumulated only as far as its largest uniform, which is the scalar
+    loop's own work for that uniform.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError("inclusion probability must lie in [0, 1]")
@@ -92,14 +193,37 @@ def bernoulli_counts(urn: UrnSpec, p: float, rng: RngStream) -> np.ndarray:
         block = slice(c0, c0 + _COLOR_BLOCK)
         u = rng.uniforms(int(use[block].sum()))
         offsets = np.cumsum(use[block]) - use[block]
-        out[block] = np.add.reduceat(u < p, offsets, dtype=np.int64)
-        for c in np.flatnonzero(chunked[block]).tolist():
-            remaining, total = int(mults[c0 + c]), 0
-            for x in u[offsets[c]:offsets[c] + use[c0 + c]].tolist():
-                size = min(remaining, chunk_max)
-                total += binomial_inversion(size, p, x)
-                remaining -= size
-            out[c0 + c] = total
+        big = np.flatnonzero(chunked[block])
+        if big.size <= _SCALAR_MAX:  # a few chunked colors, one chunk at a time
+            out[block] = np.add.reduceat(u < p, offsets, dtype=np.int64)
+            for c in big.tolist():
+                remaining, total = int(mults[c0 + c]), 0
+                for v in u[offsets[c]:offsets[c] + use[c0 + c]].tolist():
+                    size = min(remaining, chunk_max)
+                    total += _binomial_cdf(size, p).variate(v)
+                    remaining -= size
+                out[c0 + c] = total
+            continue
+        taken = (u < p).astype(np.int64)
+        # each chunk's uniform and size: chunk_max, but the remainder for each
+        # color's last chunk; then the chunks grouped by size
+        per = use[block][big]
+        ends = np.cumsum(per)
+        at = np.repeat(offsets[big] - (ends - per), per) + np.arange(ends[-1])
+        sizes = np.full(at.size, chunk_max)
+        sizes[ends - 1] = mults[block][big] - (per - 1) * chunk_max
+        order = np.argsort(sizes, kind="stable")
+        at, sizes = at[order], sizes[order]
+        bounds = [0, *(np.flatnonzero(np.diff(sizes)) + 1).tolist(), at.size]
+        uc, x = u[at], np.empty(at.size, dtype=np.int64)
+        for lo, hi, size in zip(bounds, bounds[1:], sizes[bounds[:-1]].tolist()):
+            table = _binomial_cdf(size, p)
+            if hi - lo <= _SCALAR_MAX:
+                x[lo:hi] = [table.variate(v) for v in uc[lo:hi].tolist()]
+            else:
+                x[lo:hi] = table.invert(uc[lo:hi])
+        taken[at] = x
+        out[block] = np.add.reduceat(taken, offsets)
     return out
 
 
@@ -115,6 +239,10 @@ def poissonized_color_counts(urn: UrnSpec, n: float, rng: RngStream) -> np.ndarr
     When the light colors share one multiplicity, the block is inverted in
     place while its uniforms are still in cache; otherwise the uniforms are
     kept and each multiplicity's colors are inverted together at the end.
+
+    A non-finite n, or one whose largest mean n * max(k_i) / k exceeds
+    ``POISSON_MEAN_MAX`` (1e30), is rejected before the stream is touched:
+    past that mean no PTRS variate fits the int64 counts.
     """
     if not math.isfinite(n):
         raise ValueError(f"expected sample size n must be finite, got {n}")
@@ -125,6 +253,9 @@ def poissonized_color_counts(urn: UrnSpec, n: float, rng: RngStream) -> np.ndarr
         return out
     values, order, bounds = urn.mult_groups
     means = [n * mult / urn.k for mult in values.tolist()]
+    if means[-1] > POISSON_MEAN_MAX:
+        raise ValueError(f"expected sample size n = {n} gives a largest Poisson mean of "
+                         f"{means[-1]:g}, above {POISSON_MEAN_MAX:g}")
     light = sum(1 for lam in means if lam < 30.0)  # means increase with the multiplicity
     heavy = np.flatnonzero(urn.mults >= values[light]).tolist() if light < len(means) else []
     u = np.empty(urn.C) if light > 1 else None

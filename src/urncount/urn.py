@@ -107,6 +107,14 @@ class UrnSpec:
         bounds = np.concatenate(([0], starts, [self.C]))
         return sorted_mults[bounds[:-1]], order, bounds
 
+    @cached_property
+    def ball_colors(self) -> np.ndarray:
+        """Read-only color index of each of the k balls, the balls laid out
+        color by color in canonical order; built on first use (k entries)."""
+        table = np.repeat(np.arange(self.C), self.mults)
+        table.flags.writeable = False
+        return table
+
 
 def _as_arrays(ids: Sequence[int], mults: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     """Color ids as uint64 and multiplicities as int64, or a ValueError naming

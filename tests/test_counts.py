@@ -14,19 +14,25 @@ import numpy as np
 import pytest
 
 import urncount.rng
+import urncount.sampling
 from urncount.rng import (
     _BLOCK,
     _GUIDE_CELLS,
     _SCALAR_MAX,
+    _SCALAR_STEPS,
     POISSON_CDF_CACHE_SIZE,
     RngStream,
     _poisson_table,
-    binomial_chunk_max,
-    binomial_inversion,
+    fisher_yates_sources,
     poisson_inversion,
 )
 from urncount.sampling import (
+    BINOMIAL_CDF_CACHE_SIZE,
+    _BinomialCdf,
+    _binomial_cdf,
+    _COLOR_BLOCK,
     bernoulli_counts,
+    binomial_chunk_max,
     hypergeometric_counts,
     multinomial_counts,
     poissonized_color_counts,
@@ -58,6 +64,24 @@ def _poisson_inversion(rng: RngStream, lam: float) -> int:
         p *= lam / x
         s += p
         if p == 0.0:
+            break
+    return x
+
+
+def binomial_inversion(n: int, p: float, u: float) -> int:
+    """Binomial(n, p) by CDF inversion of one uniform; needs (1-p)^n normal."""
+    q = 1.0 - p
+    pmf = q ** n
+    s = pmf
+    ratio = p / q
+    x = 0
+    while u > s:
+        x += 1
+        if x > n:
+            return n
+        pmf *= ratio * (n - x + 1) / x
+        s += pmf
+        if pmf == 0.0:
             break
     return x
 
@@ -283,6 +307,9 @@ def test_counts_and_stream_match_reference(model, urn, param):
         assert got_rng._counter == ref_rng._counter, (model, param, seed)
 
 
+DRAW_REFERENCES = {"multinomial": ref_draw_with_replacement,
+                   "hypergeometric": ref_draw_without_replacement}
+
 DRAW_CASES = {  # model -> (reference draw list, urn, size)
     "multinomial": (ref_draw_with_replacement, UNIFORM, 500),
     "hypergeometric": (ref_draw_without_replacement, UNIFORM, 600),
@@ -363,6 +390,169 @@ def test_hard_pair_uses_the_same_shuffle():
         j = i + rng.randbelow(20 - i)
         ids[i], ids[j] = ids[j], ids[i]
     assert sorted(cid for cid, _ in pair.alt_urn.colors) == sorted(ids[:12])
+
+
+# -- array Fisher-Yates against the scalar swap loop ------------------------------
+
+def _scalar_partial_shuffle(items: list, n: int, rng: RngStream) -> None:
+    for i in range(n):
+        j = i + rng.randbelow(len(items) - i)
+        items[i], items[j] = items[j], items[i]
+
+
+@pytest.mark.parametrize("k,n", [
+    (64, 63), (65, 64), (1024, 1000), (1025, 1025), (2**14, 2**13), (2**14 + 1, 2**13 + 1),
+    (1000, 999), (1000, 1000),  # n = k - 1 and n = k
+    *[(5000, n) for n in (_SCALAR_STEPS - 1, _SCALAR_STEPS, _SCALAR_STEPS + 1)],
+    (_SCALAR_STEPS + 1, _SCALAR_STEPS + 1),  # a full pass just past the cutoff
+    (150_000, 100_000),  # a range's steps spread over more than one _BLOCK of outputs
+])
+def test_array_fisher_yates_matches_scalar_swaps(k, n):
+    steps = min(n, k - 1)
+    want, ref = list(range(k)), RngStream(4, k + n)
+    _scalar_partial_shuffle(want, steps, ref)
+    a = RngStream(4, k + n)
+    got = list(range(k))
+    a.partial_shuffle(got, n)
+    assert got == want and a._counter == ref._counter
+    b = RngStream(4, k + n)
+    positions = b.sample_positions(k, n)
+    assert positions.dtype == np.int64 and positions.tolist() == want[:n]
+    assert b._counter == ref._counter
+    c, ref = RngStream(4, k + n), RngStream(4, k + n)
+    r = c.randbelow_shrinking(k, steps)
+    assert r.dtype == np.int64 and r.tolist() == [ref.randbelow(k - t) for t in range(steps)]
+    assert c._counter == ref._counter
+
+
+@pytest.mark.parametrize("length", [_SCALAR_STEPS, _SCALAR_STEPS + 1, _SCALAR_STEPS + 2,
+                                    2 * _BLOCK + 3])
+def test_array_shuffle_matches_scalar_fisher_yates(length):
+    # steps = length - 1: at, just past and past the cutoff, and over two blocks
+    a, b = RngStream(7, length), RngStream(7, length)
+    got, want = list(range(length)), list(range(length))
+    a.shuffle(got)
+    for i in range(length - 1, 0, -1):
+        j = b.randbelow(i + 1)
+        want[i], want[j] = want[j], want[i]
+    assert got == want
+    assert a._counter == b._counter
+
+
+def test_sample_positions_on_a_huge_range():
+    # m * steps overflows int64, so the resolution sorts by target alone
+    m, n = 2**63 - 1, _SCALAR_STEPS + 8
+    a, b = RngStream(1, 1), RngStream(1, 1)
+    held = {}
+    for t in range(n):
+        j = t + b.randbelow(m - t)
+        held[t], held[j] = held.get(j, j), held.get(t, t)
+    assert a.sample_positions(m, n).tolist() == [held.get(t, t) for t in range(n)]
+    assert a._counter == b._counter
+
+
+def test_fisher_yates_sources_matches_swaps():
+    # small ranges force repeated targets, self-swaps and moves past the front
+    gen = np.random.default_rng(12)
+    for _ in range(500):
+        m = int(gen.integers(1, 40))
+        steps = int(gen.integers(0, m))
+        targets = np.array([t + int(gen.integers(0, m - t)) for t in range(steps)], dtype=np.int64)
+        items = list(range(m))
+        for t, j in enumerate(targets.tolist()):
+            items[t], items[j] = items[j], items[t]
+        front, moved, moved_from = fisher_yates_sources(targets)
+        assert front.tolist() == items[:steps]
+        changed = {p: x for p, x in enumerate(items) if p >= steps and p != x}
+        assert dict(zip(moved.tolist(), moved_from.tolist())) == changed
+
+
+@pytest.mark.parametrize("model,n", [("multinomial", 3000), ("hypergeometric", 700)])
+def test_urns_past_the_ball_table_use_the_cumulative_search(monkeypatch, model, n):
+    urn = UrnSpec(CHUNKED.colors)  # its own lazy table, unbuilt
+    monkeypatch.setattr(urncount.sampling, "_BALL_TABLE_MAX", urn.k - 1)
+    reference = DRAW_REFERENCES[model]
+    got_rng, ref_rng = RngStream(8, 1), RngStream(8, 1)
+    assert sample_draws(urn, model, n, got_rng) == reference(urn, n, ref_rng)
+    assert got_rng._counter == ref_rng._counter
+    core, reference = REFERENCES[model]
+    got_rng, ref_rng = RngStream(8, 2), RngStream(8, 2)
+    assert np.array_equal(core(urn, n, got_rng), reference(urn, n, ref_rng))
+    assert "ball_colors" not in urn.__dict__
+
+
+# -- the binomial inversion tables ------------------------------------------------
+
+@pytest.mark.parametrize("size,p", [(65, 0.3), (101, 0.999), (1000, 0.25), (20_000, 1e-4),
+                                    (1009, 0.5)])
+def test_binomial_inversion_matches_scalar_at_table_edges(size, p):
+    whole = _BinomialCdf(size, p)
+    whole.variate(1.0)  # accumulated to its end or to 1
+    cdf = np.array(whole.sums)
+    u = np.concatenate([
+        cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 2.0),  # on and beside each entry
+        [0.0, 1.0 - 2.0 ** -53],
+        RngStream(8, 1).uniforms(1000),
+    ])
+    u = u[(u >= 0.0) & (u < 1.0)]
+    ref = {x: binomial_inversion(size, p, x) for x in set(u.tolist())}
+    assert _BinomialCdf(size, p).invert(u).tolist() == [ref[x] for x in u.tolist()]
+    # grown a few uniforms at a time, in stream order and then increasing
+    for us in (u.tolist(), sorted(u.tolist())):
+        table = _BinomialCdf(size, p)
+        got = []
+        for i in range(0, len(us), 5):
+            got += table.invert(np.array(us[i:i + 5])).tolist()
+        assert got == [ref[x] for x in us]
+        table = _BinomialCdf(size, p)
+        assert [table.variate(x) for x in us] == [ref[x] for x in us]
+
+
+def test_binomial_table_grows_only_as_far_as_its_uniforms():
+    table = _BinomialCdf(1000, 0.25)
+    assert table.variate(0.5) == binomial_inversion(1000, 0.25, 0.5)
+    assert len(table.sums) - 1 == table.variate(0.5)  # the first entry at or above 0.5
+    assert table.sums[-2] < 0.5 <= table.sums[-1]
+    short = _BinomialCdf(70, 0.9)  # the pmf ends at x = size, under 1 - 2**-53
+    assert short.variate(1.0 - 2.0 ** -53) == binomial_inversion(70, 0.9, 1.0 - 2.0 ** -53) == 70
+    assert len(short.sums) == 71 and short.ended
+
+
+def test_binomial_cdf_cache_is_bounded():
+    assert _binomial_cdf.cache_info().maxsize == BINOMIAL_CDF_CACHE_SIZE
+    first = _binomial_cdf(77, 0.123)
+    for i in range(BINOMIAL_CDF_CACHE_SIZE + 50):
+        _binomial_cdf(65 + i, 0.4)
+    assert _binomial_cdf.cache_info().currsize <= BINOMIAL_CDF_CACHE_SIZE
+    again = _binomial_cdf(77, 0.123)  # evicted, rebuilt
+    assert again is not first
+    assert again.variate(0.9) == first.variate(0.9) == binomial_inversion(77, 0.123, 0.9)
+
+
+# sizes that repeat past the one-at-a-time cutoff, sizes met once, colors of
+# many chunks and colors of at most 64 flips, over two color blocks
+MANY_CHUNKED = UrnSpec(tuple(
+    (i, 1000 if i % 7 == 0 else 65 + i if i % 11 == 0 else 20_000 if i % 997 == 0 else 1 + i % 5)
+    for i in range(1, _COLOR_BLOCK + 600)))
+
+
+@pytest.mark.parametrize("p", [0.3, 0.999, 1e-4, 0.05])
+def test_bernoulli_chunks_grouped_by_size_match_reference(p):
+    got_rng, ref_rng = RngStream(6, 1), RngStream(6, 1)
+    want = _counts(MANY_CHUNKED, ref_draw_bernoulli(MANY_CHUNKED, p, ref_rng))
+    assert np.array_equal(bernoulli_counts(MANY_CHUNKED, p, got_rng), want)
+    assert got_rng._counter == ref_rng._counter
+
+
+@pytest.mark.parametrize("p", [1e-17, 1e-300])
+def test_bernoulli_at_tiny_p(p):
+    # binomial_chunk_max(p) would pass the int64 range
+    assert binomial_chunk_max(p) == 2**63 - 1
+    urn = UrnSpec(((1, 100), (2, 3)))
+    got_rng, ref_rng = RngStream(2, 2), RngStream(2, 2)
+    want = _counts(urn, ref_draw_bernoulli(urn, p, ref_rng))
+    assert np.array_equal(bernoulli_counts(urn, p, got_rng), want)
+    assert got_rng._counter == ref_rng._counter
 
 
 # -- the Poisson inversion table ------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -170,6 +171,23 @@ class TestPoissonized:
         with pytest.raises(ValueError, match=f"^expected sample size n must be finite, got {n}$"):
             poissonized_color_counts(urn, n, rng)
         assert rng._counter == 0
+
+    @pytest.mark.parametrize("n", [1e300, 1e308])
+    def test_huge_rate_is_rejected_before_drawing(self, n):
+        # the heavy color's mean would break PTRS or overflow its int64 count
+        urn = UrnSpec(((1, 1), (2, 3)))
+        rng = RngStream(0, 0)
+        said = re.escape(f"expected sample size n = {n} gives a largest Poisson mean of ")
+        with pytest.raises(ValueError, match=f"^{said}\\S+, above 1e\\+30$"):
+            poissonized_color_counts(urn, n, rng)
+        assert rng._counter == 0
+
+    def test_counts_leave_the_ball_table_unbuilt(self):
+        # only the multinomial and hypergeometric cores read ball_colors
+        urn = make_uniform_support(500, 120)
+        poissonized_color_counts(urn, 300, RngStream(9, 3))
+        bernoulli_counts(urn, 0.5, RngStream(9, 3))
+        assert "ball_colors" not in urn.__dict__
 
     def test_mean_realized_size(self):
         urn = UrnSpec(((1, 1),))

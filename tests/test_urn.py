@@ -39,6 +39,16 @@ class TestUrnSpec:
         assert bounds.tolist() == [0, 1, 2, 4]
         assert urn.mults[order].tolist() == [1, 2, 3, 3]
 
+    def test_ball_colors_is_lazy_and_read_only(self):
+        for urn, pairs in _built_urns():
+            assert "ball_colors" not in urn.__dict__  # construction leaves it unbuilt
+            table = urn.ball_colors
+            assert table.tolist() == [c for c, (_, mult) in enumerate(pairs) for _ in range(mult)]
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0] = 1
+            assert urn.ball_colors is table
+
     def test_error_messages(self):
         with pytest.raises(ValueError, match="outside 64-bit"):
             UrnSpec(((1, 1), (-1, 1)))
