@@ -61,17 +61,33 @@ def _cmd_estimate(args) -> int:
     return 0
 
 
+# np.fromstring saturates an id past int64 to 2**63 - 1 without an error, so
+# a plain file holding an id at or above this bound takes the exact path.
+_FAST_ID_BOUND = 10**18
+
+
 def _sample_ids(text: str) -> np.ndarray:
     """The color ids of a samples file, one integer per line; blank lines and
-    lines whose first non-blank character is '#' are skipped."""
+    lines whose first non-blank character is '#' are skipped.
+
+    A file of plain digit lines (each line one or more ASCII digits, no blank
+    line, the last newline optional: what ``simulate`` writes) is parsed in
+    one C pass by ``np.fromstring``.  The guard closes two edges of that call:
+    whitespace-only text parses as [0], not [], so a blank line is refused
+    and the parse must yield one value per line; and an id past int64
+    saturates to 2**63 - 1 without an error, so an id at or above
+    ``_FAST_ID_BOUND`` sends the file on.  Every other file takes the exact
+    path: ``int()`` on each stripped line, ids past int64 kept as Python ints,
+    and the first bad line named by its number.
+    """
+    data = text.encode() if text.isascii() else b""
+    if (data[:1].isdigit() and not data.translate(None, b"0123456789\n")
+            and b"\n\n" not in data):
+        ids = np.fromstring(data, dtype=np.int64, sep="\n")
+        if (ids.size == data.count(b"\n") + (not data.endswith(b"\n"))
+                and ids.max() < _FAST_ID_BOUND):
+            return ids
     lines = text.splitlines()
-    if "#" not in text:
-        # numpy parses each stripped line as int() does; a line it rejects
-        # (a bad line, or an id past int64) goes to the exact path below
-        try:
-            return np.array(list(filter(None, map(str.strip, lines))), dtype=np.int64)
-        except (ValueError, OverflowError):
-            pass
     try:
         draws = [
             int(line.strip())

@@ -67,6 +67,3 @@ def parse_fingerprint(text: str) -> Fingerprint:
             phi[j] = cnt
     return Fingerprint(phi, sum(phi.values()))
 
-
-def serialize_fingerprint(fp: Fingerprint) -> str:
-    return "\n".join(f"{j} {cnt}" for j, cnt in sorted(fp.phi.items()))

@@ -32,7 +32,7 @@ from functools import lru_cache
 import numpy as np
 
 from .rng import _BLOCK, LOG_FLOAT_LIMIT, _SCALAR_MAX, RngStream, poisson_inversion
-from .urn import UrnSpec
+from .urn import INT64_MAX, UrnSpec
 
 # every accepted model name -> its canonical name
 MODEL_ALIASES = {
@@ -242,7 +242,9 @@ def poissonized_color_counts(urn: UrnSpec, n: float, rng: RngStream) -> np.ndarr
 
     A non-finite n, or one whose largest mean n * max(k_i) / k exceeds
     ``POISSON_MEAN_MAX`` (1e30), is rejected before the stream is touched:
-    past that mean no PTRS variate fits the int64 counts.
+    past that mean no PTRS variate fits the int64 counts.  Below it, a
+    variate past 2**63 - 1 raises a ValueError naming n and the mean as soon
+    as it is drawn; the stream has moved by then.
     """
     if not math.isfinite(n):
         raise ValueError(f"expected sample size n must be finite, got {n}")
@@ -267,7 +269,11 @@ def poissonized_color_counts(urn: UrnSpec, n: float, rng: RngStream) -> np.ndarr
         for h in heavy[h0:h1]:
             # a heavy color's place in the block is inverted and then overwritten
             parts += [rng.uniforms(h - start), np.zeros(1)]
-            drawn.append(rng._poisson_ptrs(n * int(urn.mults[h]) / urn.k))
+            lam = n * int(urn.mults[h]) / urn.k
+            drawn.append(rng._poisson_ptrs(lam))
+            if drawn[-1] > INT64_MAX:
+                raise ValueError(f"expected sample size n = {n} gives a Poisson count of "
+                                 f"{drawn[-1]} at mean {lam:g}, past the int64 range")
             start = h + 1
         parts.append(rng.uniforms(c1 - start))
         block = np.concatenate(parts) if len(parts) > 1 else parts[0]

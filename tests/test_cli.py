@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from urncount.cli import build_parser, main
+from urncount.cli import _sample_ids, build_parser, main
 from urncount.urn import make_uniform_support, serialize_urn
 
 
@@ -226,6 +226,76 @@ class TestEstimate:
                    "--fingerprint", str(fp), "--json"])
         assert rc == 0
         assert json.loads(capsys.readouterr().out)["regime"] == "l2"
+
+
+def _int_per_line(text):
+    """The exact samples parse: int() on each stripped, non-blank, non-'#' line."""
+    draws = [int(line.strip()) for line in text.splitlines()
+             if line.strip() and not line.strip().startswith("#")]
+    try:
+        return np.array(draws, dtype=np.int64)
+    except OverflowError:
+        return np.array(draws, dtype=object)
+
+
+class TestSampleIds:
+    @pytest.mark.parametrize("text, fast", [
+        ("", False),
+        ("\n", False),  # np.fromstring gives [0] for these two
+        ("\n\n", False),
+        ("\n5\n6\n", False),
+        ("5\n\n6\n", False),
+        ("5\n6\n\n", False),
+        ("5\n6", True),
+        ("5\n6\n", True),
+        ("007\n0000000000000000005\n", True),
+        (f"{2**63 - 2}\n", False),  # at or past the 10**18 bound
+        (f"{2**63 - 1}\n", False),
+        (f"{2**63}\n", False),  # np.fromstring saturates these two to 2**63 - 1
+        (f"5\n{2**64 + 5}\n", False),
+        (f"{10**18 - 1}\n", True),
+        ("1\r\n2", False),
+        ("+5\n", False),
+        ("-3\n", False),
+        (" 7 \n", False),
+        ("\u0661\n", False),
+        ("5\n# note\n6\n", False),
+    ])
+    def test_fast_tier_matches_exact_parse(self, monkeypatch, text, fast):
+        parsed = []
+
+        def fromstring(*args, **kwargs):
+            parsed.append(real(*args, **kwargs))
+            return parsed[-1]
+
+        real = np.fromstring
+        monkeypatch.setattr(np, "fromstring", fromstring)
+        ids = _sample_ids(text)
+        want = _int_per_line(text)
+        assert ids.dtype == want.dtype
+        assert ids.tolist() == want.tolist()
+        assert any(ids is p for p in parsed) == fast
+
+    @pytest.mark.parametrize("fake", [
+        # an empty field read as 0: only the blank-line guard stops it
+        lambda data, **kw: np.array([int(f or 0) for f in data.split(b"\n")], dtype=np.int64),
+        # a parse that stops one value early: only the count check stops it
+        lambda data, **kw: np.array([int(f) for f in data.split()[:-1]], dtype=np.int64),
+    ])
+    def test_guard_holds_if_fromstring_changes(self, monkeypatch, fake):
+        monkeypatch.setattr(np, "fromstring", fake)
+        for text in ("5\n\n6", "5\n6", "5\n6\n7"):
+            assert _sample_ids(text).tolist() == _int_per_line(text).tolist()
+
+    def test_numpy_fromstring_edges_the_fast_tier_guards(self):
+        # whitespace-only text parses as [0], not []; an id past int64 saturates
+        for text in (b"\n", b"\n\n", b" \n"):
+            assert np.fromstring(text, dtype=np.int64, sep="\n").tolist() == [0]
+        for big in (2**63, 2**64 + 5, 10**30):
+            parsed = np.fromstring(f"{big}\n".encode(), dtype=np.int64, sep="\n")
+            assert parsed.tolist() == [2**63 - 1]
+        parsed = np.fromstring(b"007\n0000000000000000005\n12", dtype=np.int64, sep="\n")
+        assert parsed.tolist() == [7, 5, 12]
 
 
 class TestExperiment:

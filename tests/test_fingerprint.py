@@ -9,8 +9,11 @@ from urncount.fingerprint import (
     Fingerprint,
     fingerprint_from_count_values,
     parse_fingerprint,
-    serialize_fingerprint,
 )
+
+
+def serialize_fingerprint(fp: Fingerprint) -> str:
+    return "\n".join(f"{j} {cnt}" for j, cnt in sorted(fp.phi.items()))
 
 
 def fingerprint_of(draws):

@@ -182,6 +182,21 @@ class TestPoissonized:
             poissonized_color_counts(urn, n, rng)
         assert rng._counter == 0
 
+    @pytest.mark.parametrize("n", [1e25, 1e29])
+    def test_count_past_int64_is_a_value_error(self, n):
+        # means between 2**63 and POISSON_MEAN_MAX pass the up-front check, so
+        # the variate itself is tested; the stream has moved by then
+        urn = UrnSpec(((1, 1), (2, 3)))
+        said = re.escape(f"expected sample size n = {n} gives a Poisson count of ")
+        with pytest.raises(ValueError, match=f"^{said}\\d+ at mean \\S+, past the int64 range$"):
+            poissonized_color_counts(urn, n, RngStream(0, 0))
+
+    def test_counts_just_inside_int64_are_drawn(self):
+        # largest mean 7.5e18, below 2**63: the variates are written as before
+        urn = UrnSpec(((1, 1), (2, 3)))
+        counts = poissonized_color_counts(urn, 1e19, RngStream(1, 0))
+        assert counts.tolist() == [2500000000099606528, 7500000006173329408]
+
     def test_counts_leave_the_ball_table_unbuilt(self):
         # only the multinomial and hypergeometric cores read ball_colors
         urn = make_uniform_support(500, 120)
