@@ -1,4 +1,4 @@
-"""Reproducible experiments: risk curves, hard pairs, correlation decay.
+"""Reproducible experiments: risk curves and hard pairs.
 
 Every trial gets its own stream keyed by (master_seed, n-index, trial), so
 enlarging the sample-size grid never perturbs earlier columns, and
@@ -72,13 +72,6 @@ class RiskRow:
     bias_exact: float | None
     normalized_rmse: float
     trials: int
-
-
-@dataclass(frozen=True)
-class CorrelationRow:
-    j: int
-    corr: float | None
-    bound: float
 
 
 @dataclass(frozen=True)
@@ -164,50 +157,6 @@ def run_risk_curve(cfg: ExperimentConfig) -> list[RiskRow]:
                 trials=cfg.trials,
             ))
     return rows
-
-
-def correlation_experiment(
-    urn: UrnSpec, n: int, trials: int, j_max: int, seed: int
-) -> list[CorrelationRow]:
-    """Empirical correlation between the unseen count and each fingerprint.
-
-    Poisson model; the simulator knows the urn, so the unseen count per trial
-    is C - c_seen.  The reported bound min(1, k 2^(-j/2)) is informational
-    only: its vanishing-term factor is unquantified.
-    """
-    if trials < 30:
-        raise ValueError("correlation estimates need at least 30 trials")
-    if j_max < 1:
-        raise ValueError("j_max must be >= 1")
-    series: list[list[float]] = [[] for _ in range(j_max + 1)]
-    for t in range(trials):
-        fp = fingerprint_from_count_values(sample_counts(urn, "poissonized", n, RngStream(seed, t)))
-        series[0].append(float(urn.C - fp.c_seen))
-        for j in range(1, j_max + 1):
-            series[j].append(float(fp.phi.get(j, 0)))
-    rows = []
-    for j in range(1, j_max + 1):
-        rows.append(CorrelationRow(
-            j=j,
-            corr=_pearson(series[0], series[j]),
-            bound=min(1.0, urn.k * 2.0 ** (-j / 2.0)),
-        ))
-    return rows
-
-
-def _pearson(xs: list[float], ys: list[float]) -> float | None:
-    n = len(xs)
-    mx = sum(xs) / n
-    my = sum(ys) / n
-    sxx = syy = sxy = 0.0
-    for x, y in zip(xs, ys):
-        dx, dy = x - mx, y - my
-        sxx += dx * dx
-        syy += dy * dy
-        sxy += dx * dy
-    if sxx == 0.0 or syy == 0.0:
-        return None
-    return sxy / math.sqrt(sxx * syy)
 
 
 def hard_pair_experiment(

@@ -74,15 +74,6 @@ class ChebyshevBasis:
             for m, num in enumerate(self.numerators)
         ]
 
-    def eval_exact(self, m: int, x) -> Fraction:
-        """t_m(x) for integer or rational x, exactly."""
-        acc = 0 if isinstance(x, int) else Fraction(0)
-        for c in reversed(self.numerators[m]):
-            acc = acc * x + c
-        if isinstance(acc, int):
-            return Fraction(acc, factorial(m))
-        return acc / factorial(m)
-
 
 def chebyshev_basis(M: int, L: int) -> ChebyshevBasis:
     """Build t_0..t_L for the M-node basis; requires L <= M-1."""

@@ -6,8 +6,9 @@ stream index.  Counter mode means a block of outputs can be produced either
 one at a time or as a vectorized numpy batch, bit-for-bit identically, and
 streams with distinct indices never share state.
 
-Shuffles are array passes too: the draws of a Fisher-Yates pass, whose
-bound shrinks by one per step, are accepted a power-of-two range at a time
+Shuffles return positions (``sample_positions``, ``permutation``) and are
+array passes: the draws of a Fisher-Yates pass, whose bound shrinks by one
+per step, are accepted a power-of-two range at a time
 (``randbelow_shrinking``), and the swaps they drive are resolved without
 being made (``fisher_yates_sources``).  Short runs keep the scalar loop.
 """
@@ -302,65 +303,40 @@ class RngStream:
                 self._counter = start + int(hits[-1]) + 1
         return out
 
-    def _permute(self, items: list, steps: int, mirrored: bool) -> None:
-        """``steps`` forward Fisher-Yates swaps on ``items`` (steps < len(items)).
+    def _slots(self, m: int, n: int, mirrored: bool) -> np.ndarray:
+        """The original position each of the first n slots of range(m) holds
+        after ``min(n, m - 1)`` forward Fisher-Yates steps, as int64 (n <= m).
 
-        Step t draws ``r = randbelow(len(items) - t)`` and swaps items t and
-        t + r, or, mirrored, t and len(items) - 1 - r.  Up to
-        ``_SCALAR_STEPS`` steps swap one at a time; longer runs are resolved
-        by ``fisher_yates_sources`` and applied at once.
+        Step t draws ``r = randbelow(m - t)`` and swaps slots t and t + r, or,
+        mirrored, t and m - 1 - r.  Up to ``_SCALAR_STEPS`` steps swap one at
+        a time in a sparse position map; longer runs are resolved by
+        ``fisher_yates_sources``.
         """
-        m = len(items)
+        steps = min(n, m - 1)
         if steps <= _SCALAR_STEPS:
+            held: dict[int, int] = {}
             for t in range(steps):
                 r = self.randbelow(m - t)
                 j = m - 1 - r if mirrored else t + r
-                items[t], items[j] = items[j], items[t]
-            return
-        r = self.randbelow_shrinking(m, steps)
-        targets = m - 1 - r if mirrored else r + np.arange(steps)
-        front, moved, moved_from = (a.tolist() for a in fisher_yates_sources(targets))
-        tail = [items[i] for i in moved_from]
-        items[:steps] = [items[i] for i in front]
-        for p, item in zip(moved, tail):
-            items[p] = item
-
-    def shuffle(self, items: list) -> None:
-        """In-place Fisher-Yates shuffle: step i = len - 1, ..., 1 swaps
-        ``items[i]`` with ``items[randbelow(i + 1)]``.
-
-        On the reversed list these are forward steps: step t swaps items t
-        and len - 1 - randbelow(len - t).
-        """
-        items.reverse()
-        self._permute(items, max(len(items) - 1, 0), mirrored=True)
-        items.reverse()
-
-    def partial_shuffle(self, items: list, n: int) -> None:
-        """Move a uniform random size-n selection, in random order, to the front.
-
-        The first n steps of a forward Fisher-Yates shuffle: step i swaps
-        ``items[i]`` with ``items[i + randbelow(len(items) - i)]``, consuming the
-        stream exactly as those scalar calls do (randbelow(1) consumes nothing).
-        """
-        self._permute(items, max(0, min(n, len(items) - 1)), mirrored=False)
-
-    def sample_positions(self, m: int, n: int) -> np.ndarray:
-        """The positions ``partial_shuffle(list(range(m)), n)`` leaves in its
-        first n slots, in slot order, as int64 (0 <= n <= m), with the same
-        use of the stream and no m-long list."""
-        steps = min(n, m - 1)
-        if steps <= _SCALAR_STEPS:  # swap in a sparse position map
-            held: dict[int, int] = {}
-            for t in range(steps):
-                j = t + self.randbelow(m - t)
                 held[t], held[j] = held.get(j, j), held.get(t, t)
             return np.array([held.get(t, t) for t in range(n)], dtype=np.int64)
-        front, moved, moved_from = fisher_yates_sources(self.randbelow_shrinking(m, steps)
-                                                        + np.arange(steps))
+        r = self.randbelow_shrinking(m, steps)
+        front, moved, moved_from = fisher_yates_sources(m - 1 - r if mirrored
+                                                        else r + np.arange(steps))
         if n > steps:  # n = m: the last slot keeps its item unless a step took it
             front = np.append(front, moved_from if moved.size else m - 1)
         return front
+
+    def sample_positions(self, m: int, n: int) -> np.ndarray:
+        """A uniform size-n selection of range(m) in random order (n <= m):
+        step t of the partial Fisher-Yates swaps t and t + randbelow(m - t)."""
+        return self._slots(m, n, mirrored=False)
+
+    def permutation(self, m: int) -> np.ndarray:
+        """A uniform random ordering of range(m): the one left by the shuffle
+        whose step i = m - 1, ..., 1 swaps items i and randbelow(i + 1).
+        Reversed, those are the mirrored forward steps."""
+        return (m - 1 - self._slots(m, m, mirrored=True))[::-1]
 
     def _poisson_ptrs(self, lam: float) -> int:
         """Poisson variate for mean lam >= 30: transformed rejection with

@@ -1,4 +1,4 @@
-"""The four sampling models and the cross-model simulation.
+"""The four sampling models.
 
 Each model has one counts core: an int64 array of per-color counts aligned
 with ``urn.ids``, which is all a fingerprint needs.  ``sample_counts`` and
@@ -325,26 +325,7 @@ def sample_draws(urn: UrnSpec, model: str, size, rng: RngStream) -> list[int]:
     if model == "bernoulli":
         return np.repeat(urn.ids, bernoulli_counts(urn, size, rng)).tolist()
     if model == "poissonized":
-        draws = np.repeat(urn.ids, poissonized_color_counts(urn, size, rng)).tolist()
-        rng.shuffle(draws)
-        return draws
+        draws = np.repeat(urn.ids, poissonized_color_counts(urn, size, rng))
+        return draws[rng.permutation(draws.size)].tolist()
     raise ValueError(f"model: unknown tag {model!r}")
 
-
-def simulate_with_from_without(ys: list[int], k: int, rng: RngStream) -> list[int]:
-    """Turn a without-replacement sample ``ys`` into a with-replacement one.
-
-    Draw i keeps Y_i with probability 1 - (i-1)/k and otherwise reuses an
-    earlier output position chosen uniformly; the result is distributed
-    exactly as n independent draws.
-    """
-    n = len(ys)
-    if n > k:
-        raise ValueError(f"a sample of size {n} cannot come from a {k}-ball urn")
-    out: list[int] = []
-    for i in range(1, n + 1):
-        if i > 1 and rng.random() < (i - 1) / k:
-            out.append(ys[rng.randbelow(i - 1)])
-        else:
-            out.append(ys[i - 1])
-    return out

@@ -184,11 +184,10 @@ def make_hard_pair(k: int, delta: int, seed: int) -> HardInstancePair:
     else:
         c2 = k - b1 * remaining
         c1 = remaining - c2
-    ids = list(range(1, k + 1))
-    RngStream(seed, 0).partial_shuffle(ids, remaining)
+    ids = RngStream(seed, 0).sample_positions(k, remaining) + 1
     null_urn = UrnSpec._from_arrays(np.arange(1, k + 1, dtype=np.uint64),
                                     np.ones(k, dtype=np.int64))
-    alt_urn = UrnSpec._from_arrays(np.array(ids[:remaining], dtype=np.uint64),
+    alt_urn = UrnSpec._from_arrays(ids.astype(np.uint64),
                                    np.repeat(np.array([b1, b2], dtype=np.int64), [c1, c2]))
     return HardInstancePair(null_urn, alt_urn, delta, b1, b2, c1, c2)
 

@@ -14,7 +14,6 @@ from scipy.stats import chi2
 
 from urncount.estimator import build_estimator, estimate, exact_bias, interp_coeffs, select_params
 from urncount.fingerprint import fingerprint_from_count_values
-from urncount.harness import correlation_experiment
 from urncount.orthopoly import (
     l2_min_value,
     l2_residual_sq_exact,
@@ -22,14 +21,13 @@ from urncount.orthopoly import (
     solve_l2,
 )
 from urncount.rng import RngStream
-from urncount.sampling import (
-    poissonized_color_counts,
-    sample_draws,
-    simulate_with_from_without,
-)
+from urncount.sampling import poissonized_color_counts, sample_draws
 from urncount.stirling import stirling_first
 from urncount.urn import UrnSpec, make_uniform_support
 from urncount.vandermonde import build_matrix, sigma_min, sigma_min_bound, tm_modulus_check
+
+from test_harness import correlation_experiment
+from test_sampling import simulate_with_from_without
 
 
 class _Stopwatch:

@@ -218,8 +218,22 @@ def ref_poissonized_draws(urn: UrnSpec, n: float, rng: RngStream) -> list[int]:
     """The reference counts expanded in canonical color order, then shuffled."""
     counts = ref_poissonized_color_counts(urn, n, rng)
     draws = [cid for (cid, _), cnt in zip(urn.colors, counts) for _ in range(cnt)]
-    rng.shuffle(draws)
+    _scalar_shuffle(draws, rng)
     return draws
+
+
+def _scalar_shuffle(items: list, rng: RngStream) -> None:
+    """Fisher-Yates: step i = len - 1, ..., 1 swaps items i and randbelow(i + 1)."""
+    for i in range(len(items) - 1, 0, -1):
+        j = rng.randbelow(i + 1)
+        items[i], items[j] = items[j], items[i]
+
+
+def _scalar_partial_shuffle(items: list, n: int, rng: RngStream) -> None:
+    """The first n forward steps: step i swaps items i and i + randbelow(len - i)."""
+    for i in range(n):
+        j = i + rng.randbelow(len(items) - i)
+        items[i], items[j] = items[j], items[i]
 
 
 # -- the grid -------------------------------------------------------------------
@@ -360,20 +374,22 @@ def test_randbelow_many_matches_scalar(n, count):
 @pytest.mark.parametrize("k,n", [(1, 1), (2, 2), (50, 0), (50, 1), (50, 25), (50, 50), (4097, 4000)])
 def test_partial_shuffle_matches_scalar_steps(k, n):
     a, b = RngStream(2, k), RngStream(2, k)
-    got, want = list(range(k)), list(range(k))
-    a.partial_shuffle(got, n)
+    want = list(range(k))
+    got = a.sample_positions(k, n)
     for i in range(n):
         j = i + b.randbelow(k - i)
         want[i], want[j] = want[j], want[i]
-    assert got == want
+    assert got.tolist() == want[:n]
     assert a._counter == b._counter
 
 
 @pytest.mark.parametrize("length", [0, 1, 2, 3, 50, _BLOCK + 7])
 def test_shuffle_matches_scalar_fisher_yates(length):
     a, b = RngStream(6, length), RngStream(6, length)
-    got, want = list(range(length)), list(range(length))
-    a.shuffle(got)
+    want = list(range(length))
+    got = a.permutation(length)
+    assert got.dtype == np.int64
+    got = got.tolist()
     for i in range(length - 1, 0, -1):
         j = b.randbelow(i + 1)
         want[i], want[j] = want[j], want[i]
@@ -392,13 +408,19 @@ def test_hard_pair_uses_the_same_shuffle():
     assert sorted(cid for cid, _ in pair.alt_urn.colors) == sorted(ids[:12])
 
 
+def test_hard_pair_past_the_scalar_cutoff():
+    # 800 steps take the array path; both multiplicity blocks are non-empty
+    k, delta, seed = 1000, 100, 5
+    pair = make_hard_pair(k, delta, seed)
+    remaining = k - 2 * delta
+    assert remaining > _SCALAR_STEPS and pair.c1 and pair.c2
+    ids = list(range(1, k + 1))
+    _scalar_partial_shuffle(ids, remaining, RngStream(seed, 0))
+    mults = [pair.b1] * pair.c1 + [pair.b2] * pair.c2
+    assert list(pair.alt_urn.colors) == sorted(zip(ids[:remaining], mults))
+
+
 # -- array Fisher-Yates against the scalar swap loop ------------------------------
-
-def _scalar_partial_shuffle(items: list, n: int, rng: RngStream) -> None:
-    for i in range(n):
-        j = i + rng.randbelow(len(items) - i)
-        items[i], items[j] = items[j], items[i]
-
 
 @pytest.mark.parametrize("k,n", [
     (64, 63), (65, 64), (1024, 1000), (1025, 1025), (2**14, 2**13), (2**14 + 1, 2**13 + 1),
@@ -411,10 +433,6 @@ def test_array_fisher_yates_matches_scalar_swaps(k, n):
     steps = min(n, k - 1)
     want, ref = list(range(k)), RngStream(4, k + n)
     _scalar_partial_shuffle(want, steps, ref)
-    a = RngStream(4, k + n)
-    got = list(range(k))
-    a.partial_shuffle(got, n)
-    assert got == want and a._counter == ref._counter
     b = RngStream(4, k + n)
     positions = b.sample_positions(k, n)
     assert positions.dtype == np.int64 and positions.tolist() == want[:n]
@@ -430,8 +448,8 @@ def test_array_fisher_yates_matches_scalar_swaps(k, n):
 def test_array_shuffle_matches_scalar_fisher_yates(length):
     # steps = length - 1: at, just past and past the cutoff, and over two blocks
     a, b = RngStream(7, length), RngStream(7, length)
-    got, want = list(range(length)), list(range(length))
-    a.shuffle(got)
+    want = list(range(length))
+    got = a.permutation(length).tolist()
     for i in range(length - 1, 0, -1):
         j = b.randbelow(i + 1)
         want[i], want[j] = want[j], want[i]

