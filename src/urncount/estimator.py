@@ -96,6 +96,9 @@ def select_params(
         raise ValueError("k must be >= 2")
     if n < 1:
         raise ValueError("n must be >= 1")
+    for name, value in (("alpha", alpha), ("beta", beta), ("eta", eta)):
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
     if regime not in (None, REGIME_L2, REGIME_INTERPOLATION):
         raise ValueError(f"unknown regime {regime!r}")
     a = DEFAULT_ALPHA if alpha is None else alpha

@@ -64,15 +64,6 @@ class ChebyshevBasis:
     M: int
     L: int
     numerators: tuple[tuple[int, ...], ...]  # m! * t_m, integer coefficients
-    norms: tuple[Fraction, ...]
-
-    @property
-    def coeffs(self) -> list[list[Fraction]]:
-        """Exact rational coefficient vectors of t_0..t_L (ascending)."""
-        return [
-            [Fraction(c, factorial(m)) for c in num]
-            for m, num in enumerate(self.numerators)
-        ]
 
 
 def chebyshev_basis(M: int, L: int) -> ChebyshevBasis:
@@ -82,8 +73,7 @@ def chebyshev_basis(M: int, L: int) -> ChebyshevBasis:
     if L < 0 or L >= M:
         raise ValueError(f"basis requires 0 <= L <= M-1, got L={L}, M={M}")
     numerators = _gram_coefficients(M, L, 1 - M, 2)
-    norms = [chebyshev_norm(M, m) for m in range(L + 1)]
-    return ChebyshevBasis(M, L, tuple(numerators), tuple(norms))
+    return ChebyshevBasis(M, L, tuple(numerators))
 
 
 def orthonormality_deviation(M: int, L: int) -> float:

@@ -91,12 +91,6 @@ class UrnSpec:
         return hash((self.ids.tobytes(), self.mults.tobytes()))
 
     @cached_property
-    def colors(self) -> tuple[tuple[int, int], ...]:
-        """The ``(color_id, multiplicity)`` pairs in canonical order, built on
-        first use."""
-        return tuple(zip(self.ids.tolist(), self.mults.tolist()))
-
-    @cached_property
     def mult_groups(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Colors grouped by multiplicity: the distinct multiplicities in
         increasing order, the color indices sorted by multiplicity, and the

@@ -22,10 +22,6 @@ import numpy as np
 from .orthopoly import ChebyshevBasis, chebyshev_basis
 
 
-class BoundCheckError(AssertionError):
-    """A verified inequality failed; the message carries the offending point."""
-
-
 def build_matrix(M: int, L: int, with_ones: bool = False) -> np.ndarray:
     """Read-only node matrix: rows i in [M], columns j: entries (i/M)^j; j
     starts at 0 when the leading all-ones column is included."""
@@ -146,8 +142,9 @@ def tm_modulus_check(M: int, m: int, num_points: int,
                      basis: ChebyshevBasis | None = None) -> TmBoundReport:
     """Check |t_m(z)| against its modulus bound on the unit circle and [-1, M].
 
-    Exact coefficients, one vectorized Horner pass in floating point; raises
-    BoundCheckError with the first offending point if any ratio exceeds 1.
+    Exact coefficients, one vectorized Horner pass in floating point.  The
+    report carries the largest ratio |t_m(z)| / bound and its point z; the
+    bound holds on the points checked iff that ratio is at most 1.
     ``basis`` may pass a chebyshev_basis(M, L) with L >= m, shared across m.
     """
     if m < 1 or m > M - 1:
@@ -167,11 +164,5 @@ def tm_modulus_check(M: int, m: int, num_points: int,
         line = (-1.0 + (M + 1.0) / (num_points - 1) * np.arange(num_points)).astype(complex)
     points = np.concatenate([circle, line])
     ratios = np.abs(np.polyval(coeffs[::-1], points)) / tm_bound_at(M, m, points)
-    over = np.flatnonzero(ratios > 1.0)
-    if over.size:
-        z, ratio = complex(points[over[0]]), float(ratios[over[0]])
-        raise BoundCheckError(
-            f"|t_{m}(z)| exceeds its bound at z={z} (M={M}, ratio={ratio:.3g})"
-        )
     worst = int(np.argmax(ratios))
     return TmBoundReport(M, m, num_points, float(ratios[worst]), complex(points[worst]))

@@ -3,8 +3,10 @@
 A public function, class or method of ``urncount`` that only the tests call
 belongs in the tests.  A name counts as called when it appears, outside its
 own definition, in a ``src/`` or ``perfbench/`` file: as a name, an
-attribute, an import, or an identifier inside a string that is not a
-docstring (the benchmark's hook table names its targets in strings).
+attribute, an import, or a part of a string that is one identifier or dotted
+path (the benchmark's hook table names its targets in such strings).  A
+method or property counts as called only through an attribute access, so a
+local variable or a word that shares its name does not keep it alive.
 """
 
 import ast
@@ -13,58 +15,52 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "urncount"
-IDENTIFIER = re.compile(r"[A-Za-z_]\w*")
-
-
-def _docstrings(tree: ast.Module) -> set[int]:
-    owners = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
-    return {id(node.body[0].value) for node in ast.walk(tree)
-            if isinstance(node, owners) and node.body and isinstance(node.body[0], ast.Expr)
-            and isinstance(node.body[0].value, ast.Constant)}
+DOTTED_PATH = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*")
 
 
 def _references(tree: ast.Module):
-    """(identifier, line) for every use of a name in the module."""
-    docs = _docstrings(tree)
+    """(identifier, line, through an attribute) for every use of a name in the module."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            yield node.id, node.lineno
+            yield node.id, node.lineno, False
         elif isinstance(node, ast.Attribute):
-            yield node.attr, node.lineno
+            yield node.attr, node.lineno, True
         elif isinstance(node, ast.alias):
             for part in node.name.split("."):
-                yield part, node.lineno
+                yield part, node.lineno, False
         elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
-              and id(node) not in docs):
-            for word in IDENTIFIER.findall(node.value):
-                yield word, node.lineno
+              and DOTTED_PATH.fullmatch(node.value)):
+            for part in node.value.split("."):
+                yield part, node.lineno, False
 
 
 def _public_definitions(tree: ast.Module):
-    """Module-level functions and classes, and the methods of those classes."""
+    """(definition, is a member) for module-level functions and classes, and
+    for the methods of those classes."""
     defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     for node in tree.body:
         if isinstance(node, defs):
-            yield node
+            yield node, False
             if isinstance(node, ast.ClassDef):
-                yield from (sub for sub in node.body if isinstance(sub, defs))
+                yield from ((sub, True) for sub in node.body if isinstance(sub, defs))
 
 
 def test_every_public_name_has_a_caller():
     files = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "perfbench").rglob("*.py"))
     trees = {path: ast.parse(path.read_text(), str(path)) for path in files}
-    uses: dict[str, list[tuple[Path, int]]] = {}
+    uses: dict[str, list[tuple[Path, int, bool]]] = {}
     for path, tree in trees.items():
-        for name, line in _references(tree):
-            uses.setdefault(name, []).append((path, line))
+        for name, line, via_attribute in _references(tree):
+            uses.setdefault(name, []).append((path, line, via_attribute))
     uncalled = []
     for path, tree in trees.items():
         if PACKAGE not in path.parents:
             continue
-        for node in _public_definitions(tree):
+        for node, member in _public_definitions(tree):
             if node.name.startswith("_"):
                 continue
             own = range(node.lineno, node.end_lineno + 1)
-            if not any(where != path or line not in own for where, line in uses.get(node.name, ())):
+            if not any((where != path or line not in own) and (via_attribute or not member)
+                       for where, line, via_attribute in uses.get(node.name, ())):
                 uncalled.append(f"{path.relative_to(ROOT)}:{node.lineno} {node.name}")
     assert not uncalled, "public names with no caller outside the tests: " + ", ".join(uncalled)

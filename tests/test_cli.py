@@ -227,6 +227,18 @@ class TestEstimate:
         assert rc == 0
         assert json.loads(capsys.readouterr().out)["regime"] == "l2"
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--alpha", "inf"), ("--beta", "inf"), ("--eta", "nan"),
+    ])
+    def test_non_finite_flag_is_one_line_and_exit_2(self, tmp_path, capsys, flag, value):
+        fp = tmp_path / "fp.txt"
+        fp.write_text("1 4\n2 3\n")
+        rc = main(["estimate", "--k", "100", "--n", "10", flag, value, "--fingerprint", str(fp)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err == f"urncount estimate: error: {flag[2:]} must be finite, got {value}\n"
+
 
 def _int_per_line(text):
     """The exact samples parse: int() on each stripped, non-blank, non-'#' line."""
@@ -359,6 +371,17 @@ class TestVerify:
         out = capsys.readouterr().out
         assert rc == 1
         assert "exact certificate [FAIL]" in out and "VERIFY FAIL" in out
+
+    def test_spectral_suite_fails_on_modulus_violation(self, capsys, monkeypatch):
+        import urncount.vandermonde as vd
+
+        monkeypatch.setattr(vd, "tm_bound_at", lambda M, m, z: 1e-12)
+        rc = main(["verify", "--spectral"])
+        out = capsys.readouterr().out
+        assert rc == 1
+        assert any(line.startswith("t_m modulus bound") and line.endswith("[FAIL]")
+                   for line in out.splitlines())
+        assert "VERIFY FAIL" in out
 
     def test_estimator_suite(self, capsys):
         rc = main(["verify", "--estimator"])

@@ -40,6 +40,8 @@ from urncount.sampling import (
 )
 from urncount.urn import UrnSpec, make_hard_pair, make_uniform_support
 
+from test_urn import colors
+
 # -- scalar variates (verbatim, once RngStream methods) -------------------------
 
 def poisson(rng: RngStream, lam: float) -> int:
@@ -125,7 +127,7 @@ def _require_nonempty(urn: UrnSpec) -> None:
 
 def _ball_array(urn: UrnSpec) -> list[int]:
     balls: list[int] = []
-    for cid, mult in urn.colors:
+    for cid, mult in colors(urn):
         balls.extend([cid] * mult)
     return balls
 
@@ -137,10 +139,10 @@ def ref_draw_with_replacement(urn: UrnSpec, n: int, rng: RngStream) -> list[int]
         raise ValueError("sample size must be >= 0")
     cum = []
     total = 0
-    for _, mult in urn.colors:
+    for _, mult in colors(urn):
         total += mult
         cum.append(total)
-    ids = [cid for cid, _ in urn.colors]
+    ids = [cid for cid, _ in colors(urn)]
     k = urn.k
     draws = []
     for _ in range(n):
@@ -177,14 +179,14 @@ def ref_draw_bernoulli(urn: UrnSpec, p: float, rng: RngStream) -> list[int]:
     if not 0.0 <= p <= 1.0:
         raise ValueError("inclusion probability must lie in [0, 1]")
     draws: list[int] = []
-    for cid, mult in urn.colors:
+    for cid, mult in colors(urn):
         taken = binomial(rng, mult, p)
         draws.extend([cid] * taken)
     return draws
 
 
 def ref_poissonized_color_counts(urn: UrnSpec, n: float, rng: RngStream) -> np.ndarray:
-    """Per-color counts N_i ~ Poisson(n * k_i / k), aligned with urn.colors.
+    """Per-color counts N_i ~ Poisson(n * k_i / k), aligned with colors(urn).
 
     This is the counting stage of the Poisson model.  When every per-color
     mean is below 30 it consumes exactly one uniform per color, in canonical
@@ -194,7 +196,7 @@ def ref_poissonized_color_counts(urn: UrnSpec, n: float, rng: RngStream) -> np.n
     if n < 0:
         raise ValueError("expected sample size must be >= 0")
     k = urn.k
-    means = [n * mult / k for _, mult in urn.colors]
+    means = [n * mult / k for _, mult in colors(urn)]
     if urn.C >= _VECTOR_COLOR_THRESHOLD and all(m < 30.0 for m in means):
         distinct = set(means)
         if len(distinct) == 1:
@@ -217,7 +219,7 @@ def ref_poissonized_color_counts(urn: UrnSpec, n: float, rng: RngStream) -> np.n
 def ref_poissonized_draws(urn: UrnSpec, n: float, rng: RngStream) -> list[int]:
     """The reference counts expanded in canonical color order, then shuffled."""
     counts = ref_poissonized_color_counts(urn, n, rng)
-    draws = [cid for (cid, _), cnt in zip(urn.colors, counts) for _ in range(cnt)]
+    draws = [cid for (cid, _), cnt in zip(colors(urn), counts) for _ in range(cnt)]
     _scalar_shuffle(draws, rng)
     return draws
 
@@ -240,7 +242,7 @@ def _scalar_partial_shuffle(items: list, n: int, rng: RngStream) -> None:
 
 def _counts(urn: UrnSpec, draws: list[int]) -> np.ndarray:
     seen = Counter(draws)
-    return np.array([seen.get(cid, 0) for cid, _ in urn.colors], dtype=np.int64)
+    return np.array([seen.get(cid, 0) for cid, _ in colors(urn)], dtype=np.int64)
 
 
 REFERENCES = {
@@ -405,7 +407,7 @@ def test_hard_pair_uses_the_same_shuffle():
     for i in range(12):
         j = i + rng.randbelow(20 - i)
         ids[i], ids[j] = ids[j], ids[i]
-    assert sorted(cid for cid, _ in pair.alt_urn.colors) == sorted(ids[:12])
+    assert sorted(cid for cid, _ in colors(pair.alt_urn)) == sorted(ids[:12])
 
 
 def test_hard_pair_past_the_scalar_cutoff():
@@ -417,7 +419,7 @@ def test_hard_pair_past_the_scalar_cutoff():
     ids = list(range(1, k + 1))
     _scalar_partial_shuffle(ids, remaining, RngStream(seed, 0))
     mults = [pair.b1] * pair.c1 + [pair.b2] * pair.c2
-    assert list(pair.alt_urn.colors) == sorted(zip(ids[:remaining], mults))
+    assert list(colors(pair.alt_urn)) == sorted(zip(ids[:remaining], mults))
 
 
 # -- array Fisher-Yates against the scalar swap loop ------------------------------
@@ -487,7 +489,7 @@ def test_fisher_yates_sources_matches_swaps():
 
 @pytest.mark.parametrize("model,n", [("multinomial", 3000), ("hypergeometric", 700)])
 def test_urns_past_the_ball_table_use_the_cumulative_search(monkeypatch, model, n):
-    urn = UrnSpec(CHUNKED.colors)  # its own lazy table, unbuilt
+    urn = UrnSpec(colors(CHUNKED))  # its own lazy table, unbuilt
     monkeypatch.setattr(urncount.sampling, "_BALL_TABLE_MAX", urn.k - 1)
     reference = DRAW_REFERENCES[model]
     got_rng, ref_rng = RngStream(8, 1), RngStream(8, 1)

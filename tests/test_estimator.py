@@ -24,6 +24,8 @@ from urncount.rng import RngStream
 from urncount.sampling import poissonized_color_counts
 from urncount.urn import UrnSpec, make_uniform_support
 
+from test_urn import colors
+
 
 class TestSelectParams:
     def test_l2_operating_point(self):
@@ -226,7 +228,7 @@ class TestExactBias:
                 math.exp(-n * mult / k)
                 * abs(sum(wj * (mult / params.M) ** j
                           for j, wj in enumerate(coeffs.w, start=1)) - 1)
-                for _, mult in urn.colors
+                for _, mult in colors(urn)
             )
             bias = exact_bias(urn, coeffs, n)
             assert abs(bias) <= per_node * (1 + 1e-9)

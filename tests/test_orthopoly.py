@@ -57,15 +57,15 @@ class TestBasis:
     def test_t1_at_m3(self):
         # hand expansion of the first difference of p_1(x) = x(x-3)
         basis = chebyshev_basis(3, 2)
-        assert basis.coeffs[1] == [Fraction(-2), Fraction(2)]
+        assert basis.numerators[1] == (-2, 2)  # 1! * t_1
         assert [eval_exact(basis, 1, x) for x in range(3)] == [-2, 0, 2]
-        assert basis.norms[1] == 8
+        assert chebyshev_norm(3, 1) == 8
         assert sum(eval_exact(basis, 1, x) ** 2 for x in range(3)) == 8
 
     def test_t0_constant(self):
         basis = chebyshev_basis(6, 0)
-        assert basis.coeffs[0] == [Fraction(1)]
-        assert basis.norms[0] == 6
+        assert basis.numerators[0] == (1,)
+        assert chebyshev_norm(6, 0) == 6
 
     def test_exact_orthogonality_m4(self):
         basis = chebyshev_basis(4, 3)
@@ -79,7 +79,7 @@ class TestBasis:
             values = [[eval_exact(basis, m, x) for x in range(M)] for m in range(L + 1)]
             for m in range(L + 1):
                 assert len(basis.numerators[m]) == m + 1 and basis.numerators[m][-1] != 0
-                assert sum(v * v for v in values[m]) == basis.norms[m]
+                assert sum(v * v for v in values[m]) == chebyshev_norm(M, m)
                 for i in range(m):
                     assert sum(a * b for a, b in zip(values[i], values[m])) == 0
 

@@ -17,6 +17,8 @@ from urncount.sampling import (
 )
 from urncount.urn import UrnSpec, make_uniform_support
 
+from test_urn import colors
+
 TWO = UrnSpec(((1, 1), (2, 1)))
 THREE = UrnSpec(((1, 1), (2, 1), (3, 1)))
 
@@ -139,7 +141,7 @@ class TestBernoulli:
         assert sample_draws(urn, "bernoulli", 0.0, RngStream(0, 0)) == []
         full = sample_draws(urn, "bernoulli", 1.0, RngStream(0, 0))
         assert sorted(full) == sorted(
-            cid for cid, mult in urn.colors for _ in range(mult)
+            cid for cid, mult in colors(urn) for _ in range(mult)
         )
 
     def test_invalid_probability(self):
