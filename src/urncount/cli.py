@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -38,9 +39,11 @@ def _cmd_estimate(args) -> int:
     params = select_params(args.k, args.n, alpha=args.alpha, beta=args.beta, eta=args.eta)
     coeffs = build_estimator(params)
     if args.samples:
-        ids = _sample_ids(Path(args.samples).read_text())
-        _, counts = np.unique(ids, return_counts=True)
-        fp = fingerprint_from_count_values(counts)
+        ids = np.sort(_sample_ids(Path(args.samples).read_text()))
+        # a run of equal ids starts at 0 and wherever the sorted id changes
+        starts = np.ones(ids.size + 1, dtype=bool)
+        np.not_equal(ids[1:], ids[:-1], out=starts[1:-1])
+        fp = fingerprint_from_count_values(np.diff(np.flatnonzero(starts)))
     else:
         fp = parse_fingerprint(Path(args.fingerprint).read_text())
     result = estimate(fp, coeffs, args.k, params)
@@ -64,6 +67,7 @@ def _cmd_estimate(args) -> int:
 # np.fromstring saturates an id past int64 to 2**63 - 1 without an error, so
 # a plain file holding an id at or above this bound takes the exact path.
 _FAST_ID_BOUND = 10**18
+_NEWLINE, _ZERO, _NINE = b"\n09"
 
 
 def _sample_ids(text: str) -> np.ndarray:
@@ -72,21 +76,27 @@ def _sample_ids(text: str) -> np.ndarray:
 
     A file of plain digit lines (each line one or more ASCII digits, no blank
     line, the last newline optional: what ``simulate`` writes) is parsed in
-    one C pass by ``np.fromstring``.  The guard closes two edges of that call:
-    whitespace-only text parses as [0], not [], so a blank line is refused
-    and the parse must yield one value per line; and an id past int64
-    saturates to 2**63 - 1 without an error, so an id at or above
-    ``_FAST_ID_BOUND`` sends the file on.  Every other file takes the exact
-    path: ``int()`` on each stripped line, ids past int64 kept as Python ints,
-    and the first bad line named by its number.
+    one C pass by ``np.fromstring``.  A guard first checks the bytes, as one
+    uint8 array: every byte is at most '9' and is a digit or a newline, the
+    first is a digit, and no two newlines are adjacent (every pair of
+    neighbouring bytes sums past 2 * ord('\\n')).  It closes two edges of the
+    parse: whitespace-only text parses as [0], not [], so a blank line is
+    refused and the parse must yield one value per line (the newline count,
+    plus one if the last newline is missing); and an id past int64 saturates
+    to 2**63 - 1 without an error, so an id at or above ``_FAST_ID_BOUND``
+    sends the file on.  Every other file takes the exact path: ``int()`` on
+    each stripped line, ids past int64 kept as Python ints, and the first bad
+    line named by its number.
     """
-    data = text.encode() if text.isascii() else b""
-    if (data[:1].isdigit() and not data.translate(None, b"0123456789\n")
-            and b"\n\n" not in data):
-        ids = np.fromstring(data, dtype=np.int64, sep="\n")
-        if (ids.size == data.count(b"\n") + (not data.endswith(b"\n"))
-                and ids.max() < _FAST_ID_BOUND):
-            return ids
+    raw = text.encode() if text.isascii() else b""
+    data = np.frombuffer(raw, dtype=np.uint8)
+    if data.size and data[0] >= _ZERO and data.max() <= _NINE:
+        lines = np.count_nonzero(data == _NEWLINE)
+        if (lines + np.count_nonzero(data >= _ZERO) == data.size
+                and (data[1:] + data[:-1]).min(initial=_NINE) > 2 * _NEWLINE):
+            ids = np.fromstring(raw, dtype=np.int64, sep="\n")
+            if ids.size == lines + (data[-1] != _NEWLINE) and ids.max() < _FAST_ID_BOUND:
+                return ids
     draws = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
@@ -124,7 +134,11 @@ def _cmd_verify(args) -> int:
     return 0 if all_ok else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``urncount`` parser, built on first use and then reused: parsing
+    keeps no state between calls, and each command's ``func`` looks up its
+    collaborators at call time."""
     parser = argparse.ArgumentParser(
         prog="urncount",
         description="Estimate the number of distinct colors in a k-ball urn from samples.",

@@ -21,7 +21,7 @@ from math import factorial
 import numpy as np
 
 from .fingerprint import Fingerprint
-from .orthopoly import poly_value_exact, solve_l2
+from .orthopoly import poly_numerators, solve_l2
 from .rng import LOG_FLOAT_LIMIT
 from .stirling import MAX_TABLE_N, stirling_first
 from .urn import UrnSpec
@@ -55,6 +55,8 @@ class EstimatorParams:
             raise ValueError("alpha must be positive")
         if self.beta <= self.alpha:
             raise ValueError("beta must exceed alpha")
+        if self.eta <= 0:
+            raise ValueError("eta must be positive")
         if self.L < 1 or self.M < 1:
             raise ValueError("L and M must be >= 1")
         if self.regime == REGIME_L2:
@@ -262,16 +264,16 @@ def exact_bias(urn: UrnSpec, coeffs: CoefficientVector, n: int, *, exact: bool =
     if (coeffs.k, coeffs.n) != (urn.k, n):
         raise ValueError(f"coefficients were built for (k, n) = ({coeffs.k}, {coeffs.n}), "
                          f"not ({urn.k}, {n})")
-    if exact:
-        poly, w, one = poly_value_exact, coeffs.w_exact, Fraction(1)
-    else:
-        poly, w, one = _poly_value_float, coeffs.w, 1.0
     values, _, bounds = urn.mult_groups
+    mults = values.tolist()
+    if exact:
+        nums, den = poly_numerators(coeffs.w_exact, mults, coeffs.M)
+        gaps = [(num - den) / den for num in nums]  # one rounding, as float(Fraction) does
+    else:
+        gaps = [_poly_value_float(coeffs.w, a, coeffs.M) - 1.0 for a in mults]
     total = 0.0
-    for mult, count in zip(values.tolist(), np.diff(bounds).tolist()):
-        gap = poly(w, mult, coeffs.M) - one
-        if gap == 0:
-            continue
-        total += count * math.exp(-n * mult / urn.k) * float(gap)
+    for mult, count, gap in zip(mults, np.diff(bounds).tolist(), gaps):
+        if gap:
+            total += count * math.exp(-n * mult / urn.k) * gap
     return total
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from math import comb, factorial
 
 import numpy as np
@@ -25,25 +26,26 @@ import numpy as np
 
 # -- the three-term recurrence ------------------------------------------------
 
-def _gram_numerators(M: int, L: int, one, times_x) -> list:
+def _gram_numerators(M: int, L: int, one: list[int], times_x) -> list[list[int]]:
     """N_m = m! * t_m for m = 0..L by the recurrence of A&S 22.7.
 
     N_0 = 1, N_1 = x, N_{m+1} = (2m+1) x N_m - m^2 (M^2 - m^2) N_{m-1}, where
-    x = 2y - M + 1 and ``times_x`` multiplies a value by x.  Values are numpy
-    object arrays of Python ints, so every step is exact.
+    x = 2y - M + 1 and ``times_x`` multiplies a value by x.  Values are lists
+    of Python ints, so every step is exact; a shorter N_{m-1} counts as
+    zero-padded.
     """
     rows = [one, times_x(one)]
     for m in range(1, L):
-        rows.append((2 * m + 1) * times_x(rows[m]) - m * m * (M * M - m * m) * rows[m - 1])
+        c = m * m * (M * M - m * m)
+        rows.append([(2 * m + 1) * u - c * v
+                     for u, v in zip_longest(times_x(rows[m]), rows[m - 1], fillvalue=0)])
     return rows[:L + 1]
 
 
 def _gram_coefficients(M: int, L: int, a: int, b: int) -> list[tuple[int, ...]]:
     """Ascending integer coefficients in z of m! * t_m, m = 0..L, where 2y - M + 1 = a + b z."""
-    one = np.zeros(L + 1, dtype=object)
-    one[0] = 1
-    rows = _gram_numerators(M, L, one, lambda v: a * v + b * np.concatenate(([0], v[:-1])))
-    return [tuple(row[:m + 1]) for m, row in enumerate(rows)]
+    rows = _gram_numerators(M, L, [1], lambda v: [a * u + b * w for u, w in zip(v + [0], [0] + v)])
+    return [tuple(row) for row in rows]
 
 
 def chebyshev_norm(M: int, m: int) -> Fraction:
@@ -85,11 +87,12 @@ def orthonormality_deviation(M: int, L: int) -> float:
     """
     if L < 0 or L >= M:
         raise ValueError(f"need 0 <= L <= M-1, got L={L}, M={M}")
-    x = np.arange(1 - M, M, 2, dtype=object)  # 2y - M + 1 at y = 0..M-1
-    rows = _gram_numerators(M, L, np.ones(M, dtype=object), lambda v: x * v)
+    x = range(1 - M, M, 2)  # 2y - M + 1 at y = 0..M-1
+    rows = _gram_numerators(M, L, [1] * M, lambda v: [xi * u for xi, u in zip(x, v)])
     v = np.empty((L + 1, M))
     for m, row in enumerate(rows):
-        v[m] = row / factorial(m) / math.sqrt(float(chebyshev_norm(M, m)))
+        fm = factorial(m)
+        v[m] = np.array([r / fm for r in row]) / math.sqrt(float(chebyshev_norm(M, m)))
     gram = v @ v.T
     return float(np.max(np.abs(gram - np.eye(L + 1))))
 
@@ -135,40 +138,57 @@ def solve_l2(M: int, L: int) -> tuple[Fraction, ...]:
     """The exact w_1..w_L minimizing ||Bw - 1||_2, by projection in the
     orthonormal basis.
 
-    Works in exact rationals throughout: the optimum is
-    -(1/S) sum_m [t_m(-1)/c(M,m)] t_m(Mx - 1) with S = ||phi(0)||^2, whose
-    constant coefficient is exactly -1, leaving w_1..w_L.  The normal
-    equations are deliberately avoided: the Gram matrix is Hilbert-like and
-    ill-conditioned.
+    The optimum is -(1/S) sum_m [t_m(-1)/c(M,m)] t_m(Mx - 1) with
+    S = ||phi(0)||^2, whose constant coefficient is exactly -1, leaving
+    w_1..w_L.  The sum runs on integers over one common denominator,
+    D = c(M,L) L! (2L+1), which every c(M,m) m! (2m+1) divides; S*D is an
+    integer too, and each w_j is one exact rational formed at the end.  The
+    normal equations are deliberately avoided: the Gram matrix is
+    Hilbert-like and ill-conditioned.
     """
     if L < 1:
         raise ValueError("L must be >= 1")
     if M <= L:
         raise ValueError(f"need M >= L+1, got M={M}, L={L}")
-    S = phi_norm_sq(M, L)
-    coeffs = [Fraction(0)] * (L + 1)
+    # q[m] = D / (c(M,m) m! (2m+1)), by the ratio of consecutive divisors
+    q = [1] * (L + 1)
+    for m in range(L, 0, -1):
+        q[m - 1] = q[m] * (M * M - m * m) * m
+    sd = 0  # S * D
+    nums = [0] * (L + 1)  # -D times the coefficients of the optimum, in x
     # 2y - M + 1 at y = Mx - 1 is -(M+1) + 2M x: coefficients of m! t_m(Mx - 1) in x
     for m, composed in enumerate(_gram_coefficients(M, L, -M - 1, 2 * M)):
-        scale = Fraction(-t_at_minus_one(M, m)) / (S * chebyshev_norm(M, m) * factorial(m))
+        tm = t_at_minus_one(M, m)
+        weight = (2 * m + 1) * tm * q[m]  # D t_m(-1) / (c(M,m) m!)
+        sd += weight * tm * factorial(m)
         for j, cj in enumerate(composed):
-            coeffs[j] += scale * cj
-    if coeffs[0] != -1:
+            nums[j] += weight * cj
+    if nums[0] != sd:
         raise AssertionError(f"projection lost the constraint at (M={M}, L={L})")
-    return tuple(coeffs[1:])
+    return tuple(Fraction(-num, sd) for num in nums[1:])
 
 
-def poly_value_exact(w_exact, a: int, M: int) -> Fraction:
-    """p(a/M) = sum_j w_j (a/M)^j with exact rational w, by Horner's rule."""
-    x = Fraction(a, M)
-    acc = Fraction(0)
-    for wj in reversed(w_exact):
-        acc = (acc + wj) * x
-    return acc
+def poly_numerators(w_exact, points, M: int) -> tuple[list[int], int]:
+    """p(a/M) = sum_j w_j (a/M)^j for each a in ``points``, exactly, as integer
+    numerators over one denominator: p(a/M) = nums[i] / den.
+
+    With w_j = W_j / D over the least common denominator D, the numerator is
+    sum_j W_j a^j M^(L-j), by Horner's rule in a, and den = D M^L.
+    """
+    L = len(w_exact)
+    D = math.lcm(*(wj.denominator for wj in w_exact))
+    scaled = [wj.numerator * (D // wj.denominator) * M ** (L - j)
+              for j, wj in enumerate(w_exact, start=1)]
+    nums = []
+    for a in points:
+        acc = 0
+        for c in reversed(scaled):
+            acc = (acc + c) * a
+        nums.append(acc)
+    return nums, D * M**L
 
 
 def l2_residual_sq_exact(w_exact, M: int) -> Fraction:
     """sum_{a in [M]} (p(a/M) - 1)^2 with exact rational w."""
-    total = Fraction(0)
-    for a in range(1, M + 1):
-        total += (poly_value_exact(w_exact, a, M) - 1) ** 2
-    return total
+    nums, den = poly_numerators(w_exact, range(1, M + 1), M)
+    return Fraction(sum((num - den) ** 2 for num in nums), den * den)

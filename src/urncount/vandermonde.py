@@ -124,7 +124,6 @@ def certify_sigma_min_bound(M: int, L: int, sigma_hat: float,
 class TmBoundReport:
     M: int
     m: int
-    num_points: int
     worst_ratio: float
     worst_point: complex
 
@@ -165,4 +164,4 @@ def tm_modulus_check(M: int, m: int, num_points: int,
     points = np.concatenate([circle, line])
     ratios = np.abs(np.polyval(coeffs[::-1], points)) / tm_bound_at(M, m, points)
     worst = int(np.argmax(ratios))
-    return TmBoundReport(M, m, num_points, float(ratios[worst]), complex(points[worst]))
+    return TmBoundReport(M, m, float(ratios[worst]), complex(points[worst]))

@@ -22,7 +22,7 @@ from .orthopoly import (
     l2_residual_sq_exact,
     orthonormality_deviation,
     phi_norm_sq,
-    poly_value_exact,
+    poly_numerators,
     solve_l2,
 )
 from .stirling import stirling_bound_report, stirling_first
@@ -110,7 +110,8 @@ def stirling_report() -> tuple[list[str], bool]:
     hits_nodes = True
     for M in range(1, 31):
         vec = interp_coeffs(M, 2, 1)  # node identity does not depend on k/n
-        if any(poly_value_exact(vec.w_exact, a, M) != 1 for a in range(1, M + 1)):
+        nums, den = poly_numerators(vec.w_exact, range(1, M + 1), M)
+        if any(num != den for num in nums):
             hits_nodes = False
     interpolation = _check(lines, "interpolation hits 1 at every node, exact rationals (M<=30)",
                            hits_nodes)

@@ -1,9 +1,14 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import urncount
 from urncount.cli import _sample_ids, build_parser, main
 from urncount.urn import make_uniform_support, serialize_urn
 
@@ -238,6 +243,43 @@ class TestEstimate:
         assert rc == 2
         assert captured.out == ""
         assert captured.err == f"urncount estimate: error: {flag[2:]} must be finite, got {value}\n"
+
+    @pytest.mark.parametrize("value", ["-3", "0"])
+    def test_non_positive_eta_is_one_line_and_exit_2(self, tmp_path, capsys, value):
+        fp = tmp_path / "fp.txt"
+        fp.write_text("1 4\n2 3\n")
+        rc = main(["estimate", "--k", "100", "--n", "1000", "--eta", value,
+                   "--fingerprint", str(fp), "--json"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err == "urncount estimate: error: eta must be positive\n"
+
+
+class TestParserReuse:
+    def test_repeated_calls_match_fresh_processes(self, tmp_path, capsys):
+        # one parser serves every call: a flag given once must not reach the next call
+        fp = tmp_path / "fp.txt"
+        fp.write_text("1 40\n2 12\n3 4\n")
+        samples = tmp_path / "s.txt"
+        samples.write_text("".join(f"{i % 23}\n" for i in range(60)))
+        base = ["estimate", "--k", "1000", "--n", "72", "--json"]
+        argvs = {
+            "alpha": [*base, "--alpha", "0.3", "--fingerprint", str(fp)],
+            "plain": [*base, "--fingerprint", str(fp)],
+            "samples": [*base, "--samples", str(samples)],
+            "stirling": ["verify", "--stirling"],
+        }
+        env = {**os.environ, "PYTHONPATH": str(Path(urncount.__file__).parents[1])}
+        fresh = {name: subprocess.run([sys.executable, "-m", "urncount.cli", *argv], env=env,
+                                      capture_output=True, text=True, check=True).stdout
+                 for name, argv in argvs.items()}
+        assert fresh["alpha"] != fresh["plain"]
+        for name in ["alpha", "plain", "samples", "stirling", "plain", "alpha", "stirling",
+                     "samples", "plain"]:
+            assert main(argvs[name]) == 0
+            assert capsys.readouterr().out == fresh[name], name
+        assert build_parser() is build_parser()
 
 
 def _int_per_line(text):

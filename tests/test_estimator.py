@@ -64,6 +64,12 @@ class TestSelectParams:
         with pytest.raises(ValueError):
             select_params(100, 10, alpha=2.0, beta=1.0)
 
+    @pytest.mark.parametrize("eta", [-3.0, 0.0])
+    def test_non_positive_eta_is_rejected(self, eta):
+        # n > eta*k holds for every n when eta <= 0, which would force interpolation
+        with pytest.raises(ValueError, match="^eta must be positive$"):
+            select_params(100, 1000, eta=eta)
+
     def test_regime_forces_either_rule(self):
         k = 10_000
         logk = math.log(k)
@@ -198,6 +204,19 @@ class TestExactBias:
             exact_bias(make_uniform_support(10_000, 5_000), coeffs, 20_000)
         with pytest.raises(ValueError, match=r"not \(5000, 5000\)"):
             exact_bias(make_uniform_support(5_000, 5_000), coeffs, 5_000)
+
+    def test_exact_l2_bias_is_the_fraction_sum(self):
+        # exact=True rounds each p(k_i/M) - 1 once, as float(Fraction) does
+        k, n = 120, 60
+        coeffs = build_estimator(select_params(k, n))
+        urn = make_uniform_support(k, 50)
+        mults = urn.mults.tolist()
+        want = 0.0
+        for mult in sorted(set(mults)):
+            x = Fraction(mult, coeffs.M)
+            gap = sum(wj * x**j for j, wj in enumerate(coeffs.w_exact, start=1)) - 1
+            want += mults.count(mult) * math.exp(-n * mult / k) * float(gap)
+        assert exact_bias(urn, coeffs, n, exact=True) == want
 
     def test_naive_bias_uniform_full(self):
         urn = make_uniform_support(100, 100)

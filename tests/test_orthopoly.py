@@ -16,6 +16,7 @@ from urncount.orthopoly import (
     l2_residual_sq_exact,
     orthonormality_deviation,
     phi_norm_sq,
+    poly_numerators,
     solve_l2,
     t_at_minus_one,
 )
@@ -41,6 +42,32 @@ def solve_l2_normal_equations(M: int, L: int) -> np.ndarray:
     B = np.column_stack([nodes**j for j in range(1, L + 1)])
     gram = B.T @ B
     return np.linalg.solve(gram, B.T @ np.ones(M))
+
+
+def solve_l2_fractions(M: int, L: int) -> tuple[Fraction, ...]:
+    """The projection of ``solve_l2`` worked in Fraction arithmetic throughout,
+    with m! t_m(Mx - 1) expanded from the basis coefficients by the binomial
+    theorem: the reference that the integer solve must equal exactly."""
+    S = phi_norm_sq(M, L)
+    coeffs = [Fraction(0)] * (L + 1)
+    for m, numer in enumerate(chebyshev_basis(M, L).numerators):
+        composed = [0] * (m + 1)
+        for i, c in enumerate(numer):  # c y^i at y = Mx - 1
+            for j in range(i + 1):
+                composed[j] += c * comb(i, j) * M**j * (-1) ** (i - j)
+        scale = Fraction(-t_at_minus_one(M, m)) / (S * chebyshev_norm(M, m) * factorial(m))
+        for j, cj in enumerate(composed):
+            coeffs[j] += scale * cj
+    assert coeffs[0] == -1
+    return tuple(coeffs[1:])
+
+
+def poly_value_fraction(w_exact, a: int, M: int) -> Fraction:
+    """p(a/M) = sum_j w_j (a/M)^j by Horner's rule in Fraction arithmetic."""
+    acc = Fraction(0)
+    for wj in reversed(w_exact):
+        acc = (acc + wj) * Fraction(a, M)
+    return acc
 
 
 def eval_exact(basis, m: int, x) -> Fraction:
@@ -186,9 +213,39 @@ class TestSolveL2:
                 closed = l2_min_value(M, L)
                 assert abs(l2_residual(w, M) - closed) / closed < 1e-8
 
+    def test_equals_fraction_reference_on_verify_grid(self):
+        for L in range(1, 9):
+            for M in range(L + 1, L + 21):
+                w = solve_l2(M, L)
+                assert w == solve_l2_fractions(M, L), (M, L)
+                assert all(type(wj) is Fraction for wj in w)
+
+    @pytest.mark.parametrize("M, L", [(411581, 11), (100000, 10), (5000, 9), (1234, 12)])
+    def test_equals_fraction_reference_at_large_m(self, M, L):
+        assert solve_l2(M, L) == solve_l2_fractions(M, L)
+
     def test_invalid(self):
         with pytest.raises(ValueError):
             solve_l2(3, 3)
+
+
+class TestPolyNumerators:
+    @pytest.mark.parametrize("w_exact, M", [
+        ((), 4),  # the naive vector: p = 0
+        ((Fraction(6, 5),), 2),
+        ((Fraction(-3, 7), Fraction(5, 2), Fraction(1, 9)), 5),
+        (solve_l2(37, 5), 37),
+    ])
+    def test_matches_fraction_horner(self, w_exact, M):
+        points = [0, 1, 2, M, M + 3, 3 * M]
+        nums, den = poly_numerators(w_exact, points, M)
+        assert [Fraction(num, den) for num in nums] == [
+            poly_value_fraction(w_exact, a, M) for a in points]
+
+    def test_residual_is_the_fraction_sum(self):
+        w = solve_l2(12, 4)
+        assert l2_residual_sq_exact(w, 12) == sum(
+            (poly_value_fraction(w, a, 12) - 1) ** 2 for a in range(1, 13))
 
 
 class TestCoefficientTransform:
