@@ -39,7 +39,7 @@ def _cmd_estimate(args) -> int:
     params = select_params(args.k, args.n, alpha=args.alpha, beta=args.beta, eta=args.eta)
     coeffs = build_estimator(params)
     if args.samples:
-        ids = np.sort(_sample_ids(Path(args.samples).read_text()))
+        ids = np.sort(_sample_ids(Path(args.samples).read_bytes()))
         # a run of equal ids starts at 0 and wherever the sorted id changes
         starts = np.ones(ids.size + 1, dtype=bool)
         np.not_equal(ids[1:], ids[:-1], out=starts[1:-1])
@@ -70,9 +70,9 @@ _FAST_ID_BOUND = 10**18
 _NEWLINE, _ZERO, _NINE = b"\n09"
 
 
-def _sample_ids(text: str) -> np.ndarray:
-    """The color ids of a samples file, one integer per line; blank lines and
-    lines whose first non-blank character is '#' are skipped.
+def _sample_ids(raw: bytes) -> np.ndarray:
+    """The color ids of a samples file's bytes, one integer per line; blank
+    lines and lines whose first non-blank character is '#' are skipped.
 
     A file of plain digit lines (each line one or more ASCII digits, no blank
     line, the last newline optional: what ``simulate`` writes) is parsed in
@@ -84,11 +84,10 @@ def _sample_ids(text: str) -> np.ndarray:
     refused and the parse must yield one value per line (the newline count,
     plus one if the last newline is missing); and an id past int64 saturates
     to 2**63 - 1 without an error, so an id at or above ``_FAST_ID_BOUND``
-    sends the file on.  Every other file takes the exact path: ``int()`` on
-    each stripped line, ids past int64 kept as Python ints, and the first bad
-    line named by its number.
+    sends the file on.  Every other file (CRLF line ends included) is decoded
+    as UTF-8 and takes the exact path: ``int()`` on each stripped line, ids
+    past int64 kept as Python ints, and the first bad line named by its number.
     """
-    raw = text.encode() if text.isascii() else b""
     data = np.frombuffer(raw, dtype=np.uint8)
     if data.size and data[0] >= _ZERO and data.max() <= _NINE:
         lines = np.count_nonzero(data == _NEWLINE)
@@ -98,7 +97,7 @@ def _sample_ids(text: str) -> np.ndarray:
             if ids.size == lines + (data[-1] != _NEWLINE) and ids.max() < _FAST_ID_BOUND:
                 return ids
     draws = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(raw.decode().splitlines(), start=1):
         line = line.strip()
         if line and not line.startswith("#"):
             try:

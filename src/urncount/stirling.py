@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from math import factorial
 
 MAX_TABLE_N = 128
@@ -59,7 +58,7 @@ def stirling_bound_report(n: int, m: int) -> StirlingBoundRow:
     """
     if m < 1 or m > n:
         raise ValueError(f"need 1 <= m <= n, got n={n}, m={m}")
-    ratio = Fraction(abs(stirling_first(n + 1, m + 1)), factorial(n))
-    ratio_f = float(ratio)
+    # int / int is correctly rounded: the float nearest the exact ratio
+    ratio_f = abs(stirling_first(n + 1, m + 1)) / factorial(n)
     c = ratio_f ** (1.0 / m) * m / max(1.0, math.log(n / m))
     return StirlingBoundRow(n, m, ratio_f, c)

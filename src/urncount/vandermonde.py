@@ -8,7 +8,9 @@ G = Bbar^T Bbar / M.  The congruence D = diag(M^j), scaled by M, turns G into
 the integer Hankel matrix H_{jl} = S_{j+l} of power sums S_p = sum_{i<=M} i^p,
 so with c^2 = p/q the test is q H - p M diag(M^(2j)) > 0: every leading
 principal minor positive (Sylvester), read off fraction-free elimination on
-Python ints.
+Python ints.  The degree-L matrix is the leading block of order L+1 of every
+higher degree's, so consecutive degrees of one M that share a power-of-two
+threshold c share one elimination too.
 """
 
 from __future__ import annotations
@@ -54,37 +56,50 @@ def sigma_min_bound(M: int, L: int) -> float:
     return lead * ((M + L) / (math.e * M)) ** (L + 0.5)
 
 
+def power_sum_table(M_max: int, top: int) -> list[list[int]]:
+    """Row M is [S_0, ..., S_top] with S_p = sum_{i=1}^{M} i^p, for M = 0..M_max,
+    exactly: one cumulative pass over i."""
+    rows = [[0] * (top + 1)]
+    for i in range(1, M_max + 1):
+        row, x = rows[-1].copy(), 1
+        for p in range(top + 1):
+            row[p] += x
+            x *= i
+        rows.append(row)
+    return rows
+
+
 def power_sums(M: int, top: int) -> list[int]:
     """S_p = sum_{i=1}^{M} i^p for p = 0..top, exactly."""
-    sums = [0] * (top + 1)
-    for i in range(1, M + 1):
-        x = 1
-        for p in range(top + 1):
-            sums[p] += x
-            x *= i
-    return sums
+    return power_sum_table(M, top)[M]
 
 
-def _positive_definite(a: list[list[int]]) -> bool:
-    """Sylvester's criterion on a symmetric integer matrix (modified in place).
+def _positive_order(M: int, order: int, c, sums: list[int]) -> int:
+    """How many leading principal minors of q H - p M diag(M^(2j)), of order
+    ``order`` with c^2 = p/q, are positive before the first that is not.
 
-    Bareiss elimination: the k-th pivot is the k-th leading principal minor,
-    and every division is exact.  Only the upper triangle is read or updated.
+    Bareiss elimination on Python ints: the k-th pivot is the k-th leading
+    principal minor, and every division is exact.  Only the upper triangle is
+    built or updated.
     """
-    n = len(a)
+    c2 = Fraction(c) ** 2
+    p, q = c2.numerator, c2.denominator
+    a = [[0] * j + [q * sums[j + l] for l in range(j, order)] for j in range(order)]
+    for j in range(order):
+        a[j][j] -= p * M ** (2 * j + 1)
     prev = 1
-    for k in range(n):
+    for k in range(order):
         piv = a[k][k]
         if piv <= 0:
-            return False
+            return k
         row_k = a[k]
-        for i in range(k + 1, n):
+        for i in range(k + 1, order):
             aki = row_k[i]
             row_i = a[i]
-            for j in range(i, n):
+            for j in range(i, order):
                 row_i[j] = (row_i[j] * piv - aki * row_k[j]) // prev
         prev = piv
-    return True
+    return order
 
 
 def sigma_min_exceeds(M: int, L: int, c, sums: list[int] | None = None) -> bool:
@@ -96,28 +111,42 @@ def sigma_min_exceeds(M: int, L: int, c, sums: list[int] | None = None) -> bool:
     """
     if sums is None:
         sums = power_sums(M, 2 * L)
-    c2 = Fraction(c) ** 2
-    p, q = c2.numerator, c2.denominator
-    a = [[q * sums[j + l] for l in range(L + 1)] for j in range(L + 1)]
-    for j in range(L + 1):
-        a[j][j] -= p * M ** (2 * j + 1)
-    return _positive_definite(a)
+    return _positive_order(M, L + 1, c, sums) > L
 
 
-def certify_sigma_min_bound(M: int, L: int, sigma_hat: float,
-                            sums: list[int] | None = None) -> bool:
-    """Exactly whether sigma_min(Bbar / sqrt(M)) > sigma_min_bound(M, L).
+def certify_sigma_min_bounds(M: int, sigma_hats, sums: list[int] | None = None) -> bool:
+    """Exactly whether sigma_min(Bbar_L / sqrt(M)) > sigma_min_bound(M, L) for
+    every degree L = 1..len(sigma_hats), Bbar_L = build_matrix(M, L,
+    with_ones=True).
 
-    ``sigma_hat`` (a float estimate of sigma_min) only picks the threshold: the
-    power of two c with b <= c <= sigma_hat / 2 keeps the integers short.  If
-    there is none, or the test at c fails, the test runs at b itself.
+    ``sigma_hats[L - 1]`` (a float estimate of the L-th sigma_min) only picks
+    thresholds.  A run of consecutive degrees shares the power of two c with
+    max b <= c <= min sigma_hat / 2 over the run, and one elimination of the
+    last degree's order at c decides them all: the degree-L matrix is its
+    leading block of order L+1, so each degree up to the first non-positive
+    pivot has sigma_min > c >= b.  A degree that no run certifies is tested
+    at its own bound b, so the verdict is always the exact one.
     """
-    b = sigma_min_bound(M, L)
-    if sigma_hat / 2 >= b:
-        c = math.ldexp(1.0, math.frexp(sigma_hat / 2)[1] - 1)
-        if c >= b and sigma_min_exceeds(M, L, c, sums):
-            return True
-    return sigma_min_exceeds(M, L, b, sums)
+    top = len(sigma_hats)
+    if sums is None:
+        sums = power_sums(M, 2 * top)
+    bounds = {L: sigma_min_bound(M, L) for L in range(1, top + 1)}
+    L = 1
+    while L <= top:
+        # the longest run L..last that one power of two c fits
+        c, last, lo, hi = None, L, 0.0, math.inf
+        for d in range(L, top + 1):
+            lo, hi = max(lo, bounds[d]), min(hi, sigma_hats[d - 1] / 2)
+            power = math.ldexp(1.0, math.frexp(hi)[1] - 1) if hi > 0 else 0.0
+            if not lo <= power <= hi:
+                break
+            c, last = power, d
+        certified = 0 if c is None else _positive_order(M, last + 1, c, sums) - 1
+        if not all(sigma_min_exceeds(M, d, bounds[d], sums)
+                   for d in range(max(L, certified + 1), last + 1)):
+            return False
+        L = last + 1
+    return True
 
 
 @dataclass(frozen=True)

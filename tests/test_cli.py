@@ -172,6 +172,29 @@ class TestEstimate:
         assert outs[0] == outs[1]
         assert json.loads(outs[0])["c_seen"] == 2
 
+    def test_samples_crlf_file_parses(self, tmp_path, capsys):
+        outs = []
+        for body in (b"5\r\n7\r\n5\r\n", b"5\n7\n5\n"):
+            path = tmp_path / "s.txt"
+            path.write_bytes(body)
+            assert main(["estimate", "--k", "10", "--n", "3", "--samples", str(path),
+                         "--json"]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+        assert json.loads(outs[0])["c_seen"] == 2
+
+    def test_samples_non_ascii_lines(self, tmp_path, capsys):
+        # non-ASCII digits are decoded and read by int(), as any other line
+        path = tmp_path / "s.txt"
+        path.write_bytes("5\r\n\u0661\u0662\n12\n".encode())
+        assert main(["estimate", "--k", "10", "--n", "3", "--samples", str(path),
+                     "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["c_seen"] == 2
+        path.write_bytes("5\r\n7\r\n\u00e9\r\n".encode())
+        assert main(["estimate", "--k", "10", "--n", "3", "--samples", str(path)]) == 2
+        assert capsys.readouterr().err == ("urncount estimate: error: line 3: invalid literal "
+                                           "for int() with base 10: '\u00e9'\n")
+
     @pytest.mark.parametrize("flag, text, message", [
         ("--fingerprint", "1 10\n", "c_seen = 10 colors were seen, more than k = 5 balls"),
         ("--fingerprint", "1 x\n", "line 1: non-integer field in '1 x'"),
@@ -324,7 +347,7 @@ class TestSampleIds:
 
         real = np.fromstring
         monkeypatch.setattr(np, "fromstring", fromstring)
-        ids = _sample_ids(text)
+        ids = _sample_ids(text.encode())
         want = _int_per_line(text)
         assert ids.dtype == want.dtype
         assert ids.tolist() == want.tolist()
@@ -339,7 +362,7 @@ class TestSampleIds:
     def test_guard_holds_if_fromstring_changes(self, monkeypatch, fake):
         monkeypatch.setattr(np, "fromstring", fake)
         for text in ("5\n\n6", "5\n6", "5\n6\n7"):
-            assert _sample_ids(text).tolist() == _int_per_line(text).tolist()
+            assert _sample_ids(text.encode()).tolist() == _int_per_line(text).tolist()
 
     def test_numpy_fromstring_edges_the_fast_tier_guards(self):
         # whitespace-only text parses as [0], not []; an id past int64 saturates
@@ -408,7 +431,33 @@ class TestVerify:
     def test_spectral_suite_fails_without_certificate(self, capsys, monkeypatch):
         import urncount.verify as verify
 
-        monkeypatch.setattr(verify, "certify_sigma_min_bound", lambda *args: False)
+        monkeypatch.setattr(verify, "certify_sigma_min_bounds", lambda *args: False)
+        rc = main(["verify", "--spectral"])
+        out = capsys.readouterr().out
+        assert rc == 1
+        assert "exact certificate [FAIL]" in out and "VERIFY FAIL" in out
+
+    def test_spectral_suite_fails_on_one_bound_inside_a_shared_run(self, capsys, monkeypatch):
+        import urncount.vandermonde as vd
+        import urncount.verify as verify
+
+        orders = []
+        positive_order = vd._positive_order
+
+        def recorded(M, order, c, sums):
+            if M == 64:
+                orders.append(order)
+            return positive_order(M, order, c, sums)
+
+        monkeypatch.setattr(vd, "_positive_order", recorded)
+        assert verify.spectral_report()[1]
+        # at M = 64 one elimination certifies a run of degrees from L <= 7 to L >= 9
+        run = next(i for i, order in enumerate(orders) if order >= 10)
+        assert (orders[run - 1] if run else 0) <= 7
+        sigma = vd.sigma_min(vd.build_matrix(64, 8, with_ones=True) / 8)
+        bound = vd.sigma_min_bound
+        monkeypatch.setattr(vd, "sigma_min_bound", lambda M, L: (
+            sigma * (1 + 1e-6) if (M, L) == (64, 8) else bound(M, L)))
         rc = main(["verify", "--spectral"])
         out = capsys.readouterr().out
         assert rc == 1

@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from urncount import verify
 from urncount.orthopoly import solve_l2
 from urncount.vandermonde import (
     build_matrix,
-    certify_sigma_min_bound,
+    certify_sigma_min_bounds,
+    power_sum_table,
     power_sums,
     sigma_min,
     sigma_min_bound,
@@ -91,15 +93,39 @@ class TestSigmaMinBound:
 
 
 CERT_CELLS = [(M, L) for L in range(1, 13) for M in sorted({L + 1, 2 * L + 1, 64})]
+GRID_M = range(2, verify.SPECTRAL_M_MAX + 1)
 
 
 def _svd_sigma(M, L):
     return sigma_min(build_matrix(M, L, with_ones=True) / math.sqrt(M))
 
 
+def _grid_sigmas(M):
+    return [_svd_sigma(M, L) for L in range(1, min(verify.SPECTRAL_L_MAX, M - 1) + 1)]
+
+
+def _certify_cell(M, L, sigma_hat, sums=None, bound=sigma_min_bound):
+    """Reference: one degree on its own, at the power of two c with
+    b <= c <= sigma_hat / 2 when there is one and the test there passes, else
+    at b itself."""
+    b = bound(M, L)
+    if sigma_hat / 2 >= b:
+        c = math.ldexp(1.0, math.frexp(sigma_hat / 2)[1] - 1)
+        if c >= b and sigma_min_exceeds(M, L, c, sums):
+            return True
+    return sigma_min_exceeds(M, L, b, sums)
+
+
 class TestCertificate:
     def test_power_sums(self):
         assert power_sums(4, 3) == [4, 10, 30, 100]
+        assert power_sums(0, 2) == [0, 0, 0]
+
+    def test_power_sum_table_rows(self):
+        table = power_sum_table(20, 6)
+        assert len(table) == 21
+        for M, row in enumerate(table):
+            assert row == [sum(i**p for i in range(1, M + 1)) for p in range(7)]
 
     @pytest.mark.parametrize("M,L", CERT_CELLS)
     def test_brackets_svd_value(self, M, L):
@@ -112,25 +138,65 @@ class TestCertificate:
 
     @pytest.mark.parametrize("M,L", CERT_CELLS)
     def test_bound_certified(self, M, L):
-        assert certify_sigma_min_bound(M, L, _svd_sigma(M, L))
+        sigmas = [_svd_sigma(M, d) for d in range(1, L + 1)]
+        assert _certify_cell(M, L, sigmas[-1])
+        assert certify_sigma_min_bounds(M, sigmas)
+
+    def test_grouped_verdict_equals_per_cell_verdict_on_grid(self):
+        # every prefix of degrees: the grouped verdict is the AND of the
+        # per-cell exact verdicts at the bound
+        sums = power_sum_table(verify.SPECTRAL_M_MAX, 2 * verify.SPECTRAL_L_MAX)
+        for M in GRID_M:
+            sigmas = _grid_sigmas(M)
+            cells = [sigma_min_exceeds(M, L, sigma_min_bound(M, L), sums[M])
+                     for L in range(1, len(sigmas) + 1)]
+            assert cells == [_certify_cell(M, L, s, sums[M]) for L, s in enumerate(sigmas, 1)]
+            for L in range(1, len(sigmas) + 1):
+                assert certify_sigma_min_bounds(M, sigmas[:L], sums[M]) == all(cells[:L]), (M, L)
 
     def test_float_estimate_only_picks_threshold(self):
         # a wrong estimate cannot fake a pass or a failure: the verdict is the
         # exact one at the bound
-        for M, L in ((13, 12), (5, 4), (64, 3)):
-            assert certify_sigma_min_bound(M, L, 0.0)
-            assert certify_sigma_min_bound(M, L, 1e6)
+        for M in (13, 5, 64):
+            top = min(12, M - 1)
+            for fake in (0.0, 1e6, -1.0, math.nan, math.inf):
+                assert certify_sigma_min_bounds(M, [fake] * top)
+            assert certify_sigma_min_bounds(M, [1e6, 0.0] * (top // 2) + [1e-300] * (top % 2))
+
+    @pytest.mark.parametrize("M,L", [(13, 12), (64, 1), (64, 8), (64, 12), (30, 5), (9, 4)])
+    @pytest.mark.parametrize("scale", [1 + 1e-6, 1 - 1e-6, 0.9])
+    def test_one_bound_moved_near_sigma(self, monkeypatch, M, L, scale):
+        # a bound just above sigma_min at one degree fails the whole M, also
+        # inside a run that shares one threshold; just below, or above any
+        # power of two the degree could share (0.9 sigma_min), it still passes
+        import urncount.vandermonde as vd
+
+        sigmas = _grid_sigmas(M)
+        bound = vd.sigma_min_bound
+
+        def moved(m, degree):
+            return sigmas[L - 1] * scale if (m, degree) == (M, L) else bound(m, degree)
+
+        monkeypatch.setattr(vd, "sigma_min_bound", moved)
+        want = all(_certify_cell(M, d, s, bound=moved) for d, s in enumerate(sigmas, 1))
+        assert want == (scale < 1)
+        assert vd.certify_sigma_min_bounds(M, sigmas) == want
+        assert vd.certify_sigma_min_bounds(M, [1e6] * len(sigmas)) == want
 
     def test_rejects_bound_above_sigma(self, monkeypatch):
         import urncount.vandermonde as vd
 
-        s = _svd_sigma(13, 12)
-        monkeypatch.setattr(vd, "sigma_min_bound", lambda M, L: s * (1 + 1e-6))
-        assert not vd.certify_sigma_min_bound(13, 12, s)
-        assert not vd.certify_sigma_min_bound(13, 12, 1e6)
+        sigmas = _grid_sigmas(13)
+        s = sigmas[-1]
+        bound = vd.sigma_min_bound
+        monkeypatch.setattr(vd, "sigma_min_bound", lambda M, L: s * (1 + 1e-6) if L == 12
+                            else bound(M, L))
+        assert not vd.certify_sigma_min_bounds(13, sigmas)
+        assert not vd.certify_sigma_min_bounds(13, [1e6] * 12)
         # no power of two in [b, s/2]: decided at b itself
-        monkeypatch.setattr(vd, "sigma_min_bound", lambda M, L: s * (1 - 1e-6))
-        assert vd.certify_sigma_min_bound(13, 12, s)
+        monkeypatch.setattr(vd, "sigma_min_bound", lambda M, L: s * (1 - 1e-6) if L == 12
+                            else bound(M, L))
+        assert vd.certify_sigma_min_bounds(13, sigmas)
 
     def test_exact_at_analytic_value(self):
         # (M=2, L=1): lambda_min of the Gram matrix is (13 - sqrt(153))/16
@@ -138,6 +204,57 @@ class TestCertificate:
         assert sigma_min_exceeds(2, 1, math.sqrt(lam * (1 - 1e-12)))
         assert not sigma_min_exceeds(2, 1, math.sqrt(lam * (1 + 1e-12)))
         assert sigma_min_exceeds(2, 1, 0)
+
+
+def _per_cell_spectral_report():
+    """spectral_report as each cell used to be checked: its own node matrices,
+    its own SVDs and its own exact certificate."""
+    lines = ["M,L,sigma_min,bound,ratio"]
+    certified = True
+    extra_col_holds = True
+    unasserted = []
+    worst_bound = (math.inf, 0, 0)
+    for L in range(1, verify.SPECTRAL_L_MAX + 1):
+        for M in range(L + 1, verify.SPECTRAL_M_MAX + 1):
+            bar = build_matrix(M, L, with_ones=True) / math.sqrt(M)
+            sv = np.linalg.svd(bar, compute_uv=False)
+            s_bar = float(sv[-1])
+            bnd = sigma_min_bound(M, L)
+            certified = _certify_cell(M, L, s_bar, power_sums(M, 2 * L)) and certified
+            worst_bound = min(worst_bound, (s_bar / bnd, M, L))
+            s_plain = sigma_min(build_matrix(M, L, with_ones=False))
+            if L > verify.FLOAT_CHECK_L_MAX and s_bar <= verify.FLOAT_FLOOR * sv[0]:
+                unasserted.append(f"(M={M}, L={L}): sigma_min(B)={s_plain!r}, "
+                                  f"sigma_min(Bbar)={s_bar * math.sqrt(M)!r}")
+            elif s_plain < s_bar * math.sqrt(M) * (1 - 1e-9):
+                extra_col_holds = False
+            lines.append(f"{M},{L},{s_bar!r},{bnd!r},{s_bar / bnd!r}")
+    verify._check(lines, f"sigma_min(Bbar/sqrt(M)) > bound on grid (L<={verify.SPECTRAL_L_MAX}, "
+                         f"M<={verify.SPECTRAL_M_MAX}), exact certificate", certified)
+    lines.append(f"smallest sigma_min/bound {worst_bound[0]:.3e} at (M={worst_bound[1]}, "
+                 f"L={worst_bound[2]}) (reported)")
+    verify._check(lines, "sigma_min(B) >= sigma_min(Bbar) on grid", extra_col_holds)
+    for cell in unasserted:
+        lines.append(f"sigma_min(Bbar) <= {verify.FLOAT_FLOOR:g} sigma_max at {cell} "
+                     f"(reported, not asserted)")
+    return lines
+
+
+class TestSpectralReport:
+    def test_lines_match_per_cell_loop(self):
+        # byte-identical on the machine that runs it, up to the modulus check
+        lines, ok = verify.spectral_report()
+        ref = _per_cell_spectral_report()
+        assert ok
+        assert lines[:len(ref)] == ref
+        assert [line.split(":")[0] for line in lines[len(ref):]] == ["t_m modulus bound (M<=32, m<=8)"]
+
+    def test_sliced_columns_match_own_matrices(self):
+        full = build_matrix(40, 12, with_ones=True)
+        for L in (1, 5, 12):
+            assert np.array_equal(full[:, :L + 1], build_matrix(40, L, with_ones=True))
+            assert np.array_equal(full[:, 1:L + 1], build_matrix(40, L))
+            assert sigma_min(full[:, 1:L + 1]) == sigma_min(build_matrix(40, L))
 
 
 class TestCoefficientNormBound:
