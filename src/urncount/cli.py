@@ -46,7 +46,7 @@ def _cmd_estimate(args) -> int:
         fp = fingerprint_from_count_values(np.diff(np.flatnonzero(starts)))
     else:
         fp = parse_fingerprint(Path(args.fingerprint).read_text())
-    result = estimate(fp, coeffs, args.k, params)
+    result = estimate(fp, coeffs)
     payload = {
         "c_hat": result.c_hat,
         "c_tilde": result.c_tilde,

@@ -6,7 +6,8 @@ L fingerprints.  Coefficients come from either the closed-form least-squares
 solve (undersampled regime) or node interpolation via Stirling numbers
 (oversampled regime); the naive count is the vector with L = 0.  The raw
 value is clamped into [c_seen, k], which never hurts.  This module is the
-only one that builds coefficient vectors and binds them to (k, n).
+only one that builds coefficient vectors and binds them to (k, n); the
+estimate and the bias oracle read k and n from the vector they are given.
 """
 
 from __future__ import annotations
@@ -74,7 +75,6 @@ class EstimateResult:
     c_hat: int
     c_tilde: float
     c_seen: int
-    params: EstimatorParams | None
     coeffs_digest: str
 
 
@@ -126,15 +126,18 @@ class CoefficientVector:
     """Estimator coefficients u_1..u_L bound to the sample parameters (k, n),
     and the exact polynomial coefficients w_1..w_L they come from:
     u_j = w_j * j! * (k/(nM))^j.  ``kind`` is "naive" (L = 0), "l2" or
-    "interpolation"."""
+    "interpolation"; the degree L is ``len(u)``."""
 
     kind: str
-    L: int
     M: int
     k: int
     n: int
     w_exact: tuple[Fraction, ...]
     u: tuple[float, ...]
+
+    @property
+    def L(self) -> int:
+        return len(self.u)
 
     @cached_property
     def w(self) -> tuple[float, ...]:
@@ -193,7 +196,7 @@ def interp_coeffs(M: int, k: int, n: int) -> CoefficientVector:
             )
         u.append(math.exp(log_u) if s > 0 else -math.exp(log_u))
         w_exact.append(Fraction(M**j * s, mfact))
-    return CoefficientVector(REGIME_INTERPOLATION, M, M, k, n, tuple(w_exact), tuple(u))
+    return CoefficientVector(REGIME_INTERPOLATION, M, k, n, tuple(w_exact), tuple(u))
 
 
 COEFF_CACHE_SIZE = 256
@@ -210,37 +213,31 @@ def build_estimator(params: EstimatorParams) -> CoefficientVector:
 def _coefficients(k: int, n: int, L: int, M: int, regime: str) -> CoefficientVector:
     if regime == REGIME_L2:
         w_exact = solve_l2(M, L)
-        return CoefficientVector(REGIME_L2, L, M, k, n, w_exact, w_to_u(w_exact, k, n, M))
+        return CoefficientVector(REGIME_L2, M, k, n, w_exact, w_to_u(w_exact, k, n, M))
     return interp_coeffs(M, k, n)
 
 
 def naive_coefficients(k: int, n: int) -> CoefficientVector:
     """The all-zero correction (L = 0): the estimate is the seen count."""
-    return CoefficientVector("naive", 0, 1, k, n, (), ())
+    return CoefficientVector("naive", 1, k, n, (), ())
 
 
-def estimate(
-    fp: Fingerprint,
-    coeffs: CoefficientVector,
-    k: int,
-    params: EstimatorParams | None = None,
-) -> EstimateResult:
+def estimate(fp: Fingerprint, coeffs: CoefficientVector) -> EstimateResult:
     """c_tilde = c_seen + sum_j u_j phi_j, clamped into [c_seen, k] and rounded
-    to the nearest integer (ties to even).  A fingerprint with c_seen > k
-    cannot come from a k-ball urn and is rejected."""
+    to the nearest integer (ties to even), with k the urn size ``coeffs`` was
+    built for.  A fingerprint with c_seen > k cannot come from a k-ball urn
+    and is rejected."""
     if fp.c_seen == 0:
         raise ValueError("empty fingerprint: zero samples carry no information")
-    if fp.c_seen > k:
-        raise ValueError(f"c_seen = {fp.c_seen} colors were seen, more than k = {k} balls")
-    if coeffs.k != k:
-        raise ValueError(f"coefficients were built for k={coeffs.k}, not k={k}")
+    if fp.c_seen > coeffs.k:
+        raise ValueError(f"c_seen = {fp.c_seen} colors were seen, more than k = {coeffs.k} balls")
     correction = 0.0
     for j, cnt in sorted(fp.phi.items()):  # fixed order: reproducible float sums
         if 1 <= j <= coeffs.L:
             correction += coeffs.u[j - 1] * cnt
     c_tilde = fp.c_seen + correction
-    c_hat = int(round(min(max(c_tilde, float(fp.c_seen)), float(k))))
-    return EstimateResult(c_hat, c_tilde, fp.c_seen, params, coeffs.digest)
+    c_hat = int(round(min(max(c_tilde, float(fp.c_seen)), float(coeffs.k))))
+    return EstimateResult(c_hat, c_tilde, fp.c_seen, coeffs.digest)
 
 
 def _poly_value_float(w, a: int, M: int) -> float:
@@ -252,18 +249,18 @@ def _poly_value_float(w, a: int, M: int) -> float:
     return acc
 
 
-def exact_bias(urn: UrnSpec, coeffs: CoefficientVector, n: int, *, exact: bool = False) -> float:
-    """E[c_tilde] - C under Poisson sampling, as a finite sum over colors.
+def exact_bias(urn: UrnSpec, coeffs: CoefficientVector, *, exact: bool = False) -> float:
+    """E[c_tilde] - C under Poisson sampling at the sample size n that
+    ``coeffs`` was built for, as a finite sum over colors.
 
     Equals sum_i exp(-n p_i) (p(k_i/M) - 1): the correction is a degree-L
     polynomial identity in each color's multiplicity, so no truncation is
-    involved, but only for the urn size k and sample size n that ``coeffs``
-    was built for.  With ``exact=True`` the polynomial part is evaluated in
-    rationals, so an interpolating vector yields literally 0.0.
+    involved, but only for an urn of the size k that ``coeffs`` was built
+    for.  With ``exact=True`` the polynomial part is evaluated in rationals,
+    so an interpolating vector yields literally 0.0.
     """
-    if (coeffs.k, coeffs.n) != (urn.k, n):
-        raise ValueError(f"coefficients were built for (k, n) = ({coeffs.k}, {coeffs.n}), "
-                         f"not ({urn.k}, {n})")
+    if coeffs.k != urn.k:
+        raise ValueError(f"coefficients were built for k={coeffs.k}, not k={urn.k}")
     values, _, bounds = urn.mult_groups
     mults = values.tolist()
     if exact:
@@ -274,6 +271,6 @@ def exact_bias(urn: UrnSpec, coeffs: CoefficientVector, n: int, *, exact: bool =
     total = 0.0
     for mult, count, gap in zip(mults, np.diff(bounds).tolist(), gaps):
         if gap:
-            total += count * math.exp(-n * mult / urn.k) * gap
+            total += count * math.exp(-coeffs.n * mult / urn.k) * gap
     return total
 

@@ -1,13 +1,14 @@
 """Fingerprints: the sufficient statistic of a sample.
 
 The fingerprint counts how many colors were seen exactly j times; it is built
-from per-color counts.  The number of unseen colors is deliberately not a
-field anywhere here: it is the unobservable target.
+from per-color counts, and the number of colors seen, c_seen, is the sum of
+its counts.  The number of unseen colors is deliberately not a field
+anywhere here: it is the unobservable target.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -15,32 +16,38 @@ import numpy as np
 @dataclass(frozen=True)
 class Fingerprint:
     phi: dict[int, int]  # j -> number of colors seen exactly j times (j >= 1)
-    c_seen: int
+    c_seen: int = field(init=False)  # sum of the counts
 
     def __post_init__(self):
+        bad = sorted(t.__name__ for t in {*map(type, self.phi), *map(type, self.phi.values())}
+                     if t is bool or not issubclass(t, (int, np.integer)))
+        if bad:
+            raise ValueError(f"fingerprint entries must be integers, got {', '.join(bad)}")
         for j, cnt in self.phi.items():
             if j < 1:
                 raise ValueError(f"fingerprint index must be >= 1, got {j}")
             if cnt < 0:
                 raise ValueError(f"fingerprint count must be >= 0, got phi[{j}] = {cnt}")
-        total = sum(self.phi.values())
-        if self.c_seen != total:
-            raise ValueError(f"c_seen = {self.c_seen} but the fingerprint counts sum to {total}")
+        object.__setattr__(self, "c_seen", sum(self.phi.values()))
 
 
 def fingerprint_from_count_values(count_values) -> Fingerprint:
-    """Fingerprint of per-color counts (an int array or sequence; zeros allowed).
+    """Fingerprint of per-color counts (an integer array or sequence; zeros
+    allowed; bools and floats are refused, not truncated).
 
     The one fingerprint constructor: a single ``np.bincount``.
     """
-    counts = np.asarray(count_values, dtype=np.int64)
+    counts = np.asarray(count_values)
     if counts.size == 0:
-        return Fingerprint({}, 0)
+        return Fingerprint({})
+    if counts.dtype.kind not in "iu":
+        raise ValueError(f"per-color counts must be integers, got dtype {counts.dtype}")
+    counts = counts.astype(np.int64, copy=False)
     if counts.min() < 0:
         raise ValueError("per-color counts must be >= 0")
     bc = np.bincount(counts)
     js = np.flatnonzero(bc[1:]) + 1
-    return Fingerprint(dict(zip(js.tolist(), bc[js].tolist())), int(counts.size - bc[0]))
+    return Fingerprint(dict(zip(js.tolist(), bc[js].tolist())))
 
 
 def parse_fingerprint(text: str) -> Fingerprint:
@@ -65,5 +72,5 @@ def parse_fingerprint(text: str) -> Fingerprint:
             raise ValueError(f"line {lineno}: duplicate fingerprint index {j}")
         if cnt > 0:
             phi[j] = cnt
-    return Fingerprint(phi, sum(phi.values()))
+    return Fingerprint(phi)
 

@@ -98,12 +98,12 @@ def _check_model_size(model: str, n_grid, k: int) -> None:
 
 
 def _plan(tag: str, k: int, n: int) -> tuple:
-    """(tag, params, coeffs) for one estimator tag; naive has no params."""
+    """(tag, coeffs) for one estimator tag."""
     if tag == "naive":
-        return tag, None, naive_coefficients(k, n)
+        return tag, naive_coefficients(k, n)
     params = select_params(k, n, regime=None if tag == "auto" else tag)
     try:
-        return tag, params, build_estimator(params)
+        return tag, build_estimator(params)
     except ParameterizationError as exc:
         raise ParameterizationError(f"estimators: tag {tag!r} at k={k}, n={n}: {exc}") from None
 
@@ -118,7 +118,7 @@ def _trial(urn: UrnSpec, model: str, n: int, rng: RngStream, plans) -> list[tupl
     fp = fingerprint_from_count_values(sample_counts(urn, model, n, rng))
     if fp.c_seen == 0:
         return [(0, 0.0)] * len(plans)
-    results = (estimate(fp, coeffs, urn.k, params) for _, params, coeffs in plans)
+    results = (estimate(fp, coeffs) for _, coeffs in plans)
     return [(res.c_hat, res.c_tilde) for res in results]
 
 
@@ -138,15 +138,15 @@ def run_risk_curve(cfg: ExperimentConfig) -> list[RiskRow]:
         acc = {tag: [0.0, 0.0, 0.0] for tag in cfg.estimators}  # sum_hat, sum_sq, sum_tilde
         for t in range(cfg.trials):
             rng = RngStream(cfg.master_seed, (ni << 32) | t)
-            for (tag, _, _), (c_hat, c_tilde) in zip(plans, _trial(urn, cfg.model, n, rng, plans)):
+            for (tag, _), (c_hat, c_tilde) in zip(plans, _trial(urn, cfg.model, n, rng, plans)):
                 a = acc[tag]
                 a[0] += c_hat
                 a[1] += (c_hat - c_true) ** 2
                 a[2] += c_tilde
-        for tag, params, coeffs in plans:
+        for tag, coeffs in plans:
             s_hat, s_sq, s_tilde = acc[tag]
             rmse = math.sqrt(s_sq / cfg.trials)
-            bias_exact = exact_bias(urn, coeffs, n) if cfg.model == "poissonized" else None
+            bias_exact = exact_bias(urn, coeffs) if cfg.model == "poissonized" else None
             rows.append(RiskRow(
                 n=n, estimator=tag,
                 mean_c_hat=s_hat / cfg.trials,
@@ -159,11 +159,10 @@ def run_risk_curve(cfg: ExperimentConfig) -> list[RiskRow]:
     return rows
 
 
-def hard_pair_experiment(
-    k: int, delta: int, n_grid, trials: int, seed: int, model: str = "multinomial"
-) -> list[HardPairRow]:
+def hard_pair_experiment(k: int, delta: int, n_grid, trials: int, seed: int,
+                         model: str) -> list[HardPairRow]:
     """Failure rate |c_hat - C| >= delta of the auto estimator on a hard pair,
-    under the given sampling model (default: with replacement)."""
+    under the given sampling model."""
     if trials < 1:
         raise ValueError("trials: must be >= 1")
     _check_model_size(model, n_grid, k)

@@ -10,7 +10,6 @@ desk-scale degrees never get near the cap.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from math import factorial
 
 MAX_TABLE_N = 128
@@ -41,18 +40,10 @@ def stirling_first(n: int, m: int) -> int:
     return _rows[n][m]
 
 
-@dataclass(frozen=True)
-class StirlingBoundRow:
-    """Empirical growth constant of |s(n+1, m+1)| against n! ((1/m) log(n/m))^m."""
-
-    n: int
-    m: int
-    abs_s_over_nfact: float
-    c: float
-
-
-def stirling_bound_report(n: int, m: int) -> StirlingBoundRow:
-    """c(n, m) = (|s(n+1,m+1)|/n!)^(1/m) * m / max(1, log(n/m)).
+def stirling_bound_report(n: int, m: int) -> tuple[float, float]:
+    """(|s(n+1,m+1)|/n!, c(n, m)): the empirical growth constant
+    c(n, m) = (|s(n+1,m+1)|/n!)^(1/m) * m / max(1, log(n/m)) of |s(n+1, m+1)|
+    against n! ((1/m) log(n/m))^m.
 
     Reported, never asserted: the growth rate hides unspecified constants.
     """
@@ -61,4 +52,4 @@ def stirling_bound_report(n: int, m: int) -> StirlingBoundRow:
     # int / int is correctly rounded: the float nearest the exact ratio
     ratio_f = abs(stirling_first(n + 1, m + 1)) / factorial(n)
     c = ratio_f ** (1.0 / m) * m / max(1.0, math.log(n / m))
-    return StirlingBoundRow(n, m, ratio_f, c)
+    return ratio_f, c

@@ -136,11 +136,6 @@ class HardInstancePair:
 
     null_urn: UrnSpec
     alt_urn: UrnSpec
-    delta: int
-    b1: int
-    b2: int
-    c1: int
-    c2: int
 
 
 def make_uniform_support(k: int, C: int) -> UrnSpec:
@@ -183,7 +178,7 @@ def make_hard_pair(k: int, delta: int, seed: int) -> HardInstancePair:
                                     np.ones(k, dtype=np.int64))
     alt_urn = UrnSpec._from_arrays(ids.astype(np.uint64),
                                    np.repeat(np.array([b1, b2], dtype=np.int64), [c1, c2]))
-    return HardInstancePair(null_urn, alt_urn, delta, b1, b2, c1, c2)
+    return HardInstancePair(null_urn, alt_urn)
 
 
 def parse_urn(text: str) -> UrnSpec:

@@ -21,17 +21,16 @@ from fractions import Fraction
 
 import numpy as np
 
-from .orthopoly import ChebyshevBasis, chebyshev_basis
+from .orthopoly import ChebyshevBasis
 
 
-def build_matrix(M: int, L: int, with_ones: bool = False) -> np.ndarray:
-    """Read-only node matrix: rows i in [M], columns j: entries (i/M)^j; j
-    starts at 0 when the leading all-ones column is included."""
+def build_matrix(M: int, L: int) -> np.ndarray:
+    """Read-only node matrix Bbar: rows i in [M], columns j = 0..L: entries
+    (i/M)^j, so column 0 is all ones and columns 1..L are the plain matrix B."""
     if M < 1 or L < 1:
         raise ValueError("M and L must be >= 1")
     nodes = np.arange(1, M + 1) / M
-    j_lo = 0 if with_ones else 1
-    matrix = np.column_stack([nodes**j for j in range(j_lo, L + 1)])
+    matrix = np.column_stack([nodes**j for j in range(L + 1)])
     matrix.flags.writeable = False
     return matrix
 
@@ -69,11 +68,6 @@ def power_sum_table(M_max: int, top: int) -> list[list[int]]:
     return rows
 
 
-def power_sums(M: int, top: int) -> list[int]:
-    """S_p = sum_{i=1}^{M} i^p for p = 0..top, exactly."""
-    return power_sum_table(M, top)[M]
-
-
 def _positive_order(M: int, order: int, c, sums: list[int]) -> int:
     """How many leading principal minors of q H - p M diag(M^(2j)), of order
     ``order`` with c^2 = p/q, are positive before the first that is not.
@@ -102,22 +96,20 @@ def _positive_order(M: int, order: int, c, sums: list[int]) -> int:
     return order
 
 
-def sigma_min_exceeds(M: int, L: int, c, sums: list[int] | None = None) -> bool:
+def sigma_min_exceeds(M: int, L: int, c, sums: list[int]) -> bool:
     """Exactly whether sigma_min(Bbar / sqrt(M)) > c, for Bbar = build_matrix(M,
-    L, with_ones=True) in exact arithmetic.
+    L) in exact arithmetic.
 
-    ``c`` is a float or a Fraction, taken at its exact value; ``sums`` may
-    pass power_sums(M, top) for any top >= 2L, shared across L.
+    ``c`` is a float or a Fraction, taken at its exact value; ``sums`` is
+    row M of power_sum_table(M_max, top) for any top >= 2L, shared across L.
     """
-    if sums is None:
-        sums = power_sums(M, 2 * L)
     return _positive_order(M, L + 1, c, sums) > L
 
 
-def certify_sigma_min_bounds(M: int, sigma_hats, sums: list[int] | None = None) -> bool:
+def certify_sigma_min_bounds(M: int, sigma_hats, sums: list[int]) -> bool:
     """Exactly whether sigma_min(Bbar_L / sqrt(M)) > sigma_min_bound(M, L) for
-    every degree L = 1..len(sigma_hats), Bbar_L = build_matrix(M, L,
-    with_ones=True).
+    every degree L = 1..len(sigma_hats), Bbar_L = build_matrix(M, L); ``sums``
+    is row M of power_sum_table(M_max, top) for any top >= 2 len(sigma_hats).
 
     ``sigma_hats[L - 1]`` (a float estimate of the L-th sigma_min) only picks
     thresholds.  A run of consecutive degrees shares the power of two c with
@@ -128,8 +120,6 @@ def certify_sigma_min_bounds(M: int, sigma_hats, sums: list[int] | None = None) 
     at its own bound b, so the verdict is always the exact one.
     """
     top = len(sigma_hats)
-    if sums is None:
-        sums = power_sums(M, 2 * top)
     bounds = {L: sigma_min_bound(M, L) for L in range(1, top + 1)}
     L = 1
     while L <= top:
@@ -166,23 +156,19 @@ def tm_bound_at(M: int, m: int, z):
     return m * m * 2.0 ** (6 * m) * reach**m
 
 
-def tm_modulus_check(M: int, m: int, num_points: int,
-                     basis: ChebyshevBasis | None = None) -> TmBoundReport:
-    """Check |t_m(z)| against its modulus bound on the unit circle and [-1, M].
+def tm_modulus_check(basis: ChebyshevBasis, m: int, num_points: int) -> TmBoundReport:
+    """Check |t_m(z)| of ``basis`` against its modulus bound on the unit
+    circle and [-1, M], M = basis.M; one basis serves every m <= basis.L.
 
     Exact coefficients, one vectorized Horner pass in floating point.  The
     report carries the largest ratio |t_m(z)| / bound and its point z; the
     bound holds on the points checked iff that ratio is at most 1.
-    ``basis`` may pass a chebyshev_basis(M, L) with L >= m, shared across m.
     """
-    if m < 1 or m > M - 1:
-        raise ValueError(f"need 1 <= m <= M-1, got m={m}, M={M}")
+    M = basis.M
+    if not 1 <= m <= basis.L:
+        raise ValueError(f"basis (M={M}, L={basis.L}) does not cover t_{m}: need 1 <= m <= L")
     if num_points < 1:
         raise ValueError("num_points must be >= 1")
-    if basis is None:
-        basis = chebyshev_basis(M, m)
-    elif basis.M != M or basis.L < m:
-        raise ValueError(f"basis (M={basis.M}, L={basis.L}) does not cover t_{m} at M={M}")
     coeffs = [float(Fraction(c, math.factorial(m))) for c in basis.numerators[m]]
 
     circle = np.exp(2j * np.pi * np.arange(num_points) / num_points)

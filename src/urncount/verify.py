@@ -119,16 +119,15 @@ def stirling_report() -> tuple[list[str], bool]:
     lines.append("n,m,abs_s_over_nfact,c")
     for n in range(1, 61):
         for m in range(1, n + 1):
-            row = stirling_bound_report(n, m)
-            lines.append(f"{row.n},{row.m},{row.abs_s_over_nfact!r},{row.c!r}")
+            abs_s_over_nfact, c = stirling_bound_report(n, m)
+            lines.append(f"{n},{m},{abs_s_over_nfact!r},{c!r}")
     return lines, expansion and row_sums and interpolation
 
 
 def spectral_report() -> tuple[list[str], bool]:
     lines = ["M,L,sigma_min,bound,ratio"]
     # each degree's node matrices are the leading columns of the degree-12 one
-    full = {M: build_matrix(M, SPECTRAL_L_MAX, with_ones=True)
-            for M in range(2, SPECTRAL_M_MAX + 1)}
+    full = {M: build_matrix(M, SPECTRAL_L_MAX) for M in range(2, SPECTRAL_M_MAX + 1)}
     sigma_hats = {M: [] for M in full}
     extra_col_holds = True
     unasserted = []
@@ -159,7 +158,7 @@ def spectral_report() -> tuple[list[str], bool]:
         lines.append(f"sigma_min(Bbar) <= {FLOAT_FLOOR:g} sigma_max at {cell} (reported, not asserted)")
 
     bases = (chebyshev_basis(M, min(8, M - 1)) for M in range(2, 33))
-    worst = max((tm_modulus_check(b.M, m, 64, basis=b) for b in bases for m in range(1, b.L + 1)),
+    worst = max((tm_modulus_check(b, m, 64) for b in bases for m in range(1, b.L + 1)),
                 key=lambda report: report.worst_ratio)
     modulus = _check(lines, f"t_m modulus bound (M<=32, m<=8): worst ratio {worst.worst_ratio:.3e} "
                             f"at (M={worst.M}, m={worst.m}, z={worst.worst_point:.4g})",
@@ -178,9 +177,9 @@ def estimator_report() -> tuple[list[str], bool]:
             c_lo = -(-k // M)
             for C in {c_lo, k}:
                 urn = make_uniform_support(k, C)
-                if exact_bias(urn, coeffs, n, exact=True) != 0.0:
+                if exact_bias(urn, coeffs, exact=True) != 0.0:
                     zero_bias = False
-                if abs(exact_bias(urn, coeffs, n)) > 1e-6 * k:
+                if abs(exact_bias(urn, coeffs)) > 1e-6 * k:
                     zero_bias = False
     zero = _check(lines, "interpolation zero bias (float and rational)", zero_bias)
 
@@ -188,7 +187,7 @@ def estimator_report() -> tuple[list[str], bool]:
     params = select_params(k, n)
     coeffs = build_estimator(params)
     urn = make_uniform_support(k, k)
-    bias = exact_bias(urn, coeffs, n)
+    bias = exact_bias(urn, coeffs)
     budget = k * math.exp(-n / k) * l2_min_value(params.M, params.L)
     within = _check(lines, f"l2 bias within closed-form budget at (k={k}, n={n}, L={params.L}, "
                            f"M={params.M}): |{bias:.1f}| <= {budget:.1f}",

@@ -15,6 +15,7 @@ from scipy.stats import chi2
 from urncount.estimator import build_estimator, estimate, exact_bias, interp_coeffs, select_params
 from urncount.fingerprint import fingerprint_from_count_values
 from urncount.orthopoly import (
+    chebyshev_basis,
     l2_min_value,
     l2_residual_sq_exact,
     orthonormality_deviation,
@@ -68,13 +69,13 @@ def test_criterion_2_orthonormality():
 
 def test_criterion_3_sigma_min_bound():
     with _Stopwatch("criterion 3: minimum singular value bound", 10):
-        spot = sigma_min(build_matrix(2, 1, with_ones=True) / math.sqrt(2))
+        spot = sigma_min(build_matrix(2, 1) / math.sqrt(2))
         assert spot == pytest.approx(0.19854, abs=5e-6)
         assert sigma_min_bound(2, 1) == pytest.approx(1.068e-3, rel=1e-3)
         assert spot >= sigma_min_bound(2, 1)
         for L in range(1, 9):
             for M in range(L + 1, 65):
-                s = sigma_min(build_matrix(M, L, with_ones=True) / math.sqrt(M))
+                s = sigma_min(build_matrix(M, L) / math.sqrt(M))
                 assert s >= sigma_min_bound(M, L), (M, L)
 
 
@@ -82,7 +83,7 @@ def test_criterion_4_modulus_bound():
     with _Stopwatch("criterion 4: t_m modulus bound", 10):
         for M in range(2, 33):
             for m in range(1, min(8, M - 1) + 1):
-                report = tm_modulus_check(M, m, 64)
+                report = tm_modulus_check(chebyshev_basis(M, m), m, 64)
                 assert report.worst_ratio <= 1.0, (M, m)
 
 
@@ -114,8 +115,8 @@ def test_criterion_6_interpolation_zero_bias():
                 for C in sorted({c_floor, max(1, (c_floor + k) // 2), k}):
                     urn = make_uniform_support(k, C)
                     assert max(urn.mults.tolist()) <= M
-                    assert exact_bias(urn, coeffs, n, exact=True) == 0.0
-                    assert abs(exact_bias(urn, coeffs, n)) <= 1e-6 * k, (M, k, C)
+                    assert exact_bias(urn, coeffs, exact=True) == 0.0
+                    assert abs(exact_bias(urn, coeffs)) <= 1e-6 * k, (M, k, C)
 
         # statistical check at the paper's oversampled operating point
         k, n, trials = 100, 400, 10_000
@@ -127,7 +128,7 @@ def test_criterion_6_interpolation_zero_bias():
         for t in range(trials):
             fp = fingerprint_from_count_values(
                 poissonized_color_counts(urn, n, RngStream(601, t)))
-            tildes.append(estimate(fp, coeffs, k, params).c_tilde)
+            tildes.append(estimate(fp, coeffs).c_tilde)
         mean = sum(tildes) / trials
         std = math.sqrt(sum((x - mean) ** 2 for x in tildes) / (trials - 1))
         assert abs(mean - 50) <= 4 * std / math.sqrt(trials), (mean, std)
@@ -142,7 +143,7 @@ def test_criterion_7_l2_beats_naive():
         coeffs = build_estimator(params)
 
         # deterministic headroom, pre-verified by the exact oracle
-        bias_l2 = exact_bias(urn, coeffs, n)
+        bias_l2 = exact_bias(urn, coeffs)
         residual = l2_min_value(params.M, params.L)
         assert residual == pytest.approx(0.785, abs=1e-3)
         assert abs(bias_l2) <= k * math.exp(-0.5) * residual
@@ -152,7 +153,7 @@ def test_criterion_7_l2_beats_naive():
         for t in range(trials):
             fp = fingerprint_from_count_values(
                 poissonized_color_counts(urn, n, RngStream(701, t)))
-            res = estimate(fp, coeffs, k, params)
+            res = estimate(fp, coeffs)
             sq_hat += (res.c_hat - k) ** 2
             sq_seen += (fp.c_seen - k) ** 2
         rmse_hat = math.sqrt(sq_hat / trials)

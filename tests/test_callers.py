@@ -1,4 +1,5 @@
-"""Every public library name has a caller in the library or the benchmark.
+"""Every public library name, and every default it declares, has a caller in
+the library or the benchmark.
 
 A public function, class or method of ``urncount`` that only the tests call
 belongs in the tests.  A name counts as called when it appears, outside its
@@ -7,6 +8,11 @@ attribute, an import, or a part of a string that is one identifier or dotted
 path (the benchmark's hook table names its targets in such strings).  A
 method or property counts as called only through an attribute access, so a
 local variable or a word that shares its name does not keep it alive.
+
+Likewise a default that only the tests take is a second way to call the
+function that the program never uses: each defaulted parameter needs one
+call in ``src/`` or ``perfbench/``, outside the function's own body, that
+leaves it out.
 """
 
 import ast
@@ -45,9 +51,13 @@ def _public_definitions(tree: ast.Module):
                 yield from ((sub, True) for sub in node.body if isinstance(sub, defs))
 
 
-def test_every_public_name_has_a_caller():
+def _program_trees() -> dict[Path, ast.Module]:
     files = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "perfbench").rglob("*.py"))
-    trees = {path: ast.parse(path.read_text(), str(path)) for path in files}
+    return {path: ast.parse(path.read_text(), str(path)) for path in files}
+
+
+def test_every_public_name_has_a_caller():
+    trees = _program_trees()
     uses: dict[str, list[tuple[Path, int, bool]]] = {}
     for path, tree in trees.items():
         for name, line, via_attribute in _references(tree):
@@ -64,3 +74,55 @@ def test_every_public_name_has_a_caller():
                        for where, line, via_attribute in uses.get(node.name, ())):
                 uncalled.append(f"{path.relative_to(ROOT)}:{node.lineno} {node.name}")
     assert not uncalled, "public names with no caller outside the tests: " + ", ".join(uncalled)
+
+
+def _defaults(node, member: bool):
+    """(name, positional slot or None) for each defaulted parameter of a def;
+    the slot counts call arguments, so a method's ``self`` or ``cls`` takes
+    none."""
+    args = node.args
+    first = len(args.args) - len(args.defaults)
+    for slot, arg in enumerate(args.args[first:], start=first - member):
+        yield arg.arg, slot
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield arg.arg, None
+
+
+def _omits(call: ast.Call, name: str, slot) -> bool:
+    """Whether ``call`` leaves the parameter to its default; a call that
+    spreads ``*args`` or ``**kwargs`` counts as leaving it."""
+    if any(isinstance(a, ast.Starred) for a in call.args) or any(
+            kw.arg is None for kw in call.keywords):
+        return True
+    if any(kw.arg == name for kw in call.keywords):
+        return False
+    return slot is None or len(call.args) <= slot
+
+
+def test_every_default_is_used():
+    trees = _program_trees()
+    calls: dict[str, list[tuple[Path, ast.Call, bool]]] = {}
+    for path, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                if isinstance(func, ast.Name):
+                    calls.setdefault(func.id, []).append((path, node, False))
+                elif isinstance(func, ast.Attribute):
+                    calls.setdefault(func.attr, []).append((path, node, True))
+    unused = []
+    for path, tree in trees.items():
+        if PACKAGE not in path.parents:
+            continue
+        for node, member in _public_definitions(tree):
+            if node.name.startswith("_") or isinstance(node, ast.ClassDef):
+                continue
+            own = range(node.lineno, node.end_lineno + 1)
+            callers = [call for where, call, via_attribute in calls.get(node.name, ())
+                       if (where != path or call.lineno not in own)
+                       and (via_attribute or not member)]
+            for name, slot in _defaults(node, member):
+                if not any(_omits(call, name, slot) for call in callers):
+                    unused.append(f"{path.relative_to(ROOT)}:{node.lineno} {node.name}({name}=)")
+    assert not unused, "defaults that no call outside the tests takes: " + ", ".join(unused)

@@ -454,7 +454,7 @@ class TestVerify:
         # at M = 64 one elimination certifies a run of degrees from L <= 7 to L >= 9
         run = next(i for i, order in enumerate(orders) if order >= 10)
         assert (orders[run - 1] if run else 0) <= 7
-        sigma = vd.sigma_min(vd.build_matrix(64, 8, with_ones=True) / 8)
+        sigma = vd.sigma_min(vd.build_matrix(64, 8) / 8)
         bound = vd.sigma_min_bound
         monkeypatch.setattr(vd, "sigma_min_bound", lambda M, L: (
             sigma * (1 + 1e-6) if (M, L) == (64, 8) else bound(M, L)))

@@ -415,10 +415,11 @@ def test_hard_pair_past_the_scalar_cutoff():
     k, delta, seed = 1000, 100, 5
     pair = make_hard_pair(k, delta, seed)
     remaining = k - 2 * delta
-    assert remaining > _SCALAR_STEPS and pair.c1 and pair.c2
+    # the shuffled ids take the smaller multiplicity first, in draw order
+    mults = sorted(pair.alt_urn.mults.tolist())
+    assert remaining > _SCALAR_STEPS and len(set(mults)) == 2
     ids = list(range(1, k + 1))
     _scalar_partial_shuffle(ids, remaining, RngStream(seed, 0))
-    mults = [pair.b1] * pair.c1 + [pair.b2] * pair.c2
     assert list(colors(pair.alt_urn)) == sorted(zip(ids[:remaining], mults))
 
 

@@ -136,44 +136,40 @@ class TestBuildEstimator:
         for n, kind in ((40, "l2"), (400, "interpolation")):
             coeffs = build_estimator(select_params(100, n))
             assert (coeffs.kind, coeffs.k, coeffs.n) == (kind, 100, n)
+            assert coeffs.L == len(coeffs.w_exact) == select_params(100, n).L
             assert coeffs.w == tuple(float(wj) for wj in coeffs.w_exact)
 
 
 class TestEstimate:
     def test_linear_correction(self):
         coeffs = interp_coeffs(2, 10, 10)  # u = (1.5, -1.0)
-        res = estimate(Fingerprint({1: 2}, 2), coeffs, 10)
+        res = estimate(Fingerprint({1: 2}), coeffs)
         assert res.c_tilde == pytest.approx(5.0)
         assert res.c_hat == 5
 
     def test_naive_degenerates_to_seen(self):
-        res = estimate(Fingerprint({1: 2, 3: 1}, 3), naive_coefficients(10, 5), 10)
+        res = estimate(Fingerprint({1: 2, 3: 1}), naive_coefficients(10, 5))
         assert res.c_hat == res.c_seen == 3
 
     def test_clamp_at_k(self):
         coeffs = interp_coeffs(2, 10, 10)
-        res = estimate(Fingerprint({1: 10}, 10), coeffs, 10)
+        res = estimate(Fingerprint({1: 10}), coeffs)
         assert res.c_tilde == pytest.approx(25.0)
         assert res.c_hat == 10
 
     def test_clamp_below_at_seen(self):
-        coeffs = CoefficientVector("l2", 1, 2, 10, 1, (Fraction(0),), (-2.0,))
-        res = estimate(Fingerprint({1: 3}, 3), coeffs, 10)
+        coeffs = CoefficientVector("l2", 2, 10, 1, (Fraction(0),), (-2.0,))
+        res = estimate(Fingerprint({1: 3}), coeffs)
         assert res.c_hat == 3
 
     def test_more_seen_than_k_is_error(self):
         coeffs = interp_coeffs(2, 5, 5)
         with pytest.raises(ValueError, match="c_seen = 10 .* k = 5"):
-            estimate(Fingerprint({1: 10}, 10), coeffs, k=5)
+            estimate(Fingerprint({1: 10}), coeffs)
 
     def test_empty_fingerprint_is_error(self):
         with pytest.raises(ValueError, match="zero samples"):
-            estimate(Fingerprint({}, 0), naive_coefficients(10, 5), 10)
-
-    def test_k_mismatch_is_error(self):
-        coeffs = build_estimator(select_params(100, 400))
-        with pytest.raises(ValueError, match="built for k=100"):
-            estimate(Fingerprint({1: 1}, 1), coeffs, 50)
+            estimate(Fingerprint({}), naive_coefficients(10, 5))
 
     @given(
         st.dictionaries(st.integers(1, 12), st.integers(1, 50), min_size=1, max_size=8),
@@ -184,9 +180,8 @@ class TestEstimate:
     def test_clamp_monotonicity(self, phi, u, extra):
         c_seen = sum(phi.values())
         k = c_seen + extra  # a sample can never reveal more colors than k
-        coeffs = CoefficientVector("l2", len(u), len(u) + 1, k, 1,
-                                   tuple(Fraction(0) for _ in u), tuple(u))
-        res = estimate(Fingerprint(phi, c_seen), coeffs, k)
+        coeffs = CoefficientVector("l2", len(u) + 1, k, 1, tuple(Fraction(0) for _ in u), tuple(u))
+        res = estimate(Fingerprint(phi), coeffs)
         assert c_seen <= res.c_hat <= k
 
 
@@ -195,15 +190,13 @@ class TestExactBias:
         # phi(a) = 1.5a - 0.5a^2 satisfies phi(1) = phi(2) = 1
         coeffs = interp_coeffs(2, 6, 6)
         urn = UrnSpec(((1, 1), (2, 1), (3, 2), (4, 2)))
-        assert exact_bias(urn, coeffs, 6, exact=True) == 0.0
-        assert abs(exact_bias(urn, coeffs, 6)) < 1e-12
+        assert exact_bias(urn, coeffs, exact=True) == 0.0
+        assert abs(exact_bias(urn, coeffs)) < 1e-12
 
-    def test_urn_or_n_other_than_built_for_is_error(self):
+    def test_urn_other_than_built_for_is_error(self):
         coeffs = build_estimator(select_params(10_000, 5_000))
-        with pytest.raises(ValueError, match=r"built for \(k, n\) = \(10000, 5000\), not \(10000, 20000\)"):
-            exact_bias(make_uniform_support(10_000, 5_000), coeffs, 20_000)
-        with pytest.raises(ValueError, match=r"not \(5000, 5000\)"):
-            exact_bias(make_uniform_support(5_000, 5_000), coeffs, 5_000)
+        with pytest.raises(ValueError, match="built for k=10000, not k=5000"):
+            exact_bias(make_uniform_support(5_000, 5_000), coeffs)
 
     def test_exact_l2_bias_is_the_fraction_sum(self):
         # exact=True rounds each p(k_i/M) - 1 once, as float(Fraction) does
@@ -216,11 +209,11 @@ class TestExactBias:
             x = Fraction(mult, coeffs.M)
             gap = sum(wj * x**j for j, wj in enumerate(coeffs.w_exact, start=1)) - 1
             want += mults.count(mult) * math.exp(-n * mult / k) * float(gap)
-        assert exact_bias(urn, coeffs, n, exact=True) == want
+        assert exact_bias(urn, coeffs, exact=True) == want
 
     def test_naive_bias_uniform_full(self):
         urn = make_uniform_support(100, 100)
-        b = exact_bias(urn, naive_coefficients(100, 50), 50)
+        b = exact_bias(urn, naive_coefficients(100, 50))
         assert b == pytest.approx(-100 * math.exp(-0.5), rel=1e-12)
 
     def test_l2_bias_matches_node_formula(self):
@@ -230,7 +223,7 @@ class TestExactBias:
         coeffs = build_estimator(params)
         urn = make_uniform_support(k, k)
         p_at = sum(wj * (1 / params.M) ** j for j, wj in enumerate(coeffs.w, start=1))
-        assert exact_bias(urn, coeffs, n) == pytest.approx(
+        assert exact_bias(urn, coeffs) == pytest.approx(
             k * math.exp(-n / k) * (p_at - 1), rel=1e-9)
         assert abs(p_at - 1) <= l2_min_value(params.M, params.L) * (1 + 1e-9)
 
@@ -249,7 +242,7 @@ class TestExactBias:
                           for j, wj in enumerate(coeffs.w, start=1)) - 1)
                 for _, mult in colors(urn)
             )
-            bias = exact_bias(urn, coeffs, n)
+            bias = exact_bias(urn, coeffs)
             assert abs(bias) <= per_node * (1 + 1e-9)
             assert per_node <= k * math.exp(-n / k) * l2_min_value(params.M, params.L) * (1 + 1e-9)
 
@@ -262,7 +255,7 @@ class TestExactBias:
         for t in range(trials):
             fp = fingerprint_from_count_values(
                 poissonized_color_counts(urn, n, RngStream(611, t)))
-            tildes.append(estimate(fp, coeffs, k, params).c_tilde)
+            tildes.append(estimate(fp, coeffs).c_tilde)
         mean = sum(tildes) / trials
         std = math.sqrt(sum((x - mean) ** 2 for x in tildes) / (trials - 1))
         assert abs(mean - 50) <= 5 * std / math.sqrt(trials)

@@ -35,13 +35,17 @@ class TestFingerprint:
         assert fp.phi == {2: 3} and fp.c_seen == 3
 
     def test_constructor_validates(self):
-        with pytest.raises(ValueError, match="c_seen = 7 but the fingerprint counts sum to 3"):
-            Fingerprint({1: 3}, 7)
         with pytest.raises(ValueError, match="index must be >= 1"):
-            Fingerprint({0: 2, 1: 1}, 3)
+            Fingerprint({0: 2, 1: 1})
         with pytest.raises(ValueError, match=r"phi\[2\] = -1"):
-            Fingerprint({1: 2, 2: -1}, 1)
-        assert Fingerprint({1: 3, 2: 0}, 3).c_seen == 3
+            Fingerprint({1: 2, 2: -1})
+        assert Fingerprint({1: 3, 2: 0}).c_seen == 3
+        assert Fingerprint({1: 3, 4: np.int64(2)}).c_seen == 5
+
+    @pytest.mark.parametrize("phi", [{1: 2.5}, {1: 2.0}, {1.0: 2}, {1: True}, {True: 1}])
+    def test_constructor_refuses_non_integers(self, phi):
+        with pytest.raises(ValueError, match="must be integers"):
+            Fingerprint(phi)
 
     def test_from_count_values(self):
         fp = fingerprint_from_count_values([0, 2, 1, 0, 2])
@@ -51,9 +55,21 @@ class TestFingerprint:
         fp = fingerprint_from_count_values(np.array([0, 5, 1, 0, 5, 5], dtype=np.int64))
         assert fp.phi == {1: 1, 5: 3} and fp.c_seen == 4
         assert all(type(j) is int and type(c) is int for j, c in fp.phi.items())
-        assert fingerprint_from_count_values(np.zeros(0, dtype=np.int64)) == Fingerprint({}, 0)
+        assert fingerprint_from_count_values(np.zeros(0, dtype=np.int64)) == Fingerprint({})
         with pytest.raises(ValueError):
             fingerprint_from_count_values([1, -1])
+
+    @pytest.mark.parametrize("values", [[1.5, 2.7], [1.0, 2.0], [True, False],
+                                        np.array([1, 2], dtype=np.float32)])
+    def test_from_count_values_refuses_non_integers(self, values):
+        # truncating 1.5 to 1 would invent a fingerprint the sample never had
+        with pytest.raises(ValueError, match="must be integers"):
+            fingerprint_from_count_values(values)
+
+    def test_from_count_values_empty_and_unsigned(self):
+        assert fingerprint_from_count_values([]) == Fingerprint({})  # float64 when empty
+        fp = fingerprint_from_count_values(np.array([0, 3, 3], dtype=np.uint32))
+        assert fp.phi == {3: 2} and fp.c_seen == 2
 
     @given(st.lists(st.integers(0, 30), max_size=200))
     @settings(max_examples=200, deadline=None)
@@ -102,7 +118,7 @@ class TestIdentitiesAcrossSamplers:
 
 class TestFingerprintFiles:
     def test_roundtrip(self):
-        fp = Fingerprint({1: 3, 4: 2}, 5)
+        fp = Fingerprint({1: 3, 4: 2})
         assert parse_fingerprint(serialize_fingerprint(fp)) == fp
 
     def test_parse_validation(self):

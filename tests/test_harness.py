@@ -142,7 +142,7 @@ class TestRiskCurve:
         assert any(fp.c_seen == 0 for fp in fps)
         coeffs = build_estimator(select_params(100, 1))
         hats = {"naive": [fp.c_seen for fp in fps],
-                "auto": [estimate(fp, coeffs, 100).c_hat if fp.c_seen else 0 for fp in fps]}
+                "auto": [estimate(fp, coeffs).c_hat if fp.c_seen else 0 for fp in fps]}
         rows = run_risk_curve(cfg)
         assert [row.estimator for row in rows] == ["naive", "auto"]
         for row in rows:
@@ -234,10 +234,10 @@ class TestCorrelationExperiment:
 class TestHardPairExperiment:
     def test_invalid_delta_propagates(self):
         with pytest.raises(ValueError):
-            hard_pair_experiment(6, 3, [5], 10, seed=0)
+            hard_pair_experiment(6, 3, [5], 10, seed=0, model="multinomial")
 
     def test_golden_seed0(self):
-        rows = hard_pair_experiment(10_000, 100, [1000], 50, seed=0)
+        rows = hard_pair_experiment(10_000, 100, [1000], 50, seed=0, model="multinomial")
         assert [(r.urn, r.c_true) for r in rows] == [("null", 10_000), ("alt", 9_800)]
         # frozen reference-run values: far too few samples, so both fail fully
         assert rows[0].fail_fraction == 1.0
@@ -246,8 +246,7 @@ class TestHardPairExperiment:
         assert rows[1].mean_c_hat == pytest.approx(1774.96)
 
     def test_model_is_honored(self):
-        multi = hard_pair_experiment(400, 20, [200], 20, seed=4)
-        assert hard_pair_experiment(400, 20, [200], 20, seed=4, model="multinomial") == multi
+        multi = hard_pair_experiment(400, 20, [200], 20, seed=4, model="multinomial")
         poi = hard_pair_experiment(400, 20, [200], 20, seed=4, model="poissonized")
         assert [r.mean_c_hat for r in poi] != [r.mean_c_hat for r in multi]
         with pytest.raises(ValueError, match="n <= k"):
@@ -260,7 +259,7 @@ class TestHardPairExperiment:
 
     def test_fail_fraction_drops_when_easy(self):
         # huge delta makes the tolerance loose: the estimator rarely misses by 400
-        rows = hard_pair_experiment(1000, 400, [800], 40, seed=3)
+        rows = hard_pair_experiment(1000, 400, [800], 40, seed=3, model="multinomial")
         null_row = next(r for r in rows if r.urn == "null")
         assert null_row.fail_fraction <= 0.2
 

@@ -153,16 +153,16 @@ class TestInterpCoeffs:
 
 class TestBoundReport:
     def test_hand_values(self):
-        row = stirling_bound_report(2, 2)
-        assert row.abs_s_over_nfact == pytest.approx(0.5)
-        assert row.c == pytest.approx(math.sqrt(2), rel=1e-12)
-        row = stirling_bound_report(2, 1)
-        assert row.abs_s_over_nfact == pytest.approx(1.5)
-        assert row.c == pytest.approx(1.5)  # log 2 < 1, denominator clamps to 1
+        ratio, c = stirling_bound_report(2, 2)
+        assert ratio == pytest.approx(0.5)
+        assert c == pytest.approx(math.sqrt(2), rel=1e-12)
+        ratio, c = stirling_bound_report(2, 1)
+        assert ratio == pytest.approx(1.5)
+        assert c == pytest.approx(1.5)  # log 2 < 1, denominator clamps to 1
 
     def test_golden_interval_n_up_to_60(self):
         # regression interval generated once from the exact table
-        cs = [stirling_bound_report(n, m).c for n in range(1, 61) for m in range(1, n + 1)]
+        cs = [stirling_bound_report(n, m)[1] for n in range(1, 61) for m in range(1, n + 1)]
         assert min(cs) == pytest.approx(1.0)
         assert max(cs) == pytest.approx(6.57534196297143, rel=1e-9)
         assert all(1.0 <= c <= 6.5754 for c in cs)

@@ -163,15 +163,13 @@ class TestHardPair:
         assert pair.null_urn.C == 10
         assert all(m == 1 for m in pair.null_urn.mults.tolist())
         assert pair.alt_urn.C == 6
-        assert (pair.b1, pair.b2) == (1, 2)
-        assert (pair.c1, pair.c2) == (2, 4)
+        assert sorted(pair.alt_urn.mults.tolist()) == [1, 1, 2, 2, 2, 2]
         assert pair.alt_urn.k == 10
 
     def test_example_k8(self):
         pair = make_hard_pair(8, 1, seed=0)
         assert pair.alt_urn.C == 6
-        assert (pair.b1, pair.b2) == (1, 2)
-        assert (pair.c1, pair.c2) == (4, 2)
+        assert sorted(pair.alt_urn.mults.tolist()) == [1, 1, 1, 1, 2, 2]
 
     def test_boundary_invalid(self):
         with pytest.raises(ValueError):
@@ -196,12 +194,12 @@ class TestHardPair:
     def test_invariants(self, k, data, seed):
         delta = data.draw(st.integers(1, k // 2 - 1))
         pair = make_hard_pair(k, delta, seed)
-        assert pair.c1 + pair.c2 == k - 2 * delta
-        assert pair.c1 * pair.b1 + pair.c2 * pair.b2 == k
+        mults = pair.alt_urn.mults.tolist()
+        assert len(mults) == k - 2 * delta
+        assert sum(mults) == k
         assert pair.null_urn.C - pair.alt_urn.C == 2 * delta
         assert pair.null_urn.k == pair.alt_urn.k == k
-        assert pair.b2 - pair.b1 <= 1
-        assert set(pair.alt_urn.mults.tolist()) <= {pair.b1, pair.b2}
+        assert max(mults) - min(mults) <= 1
 
 
 class TestParseSerialize:

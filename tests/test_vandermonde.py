@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from urncount import verify
-from urncount.orthopoly import solve_l2
+from urncount.orthopoly import chebyshev_basis, solve_l2
 from urncount.vandermonde import (
     build_matrix,
     certify_sigma_min_bounds,
     power_sum_table,
-    power_sums,
     sigma_min,
     sigma_min_bound,
     sigma_min_exceeds,
@@ -20,17 +19,18 @@ from urncount.vandermonde import (
 
 class TestBuildMatrix:
     def test_plain(self):
-        m = build_matrix(2, 1, with_ones=False)
+        m = build_matrix(2, 1)[:, 1:]
         assert m.tolist() == [[0.5], [1.0]]
 
     def test_with_ones(self):
-        m = build_matrix(2, 1, with_ones=True)
+        m = build_matrix(2, 1)
         assert m.tolist() == [[1.0, 0.5], [1.0, 1.0]]
 
     def test_last_row_all_ones(self):
         for M, L in ((3, 2), (10, 4), (17, 8)):
-            m = build_matrix(M, L, with_ones=False)
-            assert np.all(m[-1] == 1.0)
+            m = build_matrix(M, L)
+            assert m.shape == (M, L + 1)
+            assert np.all(m[:, 0] == 1.0) and np.all(m[-1] == 1.0)
 
     def test_immutable(self):
         m = build_matrix(3, 2)
@@ -40,7 +40,7 @@ class TestBuildMatrix:
 
 class TestSigmaMin:
     def test_spot_value_m2_l1(self):
-        bar = build_matrix(2, 1, with_ones=True)
+        bar = build_matrix(2, 1)
         s = sigma_min(bar / math.sqrt(2))
         assert s == pytest.approx(math.sqrt((13 - math.sqrt(153)) / 16), rel=1e-10)
         assert s == pytest.approx(0.19854, abs=5e-6)
@@ -56,8 +56,8 @@ class TestSigmaMin:
     def test_extra_column_shrinks_sigma(self):
         for L in range(1, 5):
             for M in range(L + 1, 14):
-                s_plain = sigma_min(build_matrix(M, L, with_ones=False))
-                s_bar = sigma_min(build_matrix(M, L, with_ones=True))
+                s_plain = sigma_min(build_matrix(M, L)[:, 1:])
+                s_bar = sigma_min(build_matrix(M, L))
                 assert s_plain >= s_bar * (1 - 1e-9)
 
 
@@ -69,7 +69,7 @@ class TestSigmaMinBound:
         assert b == pytest.approx(1.068e-3, rel=1e-3)
 
     def test_spot_inequality(self):
-        bar = build_matrix(2, 1, with_ones=True)
+        bar = build_matrix(2, 1)
         assert sigma_min(bar / math.sqrt(2)) >= sigma_min_bound(2, 1)
 
     def test_monotone_decreasing_in_degree(self):
@@ -88,7 +88,7 @@ class TestSigmaMinBound:
     def test_holds_on_grid(self):
         for L in range(1, 7):
             for M in range(L + 1, 33):
-                bar = build_matrix(M, L, with_ones=True)
+                bar = build_matrix(M, L)
                 assert sigma_min(bar / math.sqrt(M)) >= sigma_min_bound(M, L)
 
 
@@ -97,14 +97,19 @@ GRID_M = range(2, verify.SPECTRAL_M_MAX + 1)
 
 
 def _svd_sigma(M, L):
-    return sigma_min(build_matrix(M, L, with_ones=True) / math.sqrt(M))
+    return sigma_min(build_matrix(M, L) / math.sqrt(M))
 
 
 def _grid_sigmas(M):
     return [_svd_sigma(M, L) for L in range(1, min(verify.SPECTRAL_L_MAX, M - 1) + 1)]
 
 
-def _certify_cell(M, L, sigma_hat, sums=None, bound=sigma_min_bound):
+def _sums(M, L):
+    """Row M of the power-sum table, for degrees up to L."""
+    return power_sum_table(M, 2 * L)[M]
+
+
+def _certify_cell(M, L, sigma_hat, sums, bound=sigma_min_bound):
     """Reference: one degree on its own, at the power of two c with
     b <= c <= sigma_hat / 2 when there is one and the test there passes, else
     at b itself."""
@@ -118,8 +123,8 @@ def _certify_cell(M, L, sigma_hat, sums=None, bound=sigma_min_bound):
 
 class TestCertificate:
     def test_power_sums(self):
-        assert power_sums(4, 3) == [4, 10, 30, 100]
-        assert power_sums(0, 2) == [0, 0, 0]
+        assert power_sum_table(4, 3)[4] == [4, 10, 30, 100]
+        assert power_sum_table(0, 2)[0] == [0, 0, 0]
 
     def test_power_sum_table_rows(self):
         table = power_sum_table(20, 6)
@@ -132,15 +137,15 @@ class TestCertificate:
         # pins the SVD value to 1e-6 relative, also where the Gram matrix is
         # too ill-conditioned for float eigen-solves (L >= 11)
         s = _svd_sigma(M, L)
-        sums = power_sums(M, 2 * L)
+        sums = _sums(M, L)
         assert sigma_min_exceeds(M, L, s * (1 - 1e-6), sums)
         assert not sigma_min_exceeds(M, L, s * (1 + 1e-6), sums)
 
     @pytest.mark.parametrize("M,L", CERT_CELLS)
     def test_bound_certified(self, M, L):
         sigmas = [_svd_sigma(M, d) for d in range(1, L + 1)]
-        assert _certify_cell(M, L, sigmas[-1])
-        assert certify_sigma_min_bounds(M, sigmas)
+        assert _certify_cell(M, L, sigmas[-1], _sums(M, L))
+        assert certify_sigma_min_bounds(M, sigmas, _sums(M, L))
 
     def test_grouped_verdict_equals_per_cell_verdict_on_grid(self):
         # every prefix of degrees: the grouped verdict is the AND of the
@@ -159,9 +164,10 @@ class TestCertificate:
         # exact one at the bound
         for M in (13, 5, 64):
             top = min(12, M - 1)
+            sums = _sums(M, top)
             for fake in (0.0, 1e6, -1.0, math.nan, math.inf):
-                assert certify_sigma_min_bounds(M, [fake] * top)
-            assert certify_sigma_min_bounds(M, [1e6, 0.0] * (top // 2) + [1e-300] * (top % 2))
+                assert certify_sigma_min_bounds(M, [fake] * top, sums)
+            assert certify_sigma_min_bounds(M, [1e6, 0.0] * (top // 2) + [1e-300] * (top % 2), sums)
 
     @pytest.mark.parametrize("M,L", [(13, 12), (64, 1), (64, 8), (64, 12), (30, 5), (9, 4)])
     @pytest.mark.parametrize("scale", [1 + 1e-6, 1 - 1e-6, 0.9])
@@ -172,38 +178,41 @@ class TestCertificate:
         import urncount.vandermonde as vd
 
         sigmas = _grid_sigmas(M)
+        sums = _sums(M, len(sigmas))
         bound = vd.sigma_min_bound
 
         def moved(m, degree):
             return sigmas[L - 1] * scale if (m, degree) == (M, L) else bound(m, degree)
 
         monkeypatch.setattr(vd, "sigma_min_bound", moved)
-        want = all(_certify_cell(M, d, s, bound=moved) for d, s in enumerate(sigmas, 1))
+        want = all(_certify_cell(M, d, s, sums, bound=moved) for d, s in enumerate(sigmas, 1))
         assert want == (scale < 1)
-        assert vd.certify_sigma_min_bounds(M, sigmas) == want
-        assert vd.certify_sigma_min_bounds(M, [1e6] * len(sigmas)) == want
+        assert vd.certify_sigma_min_bounds(M, sigmas, sums) == want
+        assert vd.certify_sigma_min_bounds(M, [1e6] * len(sigmas), sums) == want
 
     def test_rejects_bound_above_sigma(self, monkeypatch):
         import urncount.vandermonde as vd
 
         sigmas = _grid_sigmas(13)
         s = sigmas[-1]
+        sums = _sums(13, 12)
         bound = vd.sigma_min_bound
         monkeypatch.setattr(vd, "sigma_min_bound", lambda M, L: s * (1 + 1e-6) if L == 12
                             else bound(M, L))
-        assert not vd.certify_sigma_min_bounds(13, sigmas)
-        assert not vd.certify_sigma_min_bounds(13, [1e6] * 12)
+        assert not vd.certify_sigma_min_bounds(13, sigmas, sums)
+        assert not vd.certify_sigma_min_bounds(13, [1e6] * 12, sums)
         # no power of two in [b, s/2]: decided at b itself
         monkeypatch.setattr(vd, "sigma_min_bound", lambda M, L: s * (1 - 1e-6) if L == 12
                             else bound(M, L))
-        assert vd.certify_sigma_min_bounds(13, sigmas)
+        assert vd.certify_sigma_min_bounds(13, sigmas, sums)
 
     def test_exact_at_analytic_value(self):
         # (M=2, L=1): lambda_min of the Gram matrix is (13 - sqrt(153))/16
         lam = (13 - math.sqrt(153)) / 16
-        assert sigma_min_exceeds(2, 1, math.sqrt(lam * (1 - 1e-12)))
-        assert not sigma_min_exceeds(2, 1, math.sqrt(lam * (1 + 1e-12)))
-        assert sigma_min_exceeds(2, 1, 0)
+        sums = _sums(2, 1)
+        assert sigma_min_exceeds(2, 1, math.sqrt(lam * (1 - 1e-12)), sums)
+        assert not sigma_min_exceeds(2, 1, math.sqrt(lam * (1 + 1e-12)), sums)
+        assert sigma_min_exceeds(2, 1, 0, sums)
 
 
 def _per_cell_spectral_report():
@@ -216,13 +225,13 @@ def _per_cell_spectral_report():
     worst_bound = (math.inf, 0, 0)
     for L in range(1, verify.SPECTRAL_L_MAX + 1):
         for M in range(L + 1, verify.SPECTRAL_M_MAX + 1):
-            bar = build_matrix(M, L, with_ones=True) / math.sqrt(M)
+            bar = build_matrix(M, L) / math.sqrt(M)
             sv = np.linalg.svd(bar, compute_uv=False)
             s_bar = float(sv[-1])
             bnd = sigma_min_bound(M, L)
-            certified = _certify_cell(M, L, s_bar, power_sums(M, 2 * L)) and certified
+            certified = _certify_cell(M, L, s_bar, _sums(M, L)) and certified
             worst_bound = min(worst_bound, (s_bar / bnd, M, L))
-            s_plain = sigma_min(build_matrix(M, L, with_ones=False))
+            s_plain = sigma_min(build_matrix(M, L)[:, 1:])
             if L > verify.FLOAT_CHECK_L_MAX and s_bar <= verify.FLOAT_FLOOR * sv[0]:
                 unasserted.append(f"(M={M}, L={L}): sigma_min(B)={s_plain!r}, "
                                   f"sigma_min(Bbar)={s_bar * math.sqrt(M)!r}")
@@ -250,11 +259,10 @@ class TestSpectralReport:
         assert [line.split(":")[0] for line in lines[len(ref):]] == ["t_m modulus bound (M<=32, m<=8)"]
 
     def test_sliced_columns_match_own_matrices(self):
-        full = build_matrix(40, 12, with_ones=True)
+        full = build_matrix(40, 12)
         for L in (1, 5, 12):
-            assert np.array_equal(full[:, :L + 1], build_matrix(40, L, with_ones=True))
-            assert np.array_equal(full[:, 1:L + 1], build_matrix(40, L))
-            assert sigma_min(full[:, 1:L + 1]) == sigma_min(build_matrix(40, L))
+            assert np.array_equal(full[:, :L + 1], build_matrix(40, L))
+            assert sigma_min(full[:, 1:L + 1]) == sigma_min(build_matrix(40, L)[:, 1:])
 
 
 class TestCoefficientNormBound:
@@ -263,7 +271,7 @@ class TestCoefficientNormBound:
         for L in range(1, 6):
             for M in range(L + 1, 20):
                 w_norm = math.sqrt(sum(wj * wj for wj in map(float, solve_l2(M, L))))
-                budget = math.sqrt(M) / sigma_min(build_matrix(M, L, with_ones=False))
+                budget = math.sqrt(M) / sigma_min(build_matrix(M, L)[:, 1:])
                 assert w_norm <= budget * (1 + 1e-9)
 
 
@@ -271,7 +279,7 @@ class TestModulusCheck:
     def test_value_spots_m3(self):
         # t_1(x) = 2x - 2 at M = 3
         assert tm_bound_at(3, 1, 1 + 0j) == 1 * 2**6 * 3
-        report = tm_modulus_check(3, 1, 16)
+        report = tm_modulus_check(chebyshev_basis(3, 1), 1, 16)
         assert report.worst_ratio < 1
         # |t_1(-1)| = 4 against bound 192
         assert 4 <= tm_bound_at(3, 1, -1 + 0j) == 192
@@ -280,36 +288,32 @@ class TestModulusCheck:
         worst = 0.0
         for M in range(2, 17):
             for m in range(1, min(6, M - 1) + 1):
-                worst = max(worst, tm_modulus_check(M, m, 32).worst_ratio)
+                worst = max(worst, tm_modulus_check(chebyshev_basis(M, m), m, 32).worst_ratio)
         assert worst < 1
 
     def test_violation_reports_worst_point(self, monkeypatch):
         import urncount.vandermonde as vd
 
         monkeypatch.setattr(vd, "tm_bound_at", lambda M, m, z: 1e-12)
-        report = vd.tm_modulus_check(3, 1, 8)
+        report = vd.tm_modulus_check(chebyshev_basis(3, 1), 1, 8)
         assert report.worst_ratio > 1
         assert isinstance(report.worst_point, complex)
 
     def test_report_fields(self):
-        report = tm_modulus_check(5, 2, 16)
+        report = tm_modulus_check(chebyshev_basis(5, 2), 2, 16)
         assert (report.M, report.m) == (5, 2)
         assert 0 <= report.worst_ratio < 1
         assert isinstance(report.worst_point, complex)
 
     def test_shared_basis_matches_own(self):
-        from urncount.orthopoly import chebyshev_basis
-
         basis = chebyshev_basis(9, 6)
         for m in range(1, 7):
-            assert tm_modulus_check(9, m, 32, basis=basis) == tm_modulus_check(9, m, 32)
+            assert tm_modulus_check(basis, m, 32) == tm_modulus_check(chebyshev_basis(9, m), m, 32)
         with pytest.raises(ValueError, match="does not cover"):
-            tm_modulus_check(9, 7, 32, basis=basis)
-        with pytest.raises(ValueError, match="does not cover"):
-            tm_modulus_check(10, 2, 32, basis=basis)
+            tm_modulus_check(basis, 7, 32)
 
     def test_invalid_degree(self):
         with pytest.raises(ValueError):
-            tm_modulus_check(3, 0, 8)
+            tm_modulus_check(chebyshev_basis(3, 2), 0, 8)
         with pytest.raises(ValueError):
-            tm_modulus_check(3, 3, 8)
+            tm_modulus_check(chebyshev_basis(3, 2), 3, 8)
