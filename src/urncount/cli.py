@@ -36,7 +36,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    params = select_params(args.k, args.n, alpha=args.alpha, beta=args.beta, eta=args.eta)
+    params = select_params(args.k, args.n)
     coeffs = build_estimator(params)
     if args.samples:
         ids = np.sort(_sample_ids(Path(args.samples).read_bytes()))
@@ -159,9 +159,6 @@ def build_parser() -> argparse.ArgumentParser:
     est = sub.add_parser("estimate", help="estimate distinct colors from samples")
     est.add_argument("--k", type=int, required=True, help="total number of balls in the urn")
     est.add_argument("--n", type=int, required=True, help="nominal sample size")
-    est.add_argument("--alpha", type=float, default=None)
-    est.add_argument("--beta", type=float, default=None)
-    est.add_argument("--eta", type=float, default=None)
     src = est.add_mutually_exclusive_group(required=True)
     src.add_argument("--samples", help="file of observed color ids, one per line")
     src.add_argument("--fingerprint", help="file of 'j count' fingerprint lines")

@@ -27,9 +27,8 @@ from .rng import LOG_FLOAT_LIMIT
 from .stirling import MAX_TABLE_N, stirling_first
 from .urn import UrnSpec
 
-DEFAULT_ALPHA = 0.5
-DEFAULT_BETA = 2.0
-DEFAULT_ETA = 1.0
+ALPHA = 0.5
+BETA = 2.0
 INTERPOLATION_BETA = 3.5
 
 REGIME_L2 = "l2"
@@ -40,9 +39,6 @@ REGIME_INTERPOLATION = "interpolation"
 class EstimatorParams:
     k: int
     n: int
-    alpha: float
-    beta: float
-    eta: float
     L: int
     M: int
     regime: str
@@ -52,12 +48,6 @@ class EstimatorParams:
             raise ValueError("k must be >= 2")
         if self.n < 1:
             raise ValueError("n must be >= 1")
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
-        if self.beta <= self.alpha:
-            raise ValueError("beta must exceed alpha")
-        if self.eta <= 0:
-            raise ValueError("eta must be positive")
         if self.L < 1 or self.M < 1:
             raise ValueError("L and M must be >= 1")
         if self.regime == REGIME_L2:
@@ -78,42 +68,27 @@ class EstimateResult:
     coeffs_digest: str
 
 
-def select_params(
-    k: int,
-    n: int,
-    *,
-    alpha: float | None = None,
-    beta: float | None = None,
-    eta: float | None = None,
-    regime: str | None = None,
-) -> EstimatorParams:
+def select_params(k: int, n: int, *, regime: str | None = None) -> EstimatorParams:
     """Pick degree L, node count M, and regime for the sample size at hand.
 
-    Oversampling (n > eta*k) switches to interpolation with L = M =
-    ceil(3.5 (k/n) log k); otherwise L = ceil(alpha log k) and
-    M = ceil(beta k log k / n), raised to L+1 if needed.  ``regime`` forces
-    one of the two rules at any n.
+    Oversampling (n > k, compared as integers) switches to interpolation with
+    L = M = ceil(3.5 (k/n) ln k); otherwise L = ceil(0.5 ln k) and
+    M = ceil(2 k ln k / n), raised to L+1 if needed.  ``regime`` forces one
+    of the two rules at any n.
     """
     if k < 2:
         raise ValueError("k must be >= 2")
     if n < 1:
         raise ValueError("n must be >= 1")
-    for name, value in (("alpha", alpha), ("beta", beta), ("eta", eta)):
-        if value is not None and not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
     if regime not in (None, REGIME_L2, REGIME_INTERPOLATION):
         raise ValueError(f"unknown regime {regime!r}")
-    a = DEFAULT_ALPHA if alpha is None else alpha
-    e = DEFAULT_ETA if eta is None else eta
     logk = math.log(k)
-    if regime == REGIME_INTERPOLATION or (regime is None and n > e * k):
-        b = INTERPOLATION_BETA if beta is None else beta
-        size = max(1, math.ceil(b * (k / n) * logk))
-        return EstimatorParams(k, n, a, b, e, size, size, REGIME_INTERPOLATION)
-    b = DEFAULT_BETA if beta is None else beta
-    L = max(1, math.ceil(a * logk))
-    M = max(L + 1, math.ceil(b * k * logk / n))
-    return EstimatorParams(k, n, a, b, e, L, M, REGIME_L2)
+    if regime == REGIME_INTERPOLATION or (regime is None and n > k):
+        size = max(1, math.ceil(INTERPOLATION_BETA * (k / n) * logk))
+        return EstimatorParams(k, n, size, size, REGIME_INTERPOLATION)
+    L = max(1, math.ceil(ALPHA * logk))
+    M = max(L + 1, math.ceil(BETA * k * logk / n))
+    return EstimatorParams(k, n, L, M, REGIME_L2)
 
 
 class ParameterizationError(ValueError):
@@ -192,7 +167,7 @@ def interp_coeffs(M: int, k: int, n: int) -> CoefficientVector:
         if log_u > LOG_FLOAT_LIMIT:
             raise ParameterizationError(
                 f"interpolation coefficients overflow at k={k}, n={n}, "
-                f"M={M}; use the l2 regime (n <= eta*k) instead"
+                f"M={M}; use the l2 regime (n <= k) instead"
             )
         u.append(math.exp(log_u) if s > 0 else -math.exp(log_u))
         w_exact.append(Fraction(M**j * s, mfact))
@@ -202,19 +177,16 @@ def interp_coeffs(M: int, k: int, n: int) -> CoefficientVector:
 COEFF_CACHE_SIZE = 256
 
 
+@lru_cache(maxsize=COEFF_CACHE_SIZE)
 def build_estimator(params: EstimatorParams) -> CoefficientVector:
     """Coefficient vector for the given parameters, from a bounded LRU cache
-    keyed by (k, n, L, M, regime); ``_coefficients.cache_info()`` counts hits
-    and misses."""
-    return _coefficients(params.k, params.n, params.L, params.M, params.regime)
-
-
-@lru_cache(maxsize=COEFF_CACHE_SIZE)
-def _coefficients(k: int, n: int, L: int, M: int, regime: str) -> CoefficientVector:
-    if regime == REGIME_L2:
-        w_exact = solve_l2(M, L)
-        return CoefficientVector(REGIME_L2, M, k, n, w_exact, w_to_u(w_exact, k, n, M))
-    return interp_coeffs(M, k, n)
+    keyed by the frozen params (k, n, L, M, regime);
+    ``build_estimator.cache_info()`` counts hits and misses."""
+    if params.regime == REGIME_L2:
+        w_exact = solve_l2(params.M, params.L)
+        u = w_to_u(w_exact, params.k, params.n, params.M)
+        return CoefficientVector(REGIME_L2, params.M, params.k, params.n, w_exact, u)
+    return interp_coeffs(params.M, params.k, params.n)
 
 
 def naive_coefficients(k: int, n: int) -> CoefficientVector:

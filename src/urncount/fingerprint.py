@@ -33,7 +33,8 @@ class Fingerprint:
 
 def fingerprint_from_count_values(count_values) -> Fingerprint:
     """Fingerprint of per-color counts (an integer array or sequence; zeros
-    allowed; bools and floats are refused, not truncated).
+    allowed; bools and floats are refused, not truncated, and so are counts
+    past 2**63 - 1).
 
     The one fingerprint constructor: a single ``np.bincount``.
     """
@@ -42,6 +43,12 @@ def fingerprint_from_count_values(count_values) -> Fingerprint:
         return Fingerprint({})
     if counts.dtype.kind not in "iu":
         raise ValueError(f"per-color counts must be integers, got dtype {counts.dtype}")
+    # numpy turns [True, 2] into int64, so a sequence's items are checked one by one
+    if not isinstance(count_values, np.ndarray) and any(
+            isinstance(c, (bool, np.bool_)) for c in count_values):
+        raise ValueError("per-color counts must be integers, got bool")
+    if counts.dtype == np.uint64 and counts.max() > np.iinfo(np.int64).max:
+        raise ValueError(f"per-color count {counts.max()} is too large (past 2**63 - 1)")
     counts = counts.astype(np.int64, copy=False)
     if counts.min() < 0:
         raise ValueError("per-color counts must be >= 0")

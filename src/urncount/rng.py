@@ -168,7 +168,7 @@ class RngStream:
 
     __slots__ = ("master_seed", "stream_index", "_base", "_counter")
 
-    def __init__(self, master_seed: int, stream_index: int = 0):
+    def __init__(self, master_seed: int, stream_index: int):
         self.master_seed = master_seed & _MASK
         self.stream_index = stream_index & _MASK
         self._base = _mix(self.master_seed ^ _mix(self.stream_index ^ _GOLDEN))

@@ -12,7 +12,8 @@ local variable or a word that shares its name does not keep it alive.
 Likewise a default that only the tests take is a second way to call the
 function that the program never uses: each defaulted parameter needs one
 call in ``src/`` or ``perfbench/``, outside the function's own body, that
-leaves it out.
+leaves it out.  The explicit ``__init__`` of a public class is called by the
+class name, ``ClassName(...)``.
 """
 
 import ast
@@ -116,13 +117,21 @@ def test_every_default_is_used():
         if PACKAGE not in path.parents:
             continue
         for node, member in _public_definitions(tree):
-            if node.name.startswith("_") or isinstance(node, ast.ClassDef):
+            if node.name.startswith("_"):
                 continue
+            called, label, through_attribute = node.name, node.name, member
+            if isinstance(node, ast.ClassDef):
+                node = next((sub for sub in node.body
+                             if isinstance(sub, ast.FunctionDef) and sub.name == "__init__"), None)
+                if node is None:
+                    continue
+                # ClassName(...) calls __init__ with self taking no slot
+                label, member, through_attribute = f"{called}.__init__", True, False
             own = range(node.lineno, node.end_lineno + 1)
-            callers = [call for where, call, via_attribute in calls.get(node.name, ())
+            callers = [call for where, call, via_attribute in calls.get(called, ())
                        if (where != path or call.lineno not in own)
-                       and (via_attribute or not member)]
+                       and (via_attribute or not through_attribute)]
             for name, slot in _defaults(node, member):
                 if not any(_omits(call, name, slot) for call in callers):
-                    unused.append(f"{path.relative_to(ROOT)}:{node.lineno} {node.name}({name}=)")
+                    unused.append(f"{path.relative_to(ROOT)}:{node.lineno} {label}({name}=)")
     assert not unused, "defaults that no call outside the tests takes: " + ", ".join(unused)

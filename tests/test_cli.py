@@ -247,36 +247,14 @@ class TestEstimate:
         out = capsys.readouterr().out
         assert "c_hat:" in out and "regime:" in out
 
-    def test_override_flags(self, tmp_path, capsys):
+    @pytest.mark.parametrize("flag, value", [("--alpha", "0.3"), ("--beta", "3"), ("--eta", "2")])
+    def test_selection_constants_are_not_flags(self, tmp_path, capsys, flag, value):
         fp = tmp_path / "fp.txt"
         fp.write_text("1 4\n")
-        rc = main(["estimate", "--k", "100", "--n", "50", "--beta", "3.0",
-                   "--fingerprint", str(fp), "--json"])
-        assert rc == 0
-        assert json.loads(capsys.readouterr().out)["regime"] == "l2"
-
-    @pytest.mark.parametrize("flag, value", [
-        ("--alpha", "inf"), ("--beta", "inf"), ("--eta", "nan"),
-    ])
-    def test_non_finite_flag_is_one_line_and_exit_2(self, tmp_path, capsys, flag, value):
-        fp = tmp_path / "fp.txt"
-        fp.write_text("1 4\n2 3\n")
-        rc = main(["estimate", "--k", "100", "--n", "10", flag, value, "--fingerprint", str(fp)])
-        captured = capsys.readouterr()
-        assert rc == 2
-        assert captured.out == ""
-        assert captured.err == f"urncount estimate: error: {flag[2:]} must be finite, got {value}\n"
-
-    @pytest.mark.parametrize("value", ["-3", "0"])
-    def test_non_positive_eta_is_one_line_and_exit_2(self, tmp_path, capsys, value):
-        fp = tmp_path / "fp.txt"
-        fp.write_text("1 4\n2 3\n")
-        rc = main(["estimate", "--k", "100", "--n", "1000", "--eta", value,
-                   "--fingerprint", str(fp), "--json"])
-        captured = capsys.readouterr()
-        assert rc == 2
-        assert captured.out == ""
-        assert captured.err == "urncount estimate: error: eta must be positive\n"
+        with pytest.raises(SystemExit) as exc:
+            main(["estimate", "--k", "100", "--n", "50", flag, value, "--fingerprint", str(fp)])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
 
 
 class TestParserReuse:
@@ -286,19 +264,19 @@ class TestParserReuse:
         fp.write_text("1 40\n2 12\n3 4\n")
         samples = tmp_path / "s.txt"
         samples.write_text("".join(f"{i % 23}\n" for i in range(60)))
-        base = ["estimate", "--k", "1000", "--n", "72", "--json"]
+        base = ["estimate", "--k", "1000", "--n", "72"]
         argvs = {
-            "alpha": [*base, "--alpha", "0.3", "--fingerprint", str(fp)],
+            "json": [*base, "--json", "--fingerprint", str(fp)],
             "plain": [*base, "--fingerprint", str(fp)],
-            "samples": [*base, "--samples", str(samples)],
+            "samples": [*base, "--json", "--samples", str(samples)],
             "stirling": ["verify", "--stirling"],
         }
         env = {**os.environ, "PYTHONPATH": str(Path(urncount.__file__).parents[1])}
         fresh = {name: subprocess.run([sys.executable, "-m", "urncount.cli", *argv], env=env,
                                       capture_output=True, text=True, check=True).stdout
                  for name, argv in argvs.items()}
-        assert fresh["alpha"] != fresh["plain"]
-        for name in ["alpha", "plain", "samples", "stirling", "plain", "alpha", "stirling",
+        assert fresh["json"] != fresh["plain"]
+        for name in ["json", "plain", "samples", "stirling", "plain", "json", "stirling",
                      "samples", "plain"]:
             assert main(argvs[name]) == 0
             assert capsys.readouterr().out == fresh[name], name

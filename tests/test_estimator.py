@@ -16,7 +16,6 @@ from urncount.estimator import (
     interp_coeffs,
     naive_coefficients,
     select_params,
-    _coefficients,
 )
 from urncount.fingerprint import Fingerprint, fingerprint_from_count_values
 from urncount.orthopoly import l2_min_value
@@ -37,48 +36,37 @@ class TestSelectParams:
         p = select_params(100, 400)
         assert p.regime == "interpolation"
         assert (p.L, p.M) == (5, 5)
-        assert p.beta == 3.5
 
     def test_degenerate_oversampling_floors_at_one(self):
         p = select_params(10_000, 10**9)
         assert (p.L, p.M) == (1, 1)
 
     def test_m_raised_to_l_plus_one(self):
-        # tiny beta would give M < L+1; the floor must kick in
-        p = select_params(1000, 900, beta=0.51)
-        assert p.regime == "l2"
-        assert p.M >= p.L + 1
+        # forced l2 far past n = k gives ceil(2 k ln k / n) = 1 < L+1; the floor must kick in
+        p = select_params(10_000, 10**9, regime="l2")
+        assert (p.regime, p.L, p.M) == ("l2", 5, 6)
 
-    def test_overrides(self):
-        p = select_params(1000, 100, alpha=0.3, beta=4.0, eta=2.0)
-        assert (p.alpha, p.beta, p.eta) == (0.3, 4.0, 2.0)
-        # eta override moves the regime boundary
-        assert select_params(100, 150, eta=2.0).regime == "l2"
-        assert select_params(100, 150, eta=1.0).regime == "interpolation"
+    @pytest.mark.parametrize("k", [2, 100, 2**53 - 1, 2**53, 2**53 + 1, 10**20])
+    def test_regime_switches_past_n_equal_k(self, k):
+        # n = k is l2 at every k: the switch compares the integers, not n with a rounded 1.0*k
+        assert select_params(k, k).regime == "l2"
+        assert select_params(k, k + 1).regime == "interpolation"
 
     def test_invalid(self):
         with pytest.raises(ValueError):
             select_params(1, 5)
         with pytest.raises(ValueError):
             select_params(10, 0)
-        with pytest.raises(ValueError):
-            select_params(100, 10, alpha=2.0, beta=1.0)
-
-    @pytest.mark.parametrize("eta", [-3.0, 0.0])
-    def test_non_positive_eta_is_rejected(self, eta):
-        # n > eta*k holds for every n when eta <= 0, which would force interpolation
-        with pytest.raises(ValueError, match="^eta must be positive$"):
-            select_params(100, 1000, eta=eta)
 
     def test_regime_forces_either_rule(self):
         k = 10_000
         logk = math.log(k)
         p = select_params(k, 5000, regime="interpolation")
         size = math.ceil(3.5 * (k / 5000) * logk)
-        assert (p.regime, p.L, p.M, p.beta) == ("interpolation", size, size, 3.5)
+        assert (p.regime, p.L, p.M) == ("interpolation", size, size)
         q = select_params(k, 20_000, regime="l2")
         L = math.ceil(0.5 * logk)
-        assert (q.regime, q.L, q.M, q.beta) == ("l2", L, max(L + 1, math.ceil(2 * k * logk / 20_000)), 2.0)
+        assert (q.regime, q.L, q.M) == ("l2", L, max(L + 1, math.ceil(2 * k * logk / 20_000)))
         assert select_params(k, 5000, regime=None) == select_params(k, 5000)
         with pytest.raises(ValueError, match="regime"):
             select_params(k, 5000, regime="bogus")
@@ -86,13 +74,13 @@ class TestSelectParams:
 
 class TestBuildEstimator:
     def test_interpolation_example(self):
-        p = EstimatorParams(2, 2, 0.5, 3.5, 1.0, 2, 2, "interpolation")
+        p = EstimatorParams(2, 2, 2, 2, "interpolation")
         coeffs = build_estimator(p)
         assert coeffs.u == pytest.approx((1.5, -1.0), rel=1e-12)
 
     def test_l2_example(self):
         # k = n*M makes k/(nM) = 1, so u_1 = w_1 = 6/5
-        p = EstimatorParams(10, 5, 0.5, 2.0, 1.0, 1, 2, "l2")
+        p = EstimatorParams(10, 5, 1, 2, "l2")
         coeffs = build_estimator(p)
         assert coeffs.u == pytest.approx((1.2,), rel=1e-12)
 
@@ -102,21 +90,21 @@ class TestBuildEstimator:
         assert build_estimator(p) is build_estimator(p)
 
     def test_cache_is_bounded_lru(self):
-        _coefficients.cache_clear()
+        build_estimator.cache_clear()
         first = select_params(10_000, 5_000)
         build_estimator(first)
         build_estimator(first)
-        info = _coefficients.cache_info()
+        info = build_estimator.cache_info()
         assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
         assert info.maxsize == COEFF_CACHE_SIZE
         for n in range(1, COEFF_CACHE_SIZE + 1):  # COEFF_CACHE_SIZE more keys
-            build_estimator(EstimatorParams(10, n, 0.5, 2.0, 1.0, 1, 2, "l2"))
-        info = _coefficients.cache_info()
+            build_estimator(EstimatorParams(10, n, 1, 2, "l2"))
+        info = build_estimator.cache_info()
         assert (info.hits, info.misses, info.currsize) == (1, COEFF_CACHE_SIZE + 1, COEFF_CACHE_SIZE)
         build_estimator(first)  # the oldest entry was evicted
-        assert _coefficients.cache_info().misses == COEFF_CACHE_SIZE + 2
-        build_estimator(EstimatorParams(10, COEFF_CACHE_SIZE, 0.5, 2.0, 1.0, 1, 2, "l2"))
-        assert _coefficients.cache_info().hits == 2  # the newest one was kept
+        assert build_estimator.cache_info().misses == COEFF_CACHE_SIZE + 2
+        build_estimator(EstimatorParams(10, COEFF_CACHE_SIZE, 1, 2, "l2"))
+        assert build_estimator.cache_info().hits == 2  # the newest one was kept
 
     def test_stirling_cap_raises_parameterization_error(self):
         p = select_params(100_000, 1000, regime="interpolation")
@@ -125,7 +113,7 @@ class TestBuildEstimator:
             build_estimator(p)
 
     def test_overflow_raises_parameterization_error(self):
-        p = EstimatorParams(10**6, 1, 0.5, 3.5, 1.0, 60, 60, "interpolation")
+        p = EstimatorParams(10**6, 1, 60, 60, "interpolation")
         with pytest.raises(ParameterizationError, match="l2"):
             build_estimator(p)
 

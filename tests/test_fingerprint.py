@@ -60,10 +60,17 @@ class TestFingerprint:
             fingerprint_from_count_values([1, -1])
 
     @pytest.mark.parametrize("values", [[1.5, 2.7], [1.0, 2.0], [True, False],
-                                        np.array([1, 2], dtype=np.float32)])
+                                        np.array([1, 2], dtype=np.float32),
+                                        [True, 2], (3, np.True_)])
     def test_from_count_values_refuses_non_integers(self, values):
         # truncating 1.5 to 1 would invent a fingerprint the sample never had
         with pytest.raises(ValueError, match="must be integers"):
+            fingerprint_from_count_values(values)
+
+    @pytest.mark.parametrize("values", [np.array([1, 2**63], dtype=np.uint64), [2**64 - 1]])
+    def test_from_count_values_refuses_counts_past_int64(self, values):
+        # casting to int64 would wrap them negative
+        with pytest.raises(ValueError, match=r"too large \(past 2\*\*63 - 1\)"):
             fingerprint_from_count_values(values)
 
     def test_from_count_values_empty_and_unsigned(self):

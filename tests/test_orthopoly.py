@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from urncount.estimator import _coefficients, w_to_u
+from urncount.estimator import EstimatorParams, build_estimator, w_to_u
 from urncount.orthopoly import (
     binomial_ratio_minus_one,
     chebyshev_basis,
@@ -276,11 +276,13 @@ class TestCoefficientTransform:
             assert b == pytest.approx(a, rel=1e-12, abs=1e-15)
 
     def test_digest_stable_and_distinct(self):
-        build = _coefficients.__wrapped__  # uncached: two separate builds
-        a = build(10, 5, 2, 5, "l2")
-        assert a.digest == build(10, 5, 2, 5, "l2").digest
-        assert a.digest != build(10, 5, 2, 6, "l2").digest
-        assert a.digest != build(10, 6, 2, 5, "l2").digest
+        def build(k, n, L, M):  # uncached: two separate builds
+            return build_estimator.__wrapped__(EstimatorParams(k, n, L, M, "l2"))
+
+        a = build(10, 5, 2, 5)
+        assert a.digest == build(10, 5, 2, 5).digest
+        assert a.digest != build(10, 5, 2, 6).digest
+        assert a.digest != build(10, 6, 2, 5).digest
 
 
 def test_chebyshev_norm_formula():

@@ -44,7 +44,7 @@ class TestPinnedBits:
 
     @pytest.mark.parametrize("M", [60, 127])
     def test_overflow_cell_raises(self, M):
-        params = EstimatorParams(10**6, 1, 0.5, 3.5, 1.0, M, M, "interpolation")
+        params = EstimatorParams(10**6, 1, M, M, "interpolation")
         with pytest.raises(ParameterizationError, match="l2"):
             build_estimator(params)
 
