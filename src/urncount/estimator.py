@@ -35,6 +35,17 @@ REGIME_L2 = "l2"
 REGIME_INTERPOLATION = "interpolation"
 
 
+def _check_sizes(k: int, n: int) -> None:
+    """Refuse a k or n that is not an int >= its floor; bools are not sizes."""
+    for name, value in (("k", k), ("n", n)):
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValueError(f"{name} must be an int, got {value!r}")
+    if k < 2:
+        raise ValueError("k must be >= 2")
+    if n < 1:
+        raise ValueError("n must be >= 1")
+
+
 @dataclass(frozen=True)
 class EstimatorParams:
     k: int
@@ -44,10 +55,7 @@ class EstimatorParams:
     regime: str
 
     def __post_init__(self):
-        if self.k < 2:
-            raise ValueError("k must be >= 2")
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
+        _check_sizes(self.k, self.n)
         if self.L < 1 or self.M < 1:
             raise ValueError("L and M must be >= 1")
         if self.regime == REGIME_L2:
@@ -76,10 +84,7 @@ def select_params(k: int, n: int, *, regime: str | None = None) -> EstimatorPara
     M = ceil(2 k ln k / n), raised to L+1 if needed.  ``regime`` forces one
     of the two rules at any n.
     """
-    if k < 2:
-        raise ValueError("k must be >= 2")
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_sizes(k, n)
     if regime not in (None, REGIME_L2, REGIME_INTERPOLATION):
         raise ValueError(f"unknown regime {regime!r}")
     logk = math.log(k)

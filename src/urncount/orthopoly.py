@@ -78,23 +78,33 @@ def chebyshev_basis(M: int, L: int) -> ChebyshevBasis:
     return ChebyshevBasis(M, L, tuple(numerators))
 
 
-def orthonormality_deviation(M: int, L: int) -> float:
-    """max_{i,j <= L} |<phi_i, phi_j> - delta_ij| under the node inner product.
+def orthonormality_deviations(M: int, L: int) -> list[float]:
+    """max_{i,j <= d} |<phi_i, phi_j> - delta_ij| under the node inner product,
+    for each degree d = 0..L.
 
     phi_m(i/M) = t_m(i-1)/sqrt(c(M,m)) for i in [M].  The node values are exact
     and rounded once, so the float inner products are accurate to a few ulps
-    despite the huge alternating coefficients.
+    despite the huge alternating coefficients.  Only the nodes y < M/2 are
+    evaluated; t_m(M-1-y) = (-1)^m t_m(y) gives the rest.
     """
     if L < 0 or L >= M:
         raise ValueError(f"need 0 <= L <= M-1, got L={L}, M={M}")
-    x = range(1 - M, M, 2)  # 2y - M + 1 at y = 0..M-1
-    rows = _gram_numerators(M, L, [1] * M, lambda v: [xi * u for xi, u in zip(x, v)])
+    half = (M + 1) // 2
+    x = range(1 - M, 2 * half - M, 2)  # 2y - M + 1 at y = 0..half-1
+    rows = _gram_numerators(M, L, [1] * half, lambda v: [xi * u for xi, u in zip(x, v)])
     v = np.empty((L + 1, M))
     for m, row in enumerate(rows):
         fm = factorial(m)
-        v[m] = np.array([r / fm for r in row]) / math.sqrt(float(chebyshev_norm(M, m)))
-    gram = v @ v.T
-    return float(np.max(np.abs(gram - np.eye(L + 1))))
+        head = [r / fm for r in row]
+        tail = head[:M - half][::-1]
+        v[m] = np.array(head + (tail if m % 2 == 0 else [-t for t in tail]))
+        v[m] /= math.sqrt(float(chebyshev_norm(M, m)))
+    deviations = []
+    for d in range(L + 1):
+        gram = v[:d + 1] @ v[:d + 1].T
+        gram.flat[::d + 2] -= 1.0  # the diagonal
+        deviations.append(float(np.abs(gram).max()))
+    return deviations
 
 
 # -- closed-form least squares ------------------------------------------------
@@ -108,14 +118,20 @@ def t_at_minus_one(M: int, m: int) -> int:
 
 
 def phi_norm_sq(M: int, L: int) -> Fraction:
-    """||phi(0)||^2 = sum_m t_m(-1)^2 / c(M,m), exactly."""
+    """||phi(0)||^2 = sum_m t_m(-1)^2 / c(M,m), exactly.
+
+    The sum runs on integers over den = c(M,L) (2L+1), the product
+    M (M^2-1^2)...(M^2-L^2), which every c(M,m) (2m+1) divides; one
+    Fraction is formed at the end.
+    """
     if L < 0 or L >= M:
         raise ValueError(f"need 0 <= L <= M-1, got L={L}, M={M}")
-    total = Fraction(0)
-    for m in range(L + 1):
+    num, den = 1, M  # m = 0: t_0(-1)^2 / c(M,0) = 1/M
+    for m in range(1, L + 1):
         tm = t_at_minus_one(M, m)
-        total += Fraction(tm * tm, 1) / chebyshev_norm(M, m)
-    return total
+        num = num * (M * M - m * m) + (2 * m + 1) * tm * tm
+        den *= M * M - m * m
+    return Fraction(num, den)
 
 
 def binomial_ratio_minus_one(M: int, L: int) -> Fraction:

@@ -2,15 +2,18 @@
 
 The estimator's variance is controlled by how small the least singular value
 of the node matrix can get.  Reported values come from LAPACK's SVD of the
-matrix itself.  The closed-form lower bound is decided exactly instead:
-sigma_min(Bbar / sqrt(M)) > c holds iff G - c^2 I is positive definite, where
-G = Bbar^T Bbar / M.  The congruence D = diag(M^j), scaled by M, turns G into
-the integer Hankel matrix H_{jl} = S_{j+l} of power sums S_p = sum_{i<=M} i^p,
-so with c^2 = p/q the test is q H - p M diag(M^(2j)) > 0: every leading
-principal minor positive (Sylvester), read off fraction-free elimination on
-Python ints.  The degree-L matrix is the leading block of order L+1 of every
-higher degree's, so consecutive degrees of one M that share a power-of-two
-threshold c share one elimination too.
+matrix itself.  The closed-form lower bound is certified exactly instead, in
+the discrete Chebyshev basis: with N_m the integer coefficients of
+m! t_m(Mx - 1), Bbar = Phi C^-1 for an orthonormal Phi, so G = Bbar^T Bbar / M
+has trace(G^-1) = M sum_m ||N_m||^2 / (m!^2 c(M, m)), a rational in closed
+form, and sigma_min(Bbar / sqrt(M))^2 = lambda_min(G) >= 1 / trace(G^-1).
+A degree whose bound b has b^2 trace(G^-1) < 1 is certified.  Any other
+degree falls back to the exact test of b itself: sigma_min(Bbar / sqrt(M)) > b
+iff G - b^2 I is positive definite; the congruence D = diag(M^j), scaled by
+M, turns G into the integer Hankel matrix H_{jl} = S_{j+l} of power sums
+S_p = sum_{i<=M} i^p, so with b^2 = p/q the test is
+q H - p M diag(M^(2j)) > 0: every leading principal minor positive
+(Sylvester), read off fraction-free elimination on Python ints.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .orthopoly import ChebyshevBasis
+from .orthopoly import ChebyshevBasis, _gram_coefficients
 
 
 def build_matrix(M: int, L: int) -> np.ndarray:
@@ -68,16 +71,19 @@ def power_sum_table(M_max: int, top: int) -> list[list[int]]:
     return rows
 
 
-def _positive_order(M: int, order: int, c, sums: list[int]) -> int:
-    """How many leading principal minors of q H - p M diag(M^(2j)), of order
-    ``order`` with c^2 = p/q, are positive before the first that is not.
+def sigma_min_exceeds(M: int, L: int, c, sums: list[int]) -> bool:
+    """Exactly whether sigma_min(Bbar / sqrt(M)) > c, for Bbar = build_matrix(M,
+    L) in exact arithmetic.
 
+    ``c`` is a float or a Fraction, taken at its exact value; ``sums`` is
+    row M of power_sum_table(M_max, top) for any top >= 2L, shared across L.
     Bareiss elimination on Python ints: the k-th pivot is the k-th leading
-    principal minor, and every division is exact.  Only the upper triangle is
-    built or updated.
+    principal minor of q H - p M diag(M^(2j)), c^2 = p/q, and every division
+    is exact.  Only the upper triangle is built or updated.
     """
     c2 = Fraction(c) ** 2
     p, q = c2.numerator, c2.denominator
+    order = L + 1
     a = [[0] * j + [q * sums[j + l] for l in range(j, order)] for j in range(order)]
     for j in range(order):
         a[j][j] -= p * M ** (2 * j + 1)
@@ -85,7 +91,7 @@ def _positive_order(M: int, order: int, c, sums: list[int]) -> int:
     for k in range(order):
         piv = a[k][k]
         if piv <= 0:
-            return k
+            return False
         row_k = a[k]
         for i in range(k + 1, order):
             aki = row_k[i]
@@ -93,49 +99,39 @@ def _positive_order(M: int, order: int, c, sums: list[int]) -> int:
             for j in range(i, order):
                 row_i[j] = (row_i[j] * piv - aki * row_k[j]) // prev
         prev = piv
-    return order
+    return True
 
 
-def sigma_min_exceeds(M: int, L: int, c, sums: list[int]) -> bool:
-    """Exactly whether sigma_min(Bbar / sqrt(M)) > c, for Bbar = build_matrix(M,
-    L) in exact arithmetic.
+def _inverse_gram_traces(M: int, top: int):
+    """Yield (num, den) with num / den = trace(G_L^-1) / M, exactly, for
+    L = 1..top, where G_L = Bbar_L^T Bbar_L / M.
 
-    ``c`` is a float or a Fraction, taken at its exact value; ``sums`` is
-    row M of power_sum_table(M_max, top) for any top >= 2L, shared across L.
+    trace(G_L^-1) = M sum_{m<=L} ||N_m||^2 / (m!^2 c(M, m)), with N_m the
+    integer coefficients of m! t_m(Mx - 1).  Since m!^2 c(M, m) =
+    M g_1 ... g_m / (2m+1) with g_j = j^2 (M^2 - j^2), the sum runs on
+    integers over den = M g_1 ... g_L.
     """
-    return _positive_order(M, L + 1, c, sums) > L
+    num, den = 1, M
+    for m, row in enumerate(_gram_coefficients(M, top, -M - 1, 2 * M)[1:], start=1):
+        g = m * m * (M * M - m * m)
+        num = num * g + (2 * m + 1) * sum(c * c for c in row)
+        den *= g
+        yield num, den
 
 
-def certify_sigma_min_bounds(M: int, sigma_hats, sums: list[int]) -> bool:
+def certify_sigma_min_bounds(M: int, top: int, sums: list[int]) -> bool:
     """Exactly whether sigma_min(Bbar_L / sqrt(M)) > sigma_min_bound(M, L) for
-    every degree L = 1..len(sigma_hats), Bbar_L = build_matrix(M, L); ``sums``
-    is row M of power_sum_table(M_max, top) for any top >= 2 len(sigma_hats).
+    every degree L = 1..top, Bbar_L = build_matrix(M, L); ``sums`` is row M
+    of power_sum_table(M_max, p) for any p >= 2 top.
 
-    ``sigma_hats[L - 1]`` (a float estimate of the L-th sigma_min) only picks
-    thresholds.  A run of consecutive degrees shares the power of two c with
-    max b <= c <= min sigma_hat / 2 over the run, and one elimination of the
-    last degree's order at c decides them all: the degree-L matrix is its
-    leading block of order L+1, so each degree up to the first non-positive
-    pivot has sigma_min > c >= b.  A degree that no run certifies is tested
-    at its own bound b, so the verdict is always the exact one.
+    A degree whose bound b has b^2 trace(G_L^-1) < 1 is certified by the
+    trace alone; any other degree is decided by sigma_min_exceeds at b.
     """
-    top = len(sigma_hats)
-    bounds = {L: sigma_min_bound(M, L) for L in range(1, top + 1)}
-    L = 1
-    while L <= top:
-        # the longest run L..last that one power of two c fits
-        c, last, lo, hi = None, L, 0.0, math.inf
-        for d in range(L, top + 1):
-            lo, hi = max(lo, bounds[d]), min(hi, sigma_hats[d - 1] / 2)
-            power = math.ldexp(1.0, math.frexp(hi)[1] - 1) if hi > 0 else 0.0
-            if not lo <= power <= hi:
-                break
-            c, last = power, d
-        certified = 0 if c is None else _positive_order(M, last + 1, c, sums) - 1
-        if not all(sigma_min_exceeds(M, d, bounds[d], sums)
-                   for d in range(max(L, certified + 1), last + 1)):
+    for L, (num, den) in enumerate(_inverse_gram_traces(M, top), start=1):
+        b = sigma_min_bound(M, L)
+        bn, bd = b.as_integer_ratio()
+        if bn * bn * M * num >= bd * bd * den and not sigma_min_exceeds(M, L, b, sums):
             return False
-        L = last + 1
     return True
 
 
@@ -156,20 +152,25 @@ def tm_bound_at(M: int, m: int, z):
     return m * m * 2.0 ** (6 * m) * reach**m
 
 
-def tm_modulus_check(basis: ChebyshevBasis, m: int, num_points: int) -> TmBoundReport:
+def tm_modulus_check(basis: ChebyshevBasis, num_points: int) -> tuple[TmBoundReport, ...]:
     """Check |t_m(z)| of ``basis`` against its modulus bound on the unit
-    circle and [-1, M], M = basis.M; one basis serves every m <= basis.L.
+    circle and [-1, M], M = basis.M, for every m = 1..basis.L.
 
-    Exact coefficients, one vectorized Horner pass in floating point.  The
-    report carries the largest ratio |t_m(z)| / bound and its point z; the
-    bound holds on the points checked iff that ratio is at most 1.
+    Exact coefficients, one vectorized Horner pass in floating point for all
+    m at once (row m padded with leading zeros, which keeps each value bit
+    for bit).  Report m - 1 carries the largest ratio |t_m(z)| / bound and
+    its point z; the bound holds on the points checked iff that ratio is at
+    most 1.
     """
-    M = basis.M
-    if not 1 <= m <= basis.L:
-        raise ValueError(f"basis (M={M}, L={basis.L}) does not cover t_{m}: need 1 <= m <= L")
+    M, L = basis.M, basis.L
+    if L < 1:
+        raise ValueError(f"basis (M={M}, L={L}) has no t_m with m >= 1")
     if num_points < 1:
         raise ValueError("num_points must be >= 1")
-    coeffs = [float(Fraction(c, math.factorial(m))) for c in basis.numerators[m]]
+    coeffs = np.zeros((L, L + 1))  # row m - 1: t_m, highest power first
+    for m in range(1, L + 1):
+        coeffs[m - 1, L - m:] = [float(Fraction(c, math.factorial(m)))
+                                 for c in reversed(basis.numerators[m])]
 
     circle = np.exp(2j * np.pi * np.arange(num_points) / num_points)
     if num_points == 1:
@@ -177,6 +178,11 @@ def tm_modulus_check(basis: ChebyshevBasis, m: int, num_points: int) -> TmBoundR
     else:
         line = (-1.0 + (M + 1.0) / (num_points - 1) * np.arange(num_points)).astype(complex)
     points = np.concatenate([circle, line])
-    ratios = np.abs(np.polyval(coeffs[::-1], points)) / tm_bound_at(M, m, points)
-    worst = int(np.argmax(ratios))
-    return TmBoundReport(M, m, float(ratios[worst]), complex(points[worst]))
+    values = np.zeros((L, points.size), dtype=complex)
+    for column in coeffs.T:
+        values = values * points + column[:, None]
+    ratios = np.abs(values)
+    for m in range(1, L + 1):
+        ratios[m - 1] /= tm_bound_at(M, m, points)
+    return tuple(TmBoundReport(M, m, float(ratios[m - 1, worst]), complex(points[worst]))
+                 for m, worst in enumerate(np.argmax(ratios, axis=1).tolist(), start=1))

@@ -20,7 +20,7 @@ from .orthopoly import (
     chebyshev_basis,
     l2_min_value,
     l2_residual_sq_exact,
-    orthonormality_deviation,
+    orthonormality_deviations,
     phi_norm_sq,
     poly_numerators,
     solve_l2,
@@ -50,6 +50,8 @@ def _check(lines: list[str], text: str, passed: bool) -> bool:
 
 def orthopoly_report() -> tuple[list[str], bool]:
     lines = ["M,L,orthonormality_dev,residual_rel_dev,implied_growth_const"]
+    # deviations[M][L]: every degree of one M from one set of node rows
+    deviations = {M: orthonormality_deviations(M, min(16, M - 1)) for M in range(2, 65)}
     worst_res = 0.0
     worst_orth = 0.0
     theta_lo, theta_hi = math.inf, -math.inf
@@ -60,7 +62,7 @@ def orthopoly_report() -> tuple[list[str], bool]:
             closed = l2_min_value(M, L)
             rel = abs(res - closed) / closed
             worst_res = max(worst_res, rel)
-            dev = orthonormality_deviation(M, L)
+            dev = deviations[M][L]
             worst_orth = max(worst_orth, dev)
             ratio = binomial_ratio_minus_one(M, L)
             # implied constant in the exp(L^2/M)-style growth of the ratio
@@ -68,17 +70,18 @@ def orthopoly_report() -> tuple[list[str], bool]:
             theta_lo = min(theta_lo, theta)
             theta_hi = max(theta_hi, theta)
             lines.append(f"{M},{L},{dev!r},{rel!r},{theta!r}")
-            step = Fraction(2 * L + 1, M)
+            # (2L+1)/M prod_j (M+j)/(M-j), on integers with one Fraction
+            step_num, step_den = 2 * L + 1, M
             for j in range(1, L + 1):
-                step *= Fraction(M + j, M - j)
-            if ratio - binomial_ratio_minus_one(M, L - 1) != step or phi_norm_sq(M, L) != ratio:
+                step_num, step_den = step_num * (M + j), step_den * (M - j)
+            if (ratio - binomial_ratio_minus_one(M, L - 1) != Fraction(step_num, step_den)
+                    or phi_norm_sq(M, L) != ratio):
                 identities_hold = False
     residual = _check(lines, f"l2 residual vs closed form (L<=8, M<=L+20): worst rel dev "
                              f"{worst_res:.3e}", worst_res <= 1e-9)
     lines.append(f"implied growth constant log(ratio)*M/L^2 in [{theta_lo:.3f}, {theta_hi:.3f}] (reported)")
 
-    for M in range(2, 65):
-        worst_orth = max(worst_orth, orthonormality_deviation(M, min(16, M - 1)))
+    worst_orth = max(worst_orth, *(devs[-1] for devs in deviations.values()))
     orthonormal = _check(lines, f"orthonormality (M<=64, L<=16): worst dev {worst_orth:.3e}",
                          worst_orth <= 1e-9)
     identities = _check(lines, "telescoping + norm identities (exact rationals)", identities_hold)
@@ -128,7 +131,6 @@ def spectral_report() -> tuple[list[str], bool]:
     lines = ["M,L,sigma_min,bound,ratio"]
     # each degree's node matrices are the leading columns of the degree-12 one
     full = {M: build_matrix(M, SPECTRAL_L_MAX) for M in range(2, SPECTRAL_M_MAX + 1)}
-    sigma_hats = {M: [] for M in full}
     extra_col_holds = True
     unasserted = []
     worst_bound = (math.inf, 0, 0)  # (sigma_min / bound, M, L)
@@ -137,7 +139,6 @@ def spectral_report() -> tuple[list[str], bool]:
             bar = full[M][:, :L + 1] / math.sqrt(M)
             sv = np.linalg.svd(bar, compute_uv=False)  # one SVD gives sigma_max and sigma_min
             s_bar = float(sv[-1])
-            sigma_hats[M].append(s_bar)
             bnd = sigma_min_bound(M, L)
             worst_bound = min(worst_bound, (s_bar / bnd, M, L))
             s_plain = sigma_min(full[M][:, 1:L + 1])
@@ -148,7 +149,7 @@ def spectral_report() -> tuple[list[str], bool]:
                 extra_col_holds = False
             lines.append(f"{M},{L},{s_bar!r},{bnd!r},{s_bar / bnd!r}")
     sums = power_sum_table(SPECTRAL_M_MAX, 2 * SPECTRAL_L_MAX)
-    certified = all(certify_sigma_min_bounds(M, hats, sums[M]) for M, hats in sigma_hats.items())
+    certified = all(certify_sigma_min_bounds(M, min(SPECTRAL_L_MAX, M - 1), sums[M]) for M in full)
     certificate = _check(lines, f"sigma_min(Bbar/sqrt(M)) > bound on grid (L<={SPECTRAL_L_MAX}, "
                                 f"M<={SPECTRAL_M_MAX}), exact certificate", certified)
     lines.append(f"smallest sigma_min/bound {worst_bound[0]:.3e} at (M={worst_bound[1]}, "
@@ -158,7 +159,7 @@ def spectral_report() -> tuple[list[str], bool]:
         lines.append(f"sigma_min(Bbar) <= {FLOAT_FLOOR:g} sigma_max at {cell} (reported, not asserted)")
 
     bases = (chebyshev_basis(M, min(8, M - 1)) for M in range(2, 33))
-    worst = max((tm_modulus_check(b, m, 64) for b in bases for m in range(1, b.L + 1)),
+    worst = max((report for b in bases for report in tm_modulus_check(b, 64)),
                 key=lambda report: report.worst_ratio)
     modulus = _check(lines, f"t_m modulus bound (M<=32, m<=8): worst ratio {worst.worst_ratio:.3e} "
                             f"at (M={worst.M}, m={worst.m}, z={worst.worst_point:.4g})",

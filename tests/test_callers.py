@@ -14,6 +14,12 @@ function that the program never uses: each defaulted parameter needs one
 call in ``src/`` or ``perfbench/``, outside the function's own body, that
 leaves it out.  The explicit ``__init__`` of a public class is called by the
 class name, ``ClassName(...)``.
+
+And a field of a public dataclass that nothing reads is state the program
+carries for no one: each field needs an attribute read in ``src/`` or
+``perfbench/``, outside its own class.  A module that passes objects whole
+to ``asdict`` or ``fields`` reads every field of its dataclasses, since the
+test cannot tell which class those objects are.
 """
 
 import ast
@@ -135,3 +141,39 @@ def test_every_default_is_used():
                 if not any(_omits(call, name, slot) for call in callers):
                     unused.append(f"{path.relative_to(ROOT)}:{node.lineno} {label}({name}=)")
     assert not unused, "defaults that no call outside the tests takes: " + ", ".join(unused)
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any(getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
+               for d in node.decorator_list)
+
+
+def _serializes_whole(tree: ast.Module) -> bool:
+    """Whether the module calls ``asdict`` or ``fields`` on an object."""
+    return any(isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("asdict", "fields")
+               for node in ast.walk(tree))
+
+
+def test_every_dataclass_field_is_read():
+    trees = _program_trees()
+    reads: dict[str, list[tuple[Path, int]]] = {}
+    for path, tree in trees.items():
+        for name, line, via_attribute in _references(tree):
+            if via_attribute:
+                reads.setdefault(name, []).append((path, line))
+    unread = []
+    for path, tree in trees.items():
+        if PACKAGE not in path.parents or _serializes_whole(tree):
+            continue
+        for node, member in _public_definitions(tree):
+            if (member or not isinstance(node, ast.ClassDef) or node.name.startswith("_")
+                    or not _is_dataclass(node)):
+                continue
+            own = range(node.lineno, node.end_lineno + 1)
+            for sub in node.body:
+                if not (isinstance(sub, ast.AnnAssign) and isinstance(sub.target, ast.Name)):
+                    continue
+                field = sub.target.id
+                if not any(where != path or line not in own for where, line in reads.get(field, ())):
+                    unread.append(f"{path.relative_to(ROOT)}:{sub.lineno} {node.name}.{field}")
+    assert not unread, "dataclass fields that nothing outside the tests reads: " + ", ".join(unread)

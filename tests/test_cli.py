@@ -415,23 +415,23 @@ class TestVerify:
         assert rc == 1
         assert "exact certificate [FAIL]" in out and "VERIFY FAIL" in out
 
-    def test_spectral_suite_fails_on_one_bound_inside_a_shared_run(self, capsys, monkeypatch):
+    def test_spectral_suite_fails_on_one_bound_past_the_trace_certificate(self, capsys,
+                                                                            monkeypatch):
         import urncount.vandermonde as vd
-        import urncount.verify as verify
 
-        orders = []
-        positive_order = vd._positive_order
+        exact_tests = []
+        exceeds = vd.sigma_min_exceeds
 
-        def recorded(M, order, c, sums):
-            if M == 64:
-                orders.append(order)
-            return positive_order(M, order, c, sums)
+        def recorded(M, L, c, sums):
+            exact_tests.append((M, L))
+            return exceeds(M, L, c, sums)
 
-        monkeypatch.setattr(vd, "_positive_order", recorded)
-        assert verify.spectral_report()[1]
-        # at M = 64 one elimination certifies a run of degrees from L <= 7 to L >= 9
-        run = next(i for i, order in enumerate(orders) if order >= 10)
-        assert (orders[run - 1] if run else 0) <= 7
+        monkeypatch.setattr(vd, "sigma_min_exceeds", recorded)
+        assert main(["verify", "--spectral"]) == 0
+        assert exact_tests == []  # the trace certifies every degree
+        capsys.readouterr()
+        # one bound just above sigma_min: the trace cannot certify it, and the
+        # exact test rejects it
         sigma = vd.sigma_min(vd.build_matrix(64, 8) / 8)
         bound = vd.sigma_min_bound
         monkeypatch.setattr(vd, "sigma_min_bound", lambda M, L: (
@@ -439,6 +439,7 @@ class TestVerify:
         rc = main(["verify", "--spectral"])
         out = capsys.readouterr().out
         assert rc == 1
+        assert exact_tests == [(64, 8)]
         assert "exact certificate [FAIL]" in out and "VERIFY FAIL" in out
 
     def test_spectral_suite_fails_on_modulus_violation(self, capsys, monkeypatch):

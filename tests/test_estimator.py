@@ -58,6 +58,16 @@ class TestSelectParams:
         with pytest.raises(ValueError):
             select_params(10, 0)
 
+    @pytest.mark.parametrize("k,n,bad", [(10.5, 3, "k"), (10, 3.0, "n"), (2, True, "n"),
+                                         (True, 3, "k"), (math.nan, 3, "k"), ("10", 3, "k")])
+    def test_sizes_must_be_ints(self, k, n, bad):
+        # a float or bool k or n used to pass and fail later, inside Fraction
+        value = {"k": k, "n": n}[bad]
+        with pytest.raises(ValueError, match=f"{bad} must be an int, got {value!r}"):
+            select_params(k, n)
+        with pytest.raises(ValueError, match=f"{bad} must be an int, got {value!r}"):
+            EstimatorParams(k, n, 1, 2, "l2")
+
     def test_regime_forces_either_rule(self):
         k = 10_000
         logk = math.log(k)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from urncount import verify
 from urncount.estimator import EstimatorParams, build_estimator, w_to_u
 from urncount.orthopoly import (
     binomial_ratio_minus_one,
@@ -14,7 +15,7 @@ from urncount.orthopoly import (
     chebyshev_norm,
     l2_min_value,
     l2_residual_sq_exact,
-    orthonormality_deviation,
+    orthonormality_deviations,
     phi_norm_sq,
     poly_numerators,
     solve_l2,
@@ -122,7 +123,34 @@ class TestBasis:
 
     def test_orthonormality_small_grid(self):
         for M in range(2, 25):
-            assert orthonormality_deviation(M, min(8, M - 1)) <= 1e-9
+            assert orthonormality_deviations(M, min(8, M - 1))[-1] <= 1e-9
+
+    def test_deviations_match_per_degree_reference(self):
+        # half the nodes mirrored, every degree from one set of rows: bit for
+        # bit the deviation of each degree's own full-node matrix
+        for M in list(range(1, 40)) + [64, 65]:
+            L = min(16, M - 1)
+            assert orthonormality_deviations(M, L) == [
+                orthonormality_deviation_ref(M, l) for l in range(L + 1)], M
+        with pytest.raises(ValueError):
+            orthonormality_deviations(4, 4)
+
+
+def orthonormality_deviation_ref(M: int, L: int) -> float:
+    """max_{i,j <= L} |<phi_i, phi_j> - delta_ij|, each node from the exact
+    basis, rounded once."""
+    basis = chebyshev_basis(M, L)
+    v = np.empty((L + 1, M))
+    for m in range(L + 1):
+        v[m] = np.array([float(eval_exact(basis, m, y)) for y in range(M)])
+        v[m] /= math.sqrt(float(chebyshev_norm(M, m)))
+    return float(np.max(np.abs(v @ v.T - np.eye(L + 1))))
+
+
+def phi_norm_sq_ref(M: int, L: int) -> Fraction:
+    """sum_m t_m(-1)^2 / c(M, m), one Fraction per term."""
+    return sum((Fraction(t_at_minus_one(M, m) ** 2) / chebyshev_norm(M, m)
+                for m in range(L + 1)), Fraction(0))
 
 
 def phi_at_zero(M: int, m: int) -> float:
@@ -153,6 +181,7 @@ class TestPhiAtZero:
                     by_product += sq
                 assert by_product == binomial_ratio_minus_one(M, L)
                 assert phi_norm_sq(M, L) == binomial_ratio_minus_one(M, L)
+                assert phi_norm_sq(M, L) == phi_norm_sq_ref(M, L)
 
     def test_telescoping_identity(self):
         for L in range(1, 9):
@@ -289,3 +318,47 @@ def test_chebyshev_norm_formula():
     assert chebyshev_norm(3, 1) == 8
     assert chebyshev_norm(5, 0) == 5
     assert chebyshev_norm(4, 2) == Fraction(4 * 15 * 12, 5)
+
+
+def _per_cell_orthopoly_report():
+    """orthopoly_report as each cell used to be checked: its own node rows
+    at its own degree, and every identity as a sum of Fractions."""
+    lines = ["M,L,orthonormality_dev,residual_rel_dev,implied_growth_const"]
+    worst_res = worst_orth = 0.0
+    theta_lo, theta_hi = math.inf, -math.inf
+    identities_hold = True
+    for L in range(1, 9):
+        for M in range(L + 1, L + 21):
+            res = math.sqrt(float(l2_residual_sq_exact(solve_l2(M, L), M)))
+            closed = l2_min_value(M, L)
+            rel = abs(res - closed) / closed
+            worst_res = max(worst_res, rel)
+            dev = orthonormality_deviation_ref(M, L)
+            worst_orth = max(worst_orth, dev)
+            ratio = binomial_ratio_minus_one(M, L)
+            theta = math.log(float(ratio + 1)) * M / (L * L)
+            theta_lo, theta_hi = min(theta_lo, theta), max(theta_hi, theta)
+            lines.append(f"{M},{L},{dev!r},{rel!r},{theta!r}")
+            step = Fraction(2 * L + 1, M)
+            for j in range(1, L + 1):
+                step *= Fraction(M + j, M - j)
+            if (ratio - binomial_ratio_minus_one(M, L - 1) != step
+                    or phi_norm_sq_ref(M, L) != ratio):
+                identities_hold = False
+    verify._check(lines, f"l2 residual vs closed form (L<=8, M<=L+20): worst rel dev "
+                         f"{worst_res:.3e}", worst_res <= 1e-9)
+    lines.append(f"implied growth constant log(ratio)*M/L^2 in [{theta_lo:.3f}, {theta_hi:.3f}] "
+                 f"(reported)")
+    for M in range(2, 65):
+        worst_orth = max(worst_orth, orthonormality_deviation_ref(M, min(16, M - 1)))
+    verify._check(lines, f"orthonormality (M<=64, L<=16): worst dev {worst_orth:.3e}",
+                  worst_orth <= 1e-9)
+    verify._check(lines, "telescoping + norm identities (exact rationals)", identities_hold)
+    return lines
+
+
+class TestOrthopolyReport:
+    def test_lines_match_per_cell_loop(self):
+        lines, ok = verify.orthopoly_report()
+        assert ok
+        assert lines == _per_cell_orthopoly_report()

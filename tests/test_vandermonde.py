@@ -1,8 +1,10 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import urncount.vandermonde as vd
 from urncount import verify
 from urncount.orthopoly import chebyshev_basis, solve_l2
 from urncount.vandermonde import (
@@ -109,16 +111,54 @@ def _sums(M, L):
     return power_sum_table(M, 2 * L)[M]
 
 
-def _certify_cell(M, L, sigma_hat, sums, bound=sigma_min_bound):
-    """Reference: one degree on its own, at the power of two c with
-    b <= c <= sigma_hat / 2 when there is one and the test there passes, else
-    at b itself."""
-    b = bound(M, L)
-    if sigma_hat / 2 >= b:
-        c = math.ldexp(1.0, math.frexp(sigma_hat / 2)[1] - 1)
-        if c >= b and sigma_min_exceeds(M, L, c, sums):
-            return True
-    return sigma_min_exceeds(M, L, b, sums)
+def _certify_cell(M, L, sums, bound=sigma_min_bound):
+    """Reference: one degree on its own, the exact verdict at its bound."""
+    return sigma_min_exceeds(M, L, bound(M, L), sums)
+
+
+def _trace(M, L):
+    """trace(G_L^-1) as an exact Fraction, from the certificate's integers."""
+    num, den = list(vd._inverse_gram_traces(M, L))[-1]
+    return Fraction(M * num, den)
+
+
+def _inverse_trace_by_elimination(M, L):
+    """trace(G^-1) for G = Bbar^T Bbar / M, by Gauss-Jordan on Fractions."""
+    n = L + 1
+    g = [[Fraction(sum(i ** (j + l) for i in range(1, M + 1)), M ** (j + l + 1))
+          for l in range(n)] + [Fraction(int(j == l)) for l in range(n)] for j in range(n)]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if g[r][col] != 0)
+        g[col], g[pivot] = g[pivot], g[col]
+        g[col] = [x / g[col][col] for x in g[col]]
+        for r in range(n):
+            if r != col and g[r][col] != 0:
+                factor = g[r][col]
+                g[r] = [x - factor * y for x, y in zip(g[r], g[col])]
+    return sum(g[j][n + j] for j in range(n))
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """The (M, L) of every call certify_sigma_min_bounds makes to the exact test."""
+    calls = []
+    exceeds = vd.sigma_min_exceeds
+
+    def recorded(M, L, c, sums):
+        calls.append((M, L))
+        return exceeds(M, L, c, sums)
+
+    monkeypatch.setattr(vd, "sigma_min_exceeds", recorded)
+    return calls
+
+
+def _move_bound(monkeypatch, M, L, value):
+    """Replace the closed-form bound of the one cell (M, L) by ``value``."""
+    def moved(m, degree):
+        return value if (m, degree) == (M, L) else sigma_min_bound(m, degree)
+
+    monkeypatch.setattr(vd, "sigma_min_bound", moved)
+    return moved
 
 
 class TestCertificate:
@@ -143,68 +183,95 @@ class TestCertificate:
 
     @pytest.mark.parametrize("M,L", CERT_CELLS)
     def test_bound_certified(self, M, L):
-        sigmas = [_svd_sigma(M, d) for d in range(1, L + 1)]
-        assert _certify_cell(M, L, sigmas[-1], _sums(M, L))
-        assert certify_sigma_min_bounds(M, sigmas, _sums(M, L))
+        assert _certify_cell(M, L, _sums(M, L))
+        assert certify_sigma_min_bounds(M, L, _sums(M, L))
+
+    def test_trace_matches_exact_inverse(self):
+        for M in range(2, 12):
+            for L in range(1, min(6, M - 1) + 1):
+                assert _trace(M, L) == _inverse_trace_by_elimination(M, L), (M, L)
+
+    @pytest.mark.parametrize("M,L", CERT_CELLS)
+    def test_trace_never_certifies_what_exact_test_rejects(self, monkeypatch, fallbacks, M, L):
+        # thresholds on both sides of 1/sqrt(trace): below it the trace alone
+        # certifies, above it the exact test decides, and the verdict is
+        # always the exact one
+        sums = _sums(M, L)
+        trace = _trace(M, L)
+        edge = 1 / math.sqrt(trace)
+        verdicts = {}
+        for scale in (0.5, 1 - 1e-9, 1 - 1e-15, 1, 1 + 1e-15, 1 + 1e-9, 1 + 1e-4, 1.1):
+            c = edge * scale
+            _move_bound(monkeypatch, M, L, c)
+            fallbacks.clear()
+            verdicts[scale] = vd.certify_sigma_min_bounds(M, L, sums)
+            assert verdicts[scale] == sigma_min_exceeds(M, L, c, sums), scale
+            by_trace = (M, L) not in fallbacks
+            assert by_trace == (Fraction(c) ** 2 * trace < 1), scale
+            if scale <= 1 - 1e-9:
+                assert by_trace
+            if scale >= 1 + 1e-9:
+                assert not by_trace
+        assert verdicts[0.5] and not verdicts[1.1]
 
     def test_grouped_verdict_equals_per_cell_verdict_on_grid(self):
-        # every prefix of degrees: the grouped verdict is the AND of the
+        # every prefix of degrees: the per-M verdict is the AND of the
         # per-cell exact verdicts at the bound
         sums = power_sum_table(verify.SPECTRAL_M_MAX, 2 * verify.SPECTRAL_L_MAX)
         for M in GRID_M:
-            sigmas = _grid_sigmas(M)
-            cells = [sigma_min_exceeds(M, L, sigma_min_bound(M, L), sums[M])
-                     for L in range(1, len(sigmas) + 1)]
-            assert cells == [_certify_cell(M, L, s, sums[M]) for L, s in enumerate(sigmas, 1)]
-            for L in range(1, len(sigmas) + 1):
-                assert certify_sigma_min_bounds(M, sigmas[:L], sums[M]) == all(cells[:L]), (M, L)
+            top = min(verify.SPECTRAL_L_MAX, M - 1)
+            cells = [_certify_cell(M, L, sums[M]) for L in range(1, top + 1)]
+            for L in range(1, top + 1):
+                assert certify_sigma_min_bounds(M, L, sums[M]) == all(cells[:L]), (M, L)
 
-    def test_float_estimate_only_picks_threshold(self):
-        # a wrong estimate cannot fake a pass or a failure: the verdict is the
-        # exact one at the bound
+    def test_trace_only_picks_the_path(self, monkeypatch, fallbacks):
+        # with the trace shortcut taken away, every degree goes to the exact
+        # test and the verdict is unchanged: the trace cannot fake a pass
         for M in (13, 5, 64):
             top = min(12, M - 1)
             sums = _sums(M, top)
-            for fake in (0.0, 1e6, -1.0, math.nan, math.inf):
-                assert certify_sigma_min_bounds(M, [fake] * top, sums)
-            assert certify_sigma_min_bounds(M, [1e6, 0.0] * (top // 2) + [1e-300] * (top % 2), sums)
+            want = all(_certify_cell(M, L, sums) for L in range(1, top + 1))
+            assert want and certify_sigma_min_bounds(M, top, sums)
+            with monkeypatch.context() as patch:
+                patch.setattr(vd, "_inverse_gram_traces",
+                              lambda M, top: ((1, 0) for _ in range(top)))  # infinite trace
+                fallbacks.clear()
+                assert vd.certify_sigma_min_bounds(M, top, sums) == want
+                assert fallbacks == [(M, L) for L in range(1, top + 1)]
+                moved = _move_bound(patch, M, top, _svd_sigma(M, top) * (1 + 1e-6))
+                assert not vd.certify_sigma_min_bounds(M, top, sums)
+                assert not _certify_cell(M, top, sums, bound=moved)
 
     @pytest.mark.parametrize("M,L", [(13, 12), (64, 1), (64, 8), (64, 12), (30, 5), (9, 4)])
     @pytest.mark.parametrize("scale", [1 + 1e-6, 1 - 1e-6, 0.9])
-    def test_one_bound_moved_near_sigma(self, monkeypatch, M, L, scale):
-        # a bound just above sigma_min at one degree fails the whole M, also
-        # inside a run that shares one threshold; just below, or above any
-        # power of two the degree could share (0.9 sigma_min), it still passes
-        import urncount.vandermonde as vd
-
+    def test_one_bound_moved_near_sigma(self, monkeypatch, fallbacks, M, L, scale):
+        # a bound just above sigma_min at one degree fails the whole M; just
+        # below, past the reach of the trace, it passes through the exact
+        # test; at 0.9 sigma_min the trace alone certifies it
         sigmas = _grid_sigmas(M)
         sums = _sums(M, len(sigmas))
-        bound = vd.sigma_min_bound
-
-        def moved(m, degree):
-            return sigmas[L - 1] * scale if (m, degree) == (M, L) else bound(m, degree)
-
-        monkeypatch.setattr(vd, "sigma_min_bound", moved)
-        want = all(_certify_cell(M, d, s, sums, bound=moved) for d, s in enumerate(sigmas, 1))
+        moved = _move_bound(monkeypatch, M, L, sigmas[L - 1] * scale)
+        want = all(_certify_cell(M, d, sums, bound=moved) for d in range(1, len(sigmas) + 1))
         assert want == (scale < 1)
-        assert vd.certify_sigma_min_bounds(M, sigmas, sums) == want
-        assert vd.certify_sigma_min_bounds(M, [1e6] * len(sigmas), sums) == want
+        fallbacks.clear()
+        assert vd.certify_sigma_min_bounds(M, len(sigmas), sums) == want
+        assert fallbacks == ([] if scale == 0.9 else [(M, L)])
 
-    def test_rejects_bound_above_sigma(self, monkeypatch):
-        import urncount.vandermonde as vd
-
-        sigmas = _grid_sigmas(13)
-        s = sigmas[-1]
+    def test_rejects_bound_above_sigma(self, monkeypatch, fallbacks):
+        s = _grid_sigmas(13)[-1]
         sums = _sums(13, 12)
-        bound = vd.sigma_min_bound
-        monkeypatch.setattr(vd, "sigma_min_bound", lambda M, L: s * (1 + 1e-6) if L == 12
-                            else bound(M, L))
-        assert not vd.certify_sigma_min_bounds(13, sigmas, sums)
-        assert not vd.certify_sigma_min_bounds(13, [1e6] * 12, sums)
-        # no power of two in [b, s/2]: decided at b itself
-        monkeypatch.setattr(vd, "sigma_min_bound", lambda M, L: s * (1 - 1e-6) if L == 12
-                            else bound(M, L))
-        assert vd.certify_sigma_min_bounds(13, sigmas, sums)
+        _move_bound(monkeypatch, 13, 12, s * (1 + 1e-6))
+        assert not vd.certify_sigma_min_bounds(13, 12, sums)
+        # the trace reaches only 1/1.0002 of sigma_min here: decided at b itself
+        _move_bound(monkeypatch, 13, 12, s * (1 - 1e-6))
+        fallbacks.clear()
+        assert vd.certify_sigma_min_bounds(13, 12, sums)
+        assert fallbacks == [(13, 12)]
+
+    def test_spectral_suite_makes_no_exact_test(self, fallbacks):
+        # on the verify grid the trace certifies every degree by itself
+        assert verify.spectral_report()[1]
+        assert fallbacks == []
 
     def test_exact_at_analytic_value(self):
         # (M=2, L=1): lambda_min of the Gram matrix is (13 - sqrt(153))/16
@@ -229,7 +296,7 @@ def _per_cell_spectral_report():
             sv = np.linalg.svd(bar, compute_uv=False)
             s_bar = float(sv[-1])
             bnd = sigma_min_bound(M, L)
-            certified = _certify_cell(M, L, s_bar, _sums(M, L)) and certified
+            certified = _certify_cell(M, L, _sums(M, L)) and certified
             worst_bound = min(worst_bound, (s_bar / bnd, M, L))
             s_plain = sigma_min(build_matrix(M, L)[:, 1:])
             if L > verify.FLOAT_CHECK_L_MAX and s_bar <= verify.FLOAT_FLOOR * sv[0]:
@@ -275,11 +342,26 @@ class TestCoefficientNormBound:
                 assert w_norm <= budget * (1 + 1e-9)
 
 
+def _modulus_check_ref(basis, m, num_points):
+    """Reference: t_m alone, by numpy's polyval."""
+    M = basis.M
+    coeffs = [float(Fraction(c, math.factorial(m))) for c in basis.numerators[m]]
+    circle = np.exp(2j * np.pi * np.arange(num_points) / num_points)
+    if num_points == 1:
+        line = np.array([M], dtype=complex)
+    else:
+        line = (-1.0 + (M + 1.0) / (num_points - 1) * np.arange(num_points)).astype(complex)
+    points = np.concatenate([circle, line])
+    ratios = np.abs(np.polyval(coeffs[::-1], points)) / tm_bound_at(M, m, points)
+    worst = int(np.argmax(ratios))
+    return vd.TmBoundReport(M, m, float(ratios[worst]), complex(points[worst]))
+
+
 class TestModulusCheck:
     def test_value_spots_m3(self):
         # t_1(x) = 2x - 2 at M = 3
         assert tm_bound_at(3, 1, 1 + 0j) == 1 * 2**6 * 3
-        report = tm_modulus_check(chebyshev_basis(3, 1), 1, 16)
+        (report,) = tm_modulus_check(chebyshev_basis(3, 1), 16)
         assert report.worst_ratio < 1
         # |t_1(-1)| = 4 against bound 192
         assert 4 <= tm_bound_at(3, 1, -1 + 0j) == 192
@@ -287,33 +369,36 @@ class TestModulusCheck:
     def test_grid_worst_ratio_below_one(self):
         worst = 0.0
         for M in range(2, 17):
-            for m in range(1, min(6, M - 1) + 1):
-                worst = max(worst, tm_modulus_check(chebyshev_basis(M, m), m, 32).worst_ratio)
+            for report in tm_modulus_check(chebyshev_basis(M, min(6, M - 1)), 32):
+                worst = max(worst, report.worst_ratio)
         assert worst < 1
 
     def test_violation_reports_worst_point(self, monkeypatch):
-        import urncount.vandermonde as vd
-
         monkeypatch.setattr(vd, "tm_bound_at", lambda M, m, z: 1e-12)
-        report = vd.tm_modulus_check(chebyshev_basis(3, 1), 1, 8)
+        (report,) = vd.tm_modulus_check(chebyshev_basis(3, 1), 8)
         assert report.worst_ratio > 1
         assert isinstance(report.worst_point, complex)
 
     def test_report_fields(self):
-        report = tm_modulus_check(chebyshev_basis(5, 2), 2, 16)
-        assert (report.M, report.m) == (5, 2)
-        assert 0 <= report.worst_ratio < 1
-        assert isinstance(report.worst_point, complex)
+        reports = tm_modulus_check(chebyshev_basis(5, 2), 16)
+        assert [(report.M, report.m) for report in reports] == [(5, 1), (5, 2)]
+        for report in reports:
+            assert 0 <= report.worst_ratio < 1
+            assert isinstance(report.worst_point, complex)
 
     def test_shared_basis_matches_own(self):
-        basis = chebyshev_basis(9, 6)
-        for m in range(1, 7):
-            assert tm_modulus_check(basis, m, 32) == tm_modulus_check(chebyshev_basis(9, m), m, 32)
-        with pytest.raises(ValueError, match="does not cover"):
-            tm_modulus_check(basis, 7, 32)
+        # one Horner pass over zero-padded rows: bit for bit each degree's
+        # own polyval, also at the num_points == 1 corner
+        for M, L in ((9, 6), (2, 1), (32, 8), (40, 12)):
+            basis = chebyshev_basis(M, L)
+            for num_points in (1, 2, 64):
+                reports = tm_modulus_check(basis, num_points)
+                assert reports == tuple(_modulus_check_ref(basis, m, num_points)
+                                        for m in range(1, L + 1)), (M, num_points)
+                assert reports[:3] == tm_modulus_check(chebyshev_basis(M, min(3, L)), num_points)
 
     def test_invalid_degree(self):
+        with pytest.raises(ValueError, match="no t_m"):
+            tm_modulus_check(chebyshev_basis(3, 0), 8)
         with pytest.raises(ValueError):
-            tm_modulus_check(chebyshev_basis(3, 2), 0, 8)
-        with pytest.raises(ValueError):
-            tm_modulus_check(chebyshev_basis(3, 2), 3, 8)
+            tm_modulus_check(chebyshev_basis(3, 2), 0)
