@@ -50,9 +50,12 @@ def fingerprint_from_count_values(count_values) -> Fingerprint:
     if counts.dtype == np.uint64 and counts.max() > np.iinfo(np.int64).max:
         raise ValueError(f"per-color count {counts.max()} is too large (past 2**63 - 1)")
     counts = counts.astype(np.int64, copy=False)
-    if counts.min() < 0:
-        raise ValueError("per-color counts must be >= 0")
-    bc = np.bincount(counts)
+    try:
+        bc = np.bincount(counts)
+    except ValueError:  # bincount refuses negative values
+        if (counts < 0).any():
+            raise ValueError("per-color counts must be >= 0") from None
+        raise
     js = np.flatnonzero(bc[1:]) + 1
     return Fingerprint(dict(zip(js.tolist(), bc[js].tolist())))
 

@@ -11,6 +11,10 @@ array passes: the draws of a Fisher-Yates pass, whose bound shrinks by one
 per step, are accepted a power-of-two range at a time
 (``randbelow_shrinking``), and the swaps they drive are resolved without
 being made (``fisher_yates_sources``).  Short runs keep the scalar loop.
+
+Poisson variates of mean below 30 invert through cell tables over raw
+outputs (``poisson_from_u64s``): a uniform is formed only where an output's
+cell straddles a step of the CDF.
 """
 
 from __future__ import annotations
@@ -54,18 +58,23 @@ _SCALAR_STEPS = 32
 # evicted first).
 POISSON_CDF_CACHE_SIZE = 1024
 
-# Cells of a Poisson guide table: cell j holds the inversion of u = j / 1024.
+# A Poisson cell table has 1024 cells: raw output z falls in cell z >> 54.
 _GUIDE_CELLS = 1024
+_CELL_SHIFT = np.uint64(54)
 
 
 @lru_cache(maxsize=POISSON_CDF_CACHE_SIZE)
 def _poisson_table(lam: float) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only inversion table for Poisson(lam): the CDF and its guide.
+    """Read-only inversion table for Poisson(lam): the CDF and its cells.
 
-    The CDF is accumulated sequentially up to the first zero pmf term.  The
-    guide is an indexed search table (Chen & Asau 1974): int16 cell j is the
-    inversion of u = j / _GUIDE_CELLS, capped at the next-to-last CDF index so
-    that one step past it stays inside the table.
+    The CDF is accumulated sequentially up to the first zero pmf term.  A
+    uniform u inverts to the first index whose CDF reaches u, or the last
+    entry: ``searchsorted(cdf[:-1], u)``, monotone in u.  Cell j holds the raw
+    outputs z with ``z >> 54 == j``, whose uniforms ``(z >> 11) * 2**-53`` are
+    those with ``floor(u * 1024) == j``: it stores their inversion when its
+    two end outputs agree on it, and -1 when it straddles a CDF step.  The
+    cells are intp, which ``take`` writes into the int64 result with no cast
+    pass; a full cache holds at most 1024 means x 8 KB of cells, plus the CDFs.
     """
     p = math.exp(-lam)
     s = p
@@ -77,31 +86,30 @@ def _poisson_table(lam: float) -> tuple[np.ndarray, np.ndarray]:
         s += p
         cdf.append(s)
     cdf = np.array(cdf)
-    cells = np.arange(_GUIDE_CELLS) / _GUIDE_CELLS
-    guide = np.minimum(np.searchsorted(cdf, cells, side="left"), len(cdf) - 2).astype(np.int16)
+    first = np.arange(_GUIDE_CELLS, dtype=np.uint64) << _CELL_SHIFT
+    ends = np.stack([first, first | np.uint64(2**54 - 1)])
+    idx = np.searchsorted(cdf[:-1], (ends >> np.uint64(11)) * 2.0 ** -53, side="left")
+    cells = np.where(idx[0] == idx[1], idx[0], -1).astype(np.intp)
     cdf.flags.writeable = False
-    guide.flags.writeable = False
-    return cdf, guide
+    cells.flags.writeable = False
+    return cdf, cells
 
 
-def poisson_inversion(lam: float, u: np.ndarray) -> np.ndarray:
-    """Poisson(lam) variates for 0 <= lam < 30 by inverting the uniforms ``u``.
+def poisson_from_u64s(lam: float, z: np.ndarray) -> np.ndarray:
+    """Poisson(lam) variates for 0 <= lam < 30 from the raw outputs ``z``.
 
-    Bit-identical to the scalar inversion loop fed the same uniforms (the
-    reference ``_poisson_inversion`` in ``tests/test_counts.py``): the first
-    index whose accumulated CDF reaches u, or the last table entry.  The guide
-    cell of u gives a lower bound on that index; one ``cdf[idx] < u`` step
-    resolves all but the few uniforms whose cell spans two or more CDF
-    entries, and those fall back to a binary search of the CDF.
+    Bit-identical to the scalar inversion loop fed the uniforms
+    ``(z >> 11) * 2**-53`` (the reference ``_poisson_inversion`` in
+    ``tests/test_counts.py``): each output's cell gives its variate, and only
+    the outputs in the few cells that straddle a CDF step form their uniform
+    and search the CDF.
     """
-    cdf, guide = _poisson_table(lam)
-    # widen the 1024 cells once so that every gather below indexes with intp
-    idx = guide.astype(np.intp).take((u * _GUIDE_CELLS).astype(np.intp))
-    idx += cdf.take(idx) < u
-    miss = (cdf.take(idx) < u).nonzero()[0]
-    if miss.size:
-        # past the last entry means the last entry: search all but that one
-        idx[miss] = np.searchsorted(cdf[:-1], u[miss], side="left")
+    cdf, cells = _poisson_table(lam)
+    idx = cells.take((z >> _CELL_SHIFT).view(np.intp))  # take would cast a uint64 index
+    straddle = (idx < 0).nonzero()[0]
+    if straddle.size:
+        u = (z[straddle] >> np.uint64(11)) * 2.0 ** -53
+        idx[straddle] = np.searchsorted(cdf[:-1], u, side="left")
     return idx
 
 

@@ -14,7 +14,7 @@ the slots of a partial Fisher-Yates resolved without the ball list
 than 64 balls split into chunks of ``binomial_chunk_max(p)`` trials, and each
 chunk inverts its uniform through a binomial CDF table kept per (chunk size,
 p) and grown only as far as the uniforms it has inverted.  Poisson colors
-invert through the rng's guide tables.
+of mean below 30 invert through the rng's cell tables over raw outputs.
 
 All samplers are pure functions of (urn, parameters, stream): identical
 inputs reproduce identical outputs byte for byte, and the stream advances
@@ -31,7 +31,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .rng import _BLOCK, LOG_FLOAT_LIMIT, _SCALAR_MAX, RngStream, poisson_inversion
+from .rng import _BLOCK, LOG_FLOAT_LIMIT, _SCALAR_MAX, RngStream, poisson_from_u64s
 from .urn import INT64_MAX, UrnSpec
 
 # every accepted model name -> its canonical name
@@ -60,11 +60,12 @@ BINOMIAL_CDF_CACHE_SIZE = 4096
 # by binary search of the cumulative multiplicities instead.
 _BALL_TABLE_MAX = 1 << 23
 
-# Largest Poisson mean accepted.  Past it no PTRS variate fits in int64: a
-# uniform lies at least 2**-53 from the ends of [0, 1), so a variate falls at
-# most about 5.7e14 * sqrt(mean) below the mean, and below 2**63 only at means
-# under 4e29.
-POISSON_MEAN_MAX = 1e30
+# Largest Poisson mean accepted: the int64 limit.  Past it a variate fits the
+# int64 counts only by falling below its mean, so such a mean is rejected
+# before the stream moves.  Just below it a variate, within a few standard
+# deviations (about 3e9) of its mean, can still pass 2**63 - 1; each heavy
+# variate is checked as it is drawn.
+POISSON_MEAN_MAX = float(INT64_MAX)
 
 
 def _colors_of(urn: UrnSpec, balls: np.ndarray) -> np.ndarray:
@@ -232,19 +233,19 @@ def poissonized_color_counts(urn: UrnSpec, n: float, rng: RngStream) -> np.ndarr
 
     Colors take the stream in canonical order, as the scalar reference
     ``poisson(rng, lam)`` in ``tests/test_counts.py`` would per color: a
-    color with mean below 30 takes one uniform and inverts it through its
-    mean's CDF and guide table (``poisson_inversion``); a heavier color runs
-    PTRS rejection.  The colors go in blocks of ``_BLOCK``: each block draws
-    its light colors' uniforms between its heavy colors' rejection runs.
-    When the light colors share one multiplicity, the block is inverted in
-    place while its uniforms are still in cache; otherwise the uniforms are
-    kept and each multiplicity's colors are inverted together at the end.
+    color with mean below 30 takes one uniform, drawn here as the raw output
+    it comes from and inverted through its mean's cell table
+    (``poisson_from_u64s``); a heavier color runs PTRS rejection.  The colors
+    go in blocks of ``_BLOCK``: each block draws its light colors' outputs
+    between its heavy colors' rejection runs.  When the light colors share
+    one multiplicity, the block is inverted in place while its outputs are
+    still in cache; otherwise the outputs are kept and each multiplicity's
+    colors are inverted together at the end.
 
     A non-finite n, or one whose largest mean n * max(k_i) / k exceeds
-    ``POISSON_MEAN_MAX`` (1e30), is rejected before the stream is touched:
-    past that mean no PTRS variate fits the int64 counts.  Below it, a
-    variate past 2**63 - 1 raises a ValueError naming n and the mean as soon
-    as it is drawn; the stream has moved by then.
+    ``POISSON_MEAN_MAX`` (2**63), is rejected before the stream is touched.
+    Below it, a variate past 2**63 - 1 raises a ValueError naming n and the
+    mean as soon as it is drawn; the stream has moved by then.
     """
     if not math.isfinite(n):
         raise ValueError(f"expected sample size n must be finite, got {n}")
@@ -260,7 +261,7 @@ def poissonized_color_counts(urn: UrnSpec, n: float, rng: RngStream) -> np.ndarr
                          f"{means[-1]:g}, above {POISSON_MEAN_MAX:g}")
     light = sum(1 for lam in means if lam < 30.0)  # means increase with the multiplicity
     heavy = np.flatnonzero(urn.mults >= values[light]).tolist() if light < len(means) else []
-    u = np.empty(urn.C) if light > 1 else None
+    z = np.empty(urn.C, dtype=np.uint64) if light > 1 else None
     h0 = 0  # first heavy color not yet drawn
     for c0 in range(0, urn.C, _BLOCK):
         c1 = min(c0 + _BLOCK, urn.C)
@@ -268,26 +269,26 @@ def poissonized_color_counts(urn: UrnSpec, n: float, rng: RngStream) -> np.ndarr
         parts, drawn, start = [], [], c0
         for h in heavy[h0:h1]:
             # a heavy color's place in the block is inverted and then overwritten
-            parts += [rng.uniforms(h - start), np.zeros(1)]
+            parts += [rng.u64s(h - start), np.zeros(1, dtype=np.uint64)]
             lam = n * int(urn.mults[h]) / urn.k
             drawn.append(rng._poisson_ptrs(lam))
             if drawn[-1] > INT64_MAX:
                 raise ValueError(f"expected sample size n = {n} gives a Poisson count of "
                                  f"{drawn[-1]} at mean {lam:g}, past the int64 range")
             start = h + 1
-        parts.append(rng.uniforms(c1 - start))
+        parts.append(rng.u64s(c1 - start))
         block = np.concatenate(parts) if len(parts) > 1 else parts[0]
         if light == 1:
-            out[c0:c1] = poisson_inversion(means[0], block)
+            out[c0:c1] = poisson_from_u64s(means[0], block)
         elif light > 1:
-            u[c0:c1] = block
+            z[c0:c1] = block
         for h, x in zip(heavy[h0:h1], drawn):
             out[h] = x
         h0 = h1
-    if u is not None:
+    if z is not None:
         for g in range(light):
             idx = order[bounds[g]:bounds[g + 1]]
-            out[idx] = poisson_inversion(means[g], u[idx])
+            out[idx] = poisson_from_u64s(means[g], z[idx])
     return out
 
 

@@ -24,7 +24,7 @@ from urncount.rng import (
     RngStream,
     _poisson_table,
     fisher_yates_sources,
-    poisson_inversion,
+    poisson_from_u64s,
 )
 from urncount.sampling import (
     BINOMIAL_CDF_CACHE_SIZE,
@@ -588,34 +588,52 @@ class _FixedUniform:
         return self.u
 
 
-@pytest.mark.parametrize("lam", [1e-12, 0.37, 1.0, 2.0, 4.0, 12.5, 29.999])
+def _uniform_of(z: int) -> float:
+    """The uniform ``RngStream.random()`` makes of the raw output z."""
+    return (z >> 11) * 2.0 ** -53
+
+
+def _scalar_variates(lam: float, z: np.ndarray) -> list[int]:
+    return [_poisson_inversion(_FixedUniform(_uniform_of(x)), lam) for x in z.tolist()]
+
+
+POISSON_TABLE_MEANS = [1e-12, 0.37, 1.0, 2.0, 4.0, 12.5, 29.999]
+
+
+@pytest.mark.parametrize("lam", POISSON_TABLE_MEANS)
 def test_poisson_inversion_matches_scalar_at_table_edges(lam):
     cdf, _ = _poisson_table(lam)
-    last_cell = (_GUIDE_CELLS - 1) / _GUIDE_CELLS
-    u = np.concatenate([
-        cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 2.0),  # on and beside each entry
-        np.arange(_GUIDE_CELLS) / _GUIDE_CELLS,  # each cell's left edge
-        np.linspace(last_cell, 1.0, 500, endpoint=False),
-        [1.0 - 2.0 ** -53],
-        RngStream(8, 0).uniforms(5000),
+    first = [j << 54 for j in range(_GUIDE_CELLS)]
+    last = [z | (2**54 - 1) for z in first]  # both end outputs of every cell
+    # the last output whose uniform does not pass each CDF entry, and the next
+    steps = [(f << 11) | 0x7FF for f in (math.floor(c * 2**53) for c in cdf.tolist())
+             if f < 2**53]
+    z = np.concatenate([
+        np.array(first + last + steps + [x + 1 for x in steps if x < 2**64 - 1], dtype=np.uint64),
+        RngStream(8, 0).u64s(5000),
     ])
-    u = u[(u >= 0.0) & (u < 1.0)]
-    want = [_poisson_inversion(_FixedUniform(x), lam) for x in u.tolist()]
-    got = poisson_inversion(lam, u)
+    got = poisson_from_u64s(lam, z)
     assert got.dtype == np.int64
-    assert got.tolist() == want
+    assert got.tolist() == _scalar_variates(lam, z)
 
 
 @pytest.mark.parametrize("lam", [2.0, 29.999])
-def test_last_guide_cell_reaches_the_fallback(lam):
-    # the saturated tail crowds several CDF entries into the last cell, so a
-    # uniform past the second of them is not resolved by the one step past
-    # its guide entry, and the edge cases above reach the fallback search
-    cdf, guide = _poisson_table(lam)
-    tail = cdf[(cdf >= (_GUIDE_CELLS - 1) / _GUIDE_CELLS) & (cdf < 1.0)]
-    assert tail.size >= 2
-    u = np.nextafter(tail[1], 2.0)
-    assert guide[-1] + 1 < _poisson_inversion(_FixedUniform(u), lam)
+def test_straddling_tail_cell_reaches_the_search(lam):
+    # the saturated tail crowds several CDF entries into the last cell, so
+    # its outputs are inverted by the search of the CDF, not by the cell
+    cdf, cells = _poisson_table(lam)
+    assert cells[-1] == -1
+    ends = np.array([(_GUIDE_CELLS - 1) << 54, 2**64 - 1], dtype=np.uint64)
+    got = poisson_from_u64s(lam, ends)
+    assert got[0] < got[1]
+    assert got.tolist() == _scalar_variates(lam, ends)
+
+
+@pytest.mark.parametrize("lam", POISSON_TABLE_MEANS)
+def test_straddling_cells_are_at_most_the_cdf_steps(lam):
+    # a cell straddles only a step of cdf[:-1] that lies inside it
+    cdf, cells = _poisson_table(lam)
+    assert 0 < np.count_nonzero(cells < 0) <= len(cdf) - 1
 
 
 # -- the Poisson CDF cache ------------------------------------------------------
@@ -625,14 +643,14 @@ def test_poisson_cdf_cache_is_bounded():
     for i in range(POISSON_CDF_CACHE_SIZE + 300):
         _poisson_table(1.0 + i / 997)
     assert _poisson_table.cache_info().currsize <= POISSON_CDF_CACHE_SIZE
-    cdf, guide = _poisson_table(0.123)  # evicted, rebuilt identically
-    assert np.array_equal(cdf, first[0]) and np.array_equal(guide, first[1])
-    assert not cdf.flags.writeable and not guide.flags.writeable
-    assert guide.dtype == np.int16 and guide.shape == (_GUIDE_CELLS,)
-    # the guide shares the CDF's entry: an inversion at a new mean adds one
+    cdf, cells = _poisson_table(0.123)  # evicted, rebuilt identically
+    assert np.array_equal(cdf, first[0]) and np.array_equal(cells, first[1])
+    assert not cdf.flags.writeable and not cells.flags.writeable
+    assert cells.dtype == np.intp and cells.shape == (_GUIDE_CELLS,)
+    # the cells share the CDF's entry: an inversion at a new mean adds one
     # entry to the one cache, and the module holds no other cache
     before = _poisson_table.cache_info()
-    poisson_inversion(0.4567, np.array([0.5]))
+    poisson_from_u64s(0.4567, np.array([2**63], dtype=np.uint64))
     after = _poisson_table.cache_info()
     assert (after.misses, after.currsize) == (before.misses + 1, before.currsize)
     assert [name for name, obj in vars(urncount.rng).items()

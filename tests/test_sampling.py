@@ -179,18 +179,29 @@ class TestPoissonized:
         urn = UrnSpec(((1, 1), (2, 3)))
         rng = RngStream(0, 0)
         said = re.escape(f"expected sample size n = {n} gives a largest Poisson mean of ")
-        with pytest.raises(ValueError, match=f"^{said}\\S+, above 1e\\+30$"):
+        with pytest.raises(ValueError, match=f"^{said}\\S+, above 9\\.22337e\\+18$"):
             poissonized_color_counts(urn, n, rng)
         assert rng._counter == 0
 
     @pytest.mark.parametrize("n", [1e25, 1e29])
     def test_count_past_int64_is_a_value_error(self, n):
-        # means between 2**63 and POISSON_MEAN_MAX pass the up-front check, so
-        # the variate itself is tested; the stream has moved by then
+        # a mean past 2**63 is rejected before any variate is drawn
         urn = UrnSpec(((1, 1), (2, 3)))
+        rng = RngStream(0, 0)
+        said = re.escape(f"expected sample size n = {n} gives a largest Poisson mean of "
+                         f"{0.75 * n:g}, above 9.22337e+18")
+        with pytest.raises(ValueError, match=f"^{said}$"):
+            poissonized_color_counts(urn, n, rng)
+        assert rng._counter == 0
+
+    def test_count_past_int64_below_the_mean_limit_is_a_value_error(self):
+        # largest mean just below 2**63: the variate itself is checked, after
+        # the stream has moved
+        urn = UrnSpec(((1, 1), (2, 3)))
+        n = 1.2297829382473032e19
         said = re.escape(f"expected sample size n = {n} gives a Poisson count of ")
-        with pytest.raises(ValueError, match=f"^{said}\\d+ at mean \\S+, past the int64 range$"):
-            poissonized_color_counts(urn, n, RngStream(0, 0))
+        with pytest.raises(ValueError, match=f"^{said}\\d+ at mean 9\\.22337e\\+18, past the int64 range$"):
+            poissonized_color_counts(urn, n, RngStream(1, 0))
 
     def test_counts_just_inside_int64_are_drawn(self):
         # largest mean 7.5e18, below 2**63: the variates are written as before
