@@ -338,6 +338,8 @@ class RngStream:
     def sample_positions(self, m: int, n: int) -> np.ndarray:
         """A uniform size-n selection of range(m) in random order (n <= m):
         step t of the partial Fisher-Yates swaps t and t + randbelow(m - t)."""
+        if not 0 <= n <= m:
+            raise ValueError(f"sample_positions requires 0 <= n <= m, got m={m}, n={n}")
         return self._slots(m, n, mirrored=False)
 
     def permutation(self, m: int) -> np.ndarray:

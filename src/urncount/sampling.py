@@ -75,10 +75,15 @@ def _colors_of(urn: UrnSpec, balls: np.ndarray) -> np.ndarray:
     return urn.ball_colors[balls]
 
 
+def _check_size(n: int) -> None:
+    """Refuse a fixed sample size that is not an int >= 0; bools are not sizes."""
+    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+        raise ValueError(f"sample size must be an int >= 0, got {n!r}")
+
+
 def _multinomial_index(urn: UrnSpec, n: int, rng: RngStream) -> np.ndarray:
     """Color index of each of n independent draws, in draw order."""
-    if n < 0:
-        raise ValueError("sample size must be >= 0")
+    _check_size(n)
     return _colors_of(urn, rng.randbelow_many(urn.k, n))
 
 
@@ -93,8 +98,7 @@ def _hypergeometric_index(urn: UrnSpec, n: int, rng: RngStream) -> np.ndarray:
     The colors of the ball positions a partial Fisher-Yates over the
     expanded ball array moves to its first n slots.
     """
-    if n < 0:
-        raise ValueError("sample size must be >= 0")
+    _check_size(n)
     if n > urn.k:
         raise ValueError(f"cannot draw {n} balls without replacement from a {urn.k}-ball urn")
     return _colors_of(urn, rng.sample_positions(urn.k, n))

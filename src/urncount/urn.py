@@ -41,7 +41,15 @@ class UrnSpec:
 
     def __init__(self, colors: Iterable[tuple[int, int]]):
         pairs = tuple(colors)
-        self._adopt(*_as_arrays([cid for cid, _ in pairs], [mult for _, mult in pairs]))
+        ids, mults = [cid for cid, _ in pairs], [mult for _, mult in pairs]
+        if not all(map(_is_integer_type, {*map(type, ids), *map(type, mults)})):
+            for cid, mult in pairs:
+                if not _is_integer_type(type(cid)):
+                    raise ValueError(f"color id {cid} is a {type(cid).__name__}, not an integer")
+                if not _is_integer_type(type(mult)):
+                    raise ValueError(f"color {cid} has multiplicity {mult}, a "
+                                     f"{type(mult).__name__}, not an integer")
+        self._adopt(*_as_arrays(ids, mults))
 
     @classmethod
     def _from_arrays(cls, ids: np.ndarray, mults: np.ndarray) -> "UrnSpec":
@@ -79,8 +87,7 @@ class UrnSpec:
 
     @classmethod
     def from_counts(cls, counts: Mapping[int, int] | Iterable[tuple[int, int]]) -> "UrnSpec":
-        items = counts.items() if isinstance(counts, Mapping) else counts
-        return cls(items)
+        return cls(counts.items() if isinstance(counts, Mapping) else counts)
 
     def __eq__(self, other):
         if not isinstance(other, UrnSpec):
@@ -108,6 +115,11 @@ class UrnSpec:
         table = np.repeat(np.arange(self.C), self.mults)
         table.flags.writeable = False
         return table
+
+
+def _is_integer_type(t: type) -> bool:
+    """Python and numpy integers count; bools, floats and strings do not."""
+    return t is not bool and issubclass(t, (int, np.integer))
 
 
 def _as_arrays(ids: Sequence[int], mults: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:

@@ -7,13 +7,9 @@ the discrete Chebyshev basis: with N_m the integer coefficients of
 m! t_m(Mx - 1), Bbar = Phi C^-1 for an orthonormal Phi, so G = Bbar^T Bbar / M
 has trace(G^-1) = M sum_m ||N_m||^2 / (m!^2 c(M, m)), a rational in closed
 form, and sigma_min(Bbar / sqrt(M))^2 = lambda_min(G) >= 1 / trace(G^-1).
-A degree whose bound b has b^2 trace(G^-1) < 1 is certified.  Any other
-degree falls back to the exact test of b itself: sigma_min(Bbar / sqrt(M)) > b
-iff G - b^2 I is positive definite; the congruence D = diag(M^j), scaled by
-M, turns G into the integer Hankel matrix H_{jl} = S_{j+l} of power sums
-S_p = sum_{i<=M} i^p, so with b^2 = p/q the test is
-q H - p M diag(M^(2j)) > 0: every leading principal minor positive
-(Sylvester), read off fraction-free elimination on Python ints.
+A degree whose bound b has b^2 trace(G^-1) < 1 is certified.  The test is
+sufficient, not necessary: a bound in [1 / sqrt(trace(G^-1)), sigma_min) is
+true but not certified.
 """
 
 from __future__ import annotations
@@ -58,50 +54,6 @@ def sigma_min_bound(M: int, L: int) -> float:
     return lead * ((M + L) / (math.e * M)) ** (L + 0.5)
 
 
-def power_sum_table(M_max: int, top: int) -> list[list[int]]:
-    """Row M is [S_0, ..., S_top] with S_p = sum_{i=1}^{M} i^p, for M = 0..M_max,
-    exactly: one cumulative pass over i."""
-    rows = [[0] * (top + 1)]
-    for i in range(1, M_max + 1):
-        row, x = rows[-1].copy(), 1
-        for p in range(top + 1):
-            row[p] += x
-            x *= i
-        rows.append(row)
-    return rows
-
-
-def sigma_min_exceeds(M: int, L: int, c, sums: list[int]) -> bool:
-    """Exactly whether sigma_min(Bbar / sqrt(M)) > c, for Bbar = build_matrix(M,
-    L) in exact arithmetic.
-
-    ``c`` is a float or a Fraction, taken at its exact value; ``sums`` is
-    row M of power_sum_table(M_max, top) for any top >= 2L, shared across L.
-    Bareiss elimination on Python ints: the k-th pivot is the k-th leading
-    principal minor of q H - p M diag(M^(2j)), c^2 = p/q, and every division
-    is exact.  Only the upper triangle is built or updated.
-    """
-    c2 = Fraction(c) ** 2
-    p, q = c2.numerator, c2.denominator
-    order = L + 1
-    a = [[0] * j + [q * sums[j + l] for l in range(j, order)] for j in range(order)]
-    for j in range(order):
-        a[j][j] -= p * M ** (2 * j + 1)
-    prev = 1
-    for k in range(order):
-        piv = a[k][k]
-        if piv <= 0:
-            return False
-        row_k = a[k]
-        for i in range(k + 1, order):
-            aki = row_k[i]
-            row_i = a[i]
-            for j in range(i, order):
-                row_i[j] = (row_i[j] * piv - aki * row_k[j]) // prev
-        prev = piv
-    return True
-
-
 def _inverse_gram_traces(M: int, top: int):
     """Yield (num, den) with num / den = trace(G_L^-1) / M, exactly, for
     L = 1..top, where G_L = Bbar_L^T Bbar_L / M.
@@ -119,18 +71,13 @@ def _inverse_gram_traces(M: int, top: int):
         yield num, den
 
 
-def certify_sigma_min_bounds(M: int, top: int, sums: list[int]) -> bool:
-    """Exactly whether sigma_min(Bbar_L / sqrt(M)) > sigma_min_bound(M, L) for
-    every degree L = 1..top, Bbar_L = build_matrix(M, L); ``sums`` is row M
-    of power_sum_table(M_max, p) for any p >= 2 top.
-
-    A degree whose bound b has b^2 trace(G_L^-1) < 1 is certified by the
-    trace alone; any other degree is decided by sigma_min_exceeds at b.
-    """
+def certify_sigma_min_bounds(M: int, top: int) -> bool:
+    """Exactly whether b^2 trace(G_L^-1) < 1 for every degree L = 1..top,
+    b = sigma_min_bound(M, L); each such degree has sigma_min(Bbar_L /
+    sqrt(M)) > b, Bbar_L = build_matrix(M, L)."""
     for L, (num, den) in enumerate(_inverse_gram_traces(M, top), start=1):
-        b = sigma_min_bound(M, L)
-        bn, bd = b.as_integer_ratio()
-        if bn * bn * M * num >= bd * bd * den and not sigma_min_exceeds(M, L, b, sums):
+        bn, bd = sigma_min_bound(M, L).as_integer_ratio()
+        if bn * bn * M * num >= bd * bd * den:
             return False
     return True
 

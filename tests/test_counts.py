@@ -385,6 +385,14 @@ def test_partial_shuffle_matches_scalar_steps(k, n):
     assert a._counter == b._counter
 
 
+@pytest.mark.parametrize("m,n", [(5, 6), (40, 45), (5, -1), (0, 1)])
+def test_sample_positions_refuses_n_outside_range(m, n):
+    rng = RngStream(2, 0)
+    with pytest.raises(ValueError, match=f"0 <= n <= m, got m={m}, n={n}"):
+        rng.sample_positions(m, n)
+    assert rng._counter == 0
+
+
 @pytest.mark.parametrize("length", [0, 1, 2, 3, 50, _BLOCK + 7])
 def test_shuffle_matches_scalar_fisher_yates(length):
     a, b = RngStream(6, length), RngStream(6, length)

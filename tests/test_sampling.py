@@ -98,6 +98,15 @@ class TestWithReplacement:
         assert b1 == b2
 
 
+@pytest.mark.parametrize("core", [multinomial_counts, hypergeometric_counts])
+@pytest.mark.parametrize("n", [True, False, 5.0, 1.5, np.int64(1)])
+def test_fixed_size_cores_refuse_non_int_size(core, n):
+    rng = RngStream(0, 0)
+    with pytest.raises(ValueError, match=re.escape(f"sample size must be an int >= 0, got {n!r}")):
+        core(make_uniform_support(10, 5), n, rng)
+    assert rng._counter == 0
+
+
 class TestWithoutReplacement:
     def test_exhaustive_draw_is_permutation(self):
         urn = UrnSpec(((1, 2), (2, 2), (3, 1)))

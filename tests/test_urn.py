@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -66,6 +68,24 @@ class TestUrnSpec:
         with pytest.raises(ValueError, match="k = 9223372036854775808 exceeds 64-bit"):
             UrnSpec(((1, 2**62), (2, 2**62)))
         assert UrnSpec(((1, 2**62), (2, 2**62 - 1))).k == 2**63 - 1
+
+    @pytest.mark.parametrize("pairs,message", [
+        ([(1, 2.5)], "color 1 has multiplicity 2.5, a float, not an integer"),
+        ([(1, np.float64(3.9))], "color 1 has multiplicity 3.9, a float64, not an integer"),
+        ([(4, 1), (1, True)], "color 1 has multiplicity True, a bool, not an integer"),
+        ([(1.7, 2)], "color id 1.7 is a float, not an integer"),
+        ([(2, 1), ("7", 2)], "color id 7 is a str, not an integer"),
+        ([(True, 2)], "color id True is a bool, not an integer"),
+    ])
+    def test_refuses_non_integer_entries(self, pairs, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            UrnSpec(pairs)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            UrnSpec.from_counts(dict(pairs))
+
+    def test_numpy_integers_accepted(self):
+        urn = UrnSpec([(np.uint64(2**64 - 1), np.int64(3)), (np.int32(5), 2)])
+        assert colors(urn) == ((5, 2), (2**64 - 1, 3))
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
