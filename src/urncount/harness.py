@@ -38,28 +38,27 @@ class ExperimentConfig:
     trials: int
     master_seed: int
     estimators: tuple[str, ...]
-    outputs: tuple[str, ...] = ("csv", "json")
 
     def __post_init__(self):
         if self.model not in MODEL_ALIASES.values():
             raise ValueError(f"model: unknown tag {self.model!r}")
         if not self.n_grid:
             raise ValueError("n_grid: must be nonempty")
-        if any(n < 1 for n in self.n_grid):
-            raise ValueError("n_grid: entries must be >= 1")
+        for n in self.n_grid:  # ints as in the JSON config: a bool is no sample size
+            if _typed(n, int, "n_grid") < 1:
+                raise ValueError(f"n_grid: entries must be >= 1, got {n}")
         if list(self.n_grid) != sorted(set(self.n_grid)):
             raise ValueError("n_grid: must be strictly increasing")
         if self.trials < 1:
             raise ValueError("trials: must be >= 1")
+        if not self.estimators:
+            raise ValueError("estimators: must be nonempty")
         for tag in self.estimators:
             if tag not in ESTIMATOR_TAGS:
                 raise ValueError(f"estimators: unknown tag {tag!r}")
         if self.urn_source[0] == "hard_pair" and tuple(self.estimators) != ("auto",):
             raise ValueError(
                 f"estimators: hard_pair experiments run only 'auto', got {list(self.estimators)}")
-        for fmt in self.outputs:
-            if fmt not in ("csv", "json"):
-                raise ValueError(f"outputs: unknown format {fmt!r}")
 
 
 @dataclass(frozen=True)
@@ -159,30 +158,30 @@ def run_risk_curve(cfg: ExperimentConfig) -> list[RiskRow]:
     return rows
 
 
-def hard_pair_experiment(k: int, delta: int, n_grid, trials: int, seed: int,
-                         model: str) -> list[HardPairRow]:
-    """Failure rate |c_hat - C| >= delta of the auto estimator on a hard pair,
-    under the given sampling model."""
-    if trials < 1:
-        raise ValueError("trials: must be >= 1")
-    _check_model_size(model, n_grid, k)
-    pair = make_hard_pair(k, delta, seed)
+def hard_pair_experiment(cfg: ExperimentConfig) -> list[HardPairRow]:
+    """Failure rate |c_hat - C| >= delta of the auto estimator on the hard
+    pair ``make_hard_pair(k, delta, cfg.master_seed)``, under ``cfg.model``."""
+    if cfg.urn_source[0] != "hard_pair":
+        raise ValueError(f"urn: expected a hard_pair source, got {cfg.urn_source!r}")
+    _, k, delta = cfg.urn_source
+    _check_model_size(cfg.model, cfg.n_grid, k)
+    pair = make_hard_pair(k, delta, cfg.master_seed)
     rows = []
-    for ni, n in enumerate(sorted(n_grid)):
+    for ni, n in enumerate(cfg.n_grid):
         plans = [_plan("auto", k, n)]
         for ui, (label, urn) in enumerate((("null", pair.null_urn), ("alt", pair.alt_urn))):
             fails = 0
             total_hat = 0.0
-            for t in range(trials):
-                rng = RngStream(seed, ((ni * 2 + ui) << 32) | t)
-                [(c_hat, _)] = _trial(urn, model, n, rng, plans)
+            for t in range(cfg.trials):
+                rng = RngStream(cfg.master_seed, ((ni * 2 + ui) << 32) | t)
+                [(c_hat, _)] = _trial(urn, cfg.model, n, rng, plans)
                 total_hat += c_hat
                 if abs(c_hat - urn.C) >= delta:
                     fails += 1
             rows.append(HardPairRow(
                 n=n, urn=label, c_true=urn.C,
-                fail_fraction=fails / trials,
-                mean_c_hat=total_hat / trials,
+                fail_fraction=fails / cfg.trials,
+                mean_c_hat=total_hat / cfg.trials,
             ))
     return rows
 
@@ -199,8 +198,6 @@ def _cell(value) -> str:
 
 def rows_to_csv(rows) -> str:
     """Versioned CSV: '# schema=N' line, then a header row, then data rows."""
-    if not rows:
-        return f"# schema={CSV_SCHEMA}\n"
     names = [f.name for f in fields(rows[0])]
     lines = [f"# schema={CSV_SCHEMA}", ",".join(names)]
     for row in rows:
@@ -245,16 +242,16 @@ def _typed_list(value, kind: type, key: str) -> tuple:
     return tuple(_typed(item, kind, key) for item in _typed(value, list, key))
 
 
-def load_experiment_config(source: str | dict) -> ExperimentConfig:
-    """Parse the experiment JSON.
+def load_experiment_config(source: str) -> ExperimentConfig:
+    """Parse the experiment JSON text.
 
-    Keys: urn {file | uniform{k,C} | hard_pair{k,delta}}, model, n_grid,
-    trials, seed, estimators, outputs.  Any other key, an urn with other
-    than exactly one source, or a value of the wrong JSON type is an error.
+    Keys: urn {file | uniform{k,C} | hard_pair{k,delta}}, n_grid, trials
+    (all three required), model, seed, estimators.  A missing or unknown
+    key, an urn with other than exactly one source, or a value of the wrong
+    JSON type is an error that names the key.
     """
-    obj = json.loads(source) if isinstance(source, str) else source
-    obj = _fields(obj, "config", ("urn",),
-                  ("model", "n_grid", "trials", "seed", "estimators", "outputs"))
+    obj = _fields(json.loads(source), "config", ("urn", "n_grid", "trials"),
+                  ("model", "seed", "estimators"))
     urn_obj = _fields(obj["urn"], "urn", (), ("file", "uniform", "hard_pair"))
     if len(urn_obj) != 1:
         raise ValueError(f"urn: expected one of file / uniform / hard_pair, got {sorted(urn_obj)}")
@@ -276,32 +273,23 @@ def load_experiment_config(source: str | dict) -> ExperimentConfig:
     return ExperimentConfig(
         urn_source=urn_source,
         model=MODEL_ALIASES[model_raw],
-        n_grid=_typed_list(obj.get("n_grid", []), int, "n_grid"),
-        trials=_typed(obj.get("trials", 0), int, "trials"),
+        n_grid=_typed_list(obj["n_grid"], int, "n_grid"),
+        trials=_typed(obj["trials"], int, "trials"),
         master_seed=_typed(obj.get("seed", 0), int, "seed"),
         estimators=_typed_list(obj.get("estimators", ["auto"]), str, "estimators"),
-        outputs=_typed_list(obj.get("outputs", ["csv", "json"]), str, "outputs"),
     )
 
 
 def run_experiment_files(cfg: ExperimentConfig, out_dir) -> list[Path]:
-    """Run the configured experiment and write its tables into out_dir."""
+    """Run the configured experiment and write both tables into out_dir:
+    hard_pair.csv and .json for a hard_pair urn, else risk_curve.csv and .json."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     if cfg.urn_source[0] == "hard_pair":
-        _, k, delta = cfg.urn_source
-        rows = hard_pair_experiment(k, delta, cfg.n_grid, cfg.trials, cfg.master_seed, cfg.model)
-        stem = "hard_pair"
+        stem, rows = "hard_pair", hard_pair_experiment(cfg)
     else:
-        rows = run_risk_curve(cfg)
-        stem = "risk_curve"
-    written = []
-    if "csv" in cfg.outputs:
-        path = out / f"{stem}.csv"
-        path.write_text(rows_to_csv(rows))
-        written.append(path)
-    if "json" in cfg.outputs:
-        path = out / f"{stem}.json"
-        path.write_text(rows_to_json(rows))
-        written.append(path)
-    return written
+        stem, rows = "risk_curve", run_risk_curve(cfg)
+    csv_path, json_path = out / f"{stem}.csv", out / f"{stem}.json"
+    csv_path.write_text(rows_to_csv(rows))
+    json_path.write_text(rows_to_json(rows))
+    return [csv_path, json_path]

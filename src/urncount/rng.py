@@ -199,6 +199,8 @@ class RngStream:
         Up to ``_SCALAR_MAX`` outputs come from ``next_u64()`` calls, which
         are cheaper there than numpy's per-call set-up.
         """
+        if count < 0:
+            raise ValueError(f"u64s requires count >= 0, got {count}")
         if count <= _SCALAR_MAX:
             return np.array([self.next_u64() for _ in range(count)], dtype=np.uint64)
         start = self._counter + 1
@@ -214,9 +216,7 @@ class RngStream:
         return z
 
     def uniforms(self, count: int) -> np.ndarray:
-        """Vectorized ``random()``: identical values (short runs as in ``u64s``)."""
-        if count <= _SCALAR_MAX:
-            return np.array([self.random() for _ in range(count)])
+        """Vectorized ``random()``: identical values."""
         z = self.u64s(count)
         z >>= np.uint64(11)
         return z * 2.0 ** -53
@@ -239,8 +239,9 @@ class RngStream:
         Block rejection on the same top bits: the stream ends just past the
         ``count``-th accepted output, exactly where the scalar loop stops.
         """
-        if not 1 <= n <= 2**63:
-            raise ValueError("randbelow_many requires 1 <= n <= 2**63")
+        if not 1 <= n <= 2**63 or count < 0:
+            raise ValueError(f"randbelow_many requires 1 <= n <= 2**63 and count >= 0, "
+                             f"got n={n}, count={count}")
         if n == 1:
             return np.zeros(count, dtype=np.int64)
         bits = (n - 1).bit_length()
@@ -346,6 +347,8 @@ class RngStream:
         """A uniform random ordering of range(m): the one left by the shuffle
         whose step i = m - 1, ..., 1 swaps items i and randbelow(i + 1).
         Reversed, those are the mirrored forward steps."""
+        if m < 0:
+            raise ValueError(f"permutation requires m >= 0, got {m}")
         return (m - 1 - self._slots(m, m, mirrored=True))[::-1]
 
     def _poisson_ptrs(self, lam: float) -> int:

@@ -81,6 +81,12 @@ def _check_size(n: int) -> None:
         raise ValueError(f"sample size must be an int >= 0, got {n!r}")
 
 
+def _check_not_bool(size, what: str) -> None:
+    """Refuse a Python or numpy bool, which would pass as the size 0 or 1."""
+    if isinstance(size, (bool, np.bool_)):
+        raise ValueError(f"{what} must be a number, not a bool, got {size!r}")
+
+
 def _multinomial_index(urn: UrnSpec, n: int, rng: RngStream) -> np.ndarray:
     """Color index of each of n independent draws, in draw order."""
     _check_size(n)
@@ -183,6 +189,7 @@ def bernoulli_counts(urn: UrnSpec, p: float, rng: RngStream) -> np.ndarray:
     accumulated only as far as its largest uniform, which is the scalar
     loop's own work for that uniform.
     """
+    _check_not_bool(p, "inclusion probability")
     if not 0.0 <= p <= 1.0:
         raise ValueError("inclusion probability must lie in [0, 1]")
     mults = urn.mults
@@ -251,6 +258,7 @@ def poissonized_color_counts(urn: UrnSpec, n: float, rng: RngStream) -> np.ndarr
     Below it, a variate past 2**63 - 1 raises a ValueError naming n and the
     mean as soon as it is drawn; the stream has moved by then.
     """
+    _check_not_bool(n, "expected sample size")
     if not math.isfinite(n):
         raise ValueError(f"expected sample size n must be finite, got {n}")
     if n < 0:
@@ -308,6 +316,7 @@ def sample_counts(urn: UrnSpec, model: str, n, rng: RngStream) -> np.ndarray:
     if model == "hypergeometric":
         return hypergeometric_counts(urn, n, rng)
     if model == "bernoulli":
+        _check_not_bool(n, "sample size")
         return bernoulli_counts(urn, n / urn.k, rng)
     if model == "poissonized":
         return poissonized_color_counts(urn, n, rng)

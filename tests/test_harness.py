@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +49,17 @@ class TestConfigValidation:
             poisson_cfg(estimators=("bogus",))
         with pytest.raises(ValueError, match="model"):
             poisson_cfg(model="weird")
+
+    @pytest.mark.parametrize("n, message", [
+        # as in the JSON loader: a bool would run n = 1
+        (True, "expected an integer"),
+        (np.True_, "expected an integer"),
+        (2.0, "expected an integer"),
+        (0, "entries must be >= 1"),
+    ])
+    def test_grid_entries_are_ints(self, n, message):
+        with pytest.raises(ValueError, match=rf"^n_grid: {message}, got {re.escape(repr(n))}$"):
+            poisson_cfg(n_grid=(n,))
 
     def test_model_size_limits(self):
         cfg = poisson_cfg(model="hypergeometric", n_grid=(500,))
@@ -231,13 +243,24 @@ class TestCorrelationExperiment:
         assert sum(vals[1]) / 3 > sum(vals[4]) / 3
 
 
+def hard_pair_cfg(k, delta, n_grid, trials, seed, model):
+    return ExperimentConfig(urn_source=("hard_pair", k, delta), model=model,
+                            n_grid=tuple(n_grid), trials=trials, master_seed=seed,
+                            estimators=("auto",))
+
+
 class TestHardPairExperiment:
     def test_invalid_delta_propagates(self):
         with pytest.raises(ValueError):
-            hard_pair_experiment(6, 3, [5], 10, seed=0, model="multinomial")
+            hard_pair_experiment(hard_pair_cfg(6, 3, [5], 10, seed=0, model="multinomial"))
+
+    def test_other_sources_are_refused(self):
+        with pytest.raises(ValueError, match="^urn: expected a hard_pair source"):
+            hard_pair_experiment(poisson_cfg(estimators=("auto",)))
 
     def test_golden_seed0(self):
-        rows = hard_pair_experiment(10_000, 100, [1000], 50, seed=0, model="multinomial")
+        rows = hard_pair_experiment(hard_pair_cfg(10_000, 100, [1000], 50, seed=0,
+                                                  model="multinomial"))
         assert [(r.urn, r.c_true) for r in rows] == [("null", 10_000), ("alt", 9_800)]
         # frozen reference-run values: far too few samples, so both fail fully
         assert rows[0].fail_fraction == 1.0
@@ -246,20 +269,21 @@ class TestHardPairExperiment:
         assert rows[1].mean_c_hat == pytest.approx(1774.96)
 
     def test_model_is_honored(self):
-        multi = hard_pair_experiment(400, 20, [200], 20, seed=4, model="multinomial")
-        poi = hard_pair_experiment(400, 20, [200], 20, seed=4, model="poissonized")
+        multi = hard_pair_experiment(hard_pair_cfg(400, 20, [200], 20, seed=4, model="multinomial"))
+        poi = hard_pair_experiment(hard_pair_cfg(400, 20, [200], 20, seed=4, model="poissonized"))
         assert [r.mean_c_hat for r in poi] != [r.mean_c_hat for r in multi]
         with pytest.raises(ValueError, match="n <= k"):
-            hard_pair_experiment(400, 20, [500], 5, seed=4, model="hypergeometric")
+            hard_pair_experiment(hard_pair_cfg(400, 20, [500], 5, seed=4, model="hypergeometric"))
 
     def test_empty_samples_count_as_zero(self):
-        rows = hard_pair_experiment(10, 2, [1], 20, 0, model="poissonized")
+        rows = hard_pair_experiment(hard_pair_cfg(10, 2, [1], 20, 0, model="poissonized"))
         assert [(r.urn, r.c_true) for r in rows] == [("null", 10), ("alt", 6)]
         assert all(0 <= r.mean_c_hat <= 10 for r in rows)
 
     def test_fail_fraction_drops_when_easy(self):
         # huge delta makes the tolerance loose: the estimator rarely misses by 400
-        rows = hard_pair_experiment(1000, 400, [800], 40, seed=3, model="multinomial")
+        rows = hard_pair_experiment(hard_pair_cfg(1000, 400, [800], 40, seed=3,
+                                                  model="multinomial"))
         null_row = next(r for r in rows if r.urn == "null")
         assert null_row.fail_fraction <= 0.2
 
@@ -310,10 +334,12 @@ class TestSerialization:
             "n_grid": [50],
             "trials": 10,
             "seed": 1,
-            "outputs": ["csv"],
         }))
-        written = run_experiment_files(cfg, tmp_path)
-        assert [p.name for p in written] == ["hard_pair.csv"]
+        written = run_experiment_files(cfg, tmp_path / "out")
+        assert [p.name for p in written] == ["hard_pair.csv", "hard_pair.json"]
+        run_experiment_files(cfg, tmp_path / "out2")
+        for name in ("hard_pair.csv", "hard_pair.json"):
+            assert (tmp_path / "out2" / name).read_bytes() == (tmp_path / "out" / name).read_bytes()
 
     def test_hard_pair_config_model_reaches_sampler(self, tmp_path):
         obj = {"urn": {"hard_pair": {"k": 100, "delta": 10}}, "n_grid": [150],
@@ -332,6 +358,13 @@ class TestSerialization:
     def test_config_missing_urn(self):
         with pytest.raises(ValueError, match="urn"):
             load_experiment_config("{}")
+
+    @pytest.mark.parametrize("key", ["urn", "n_grid", "trials"])
+    def test_config_required_keys(self, key):
+        obj = {"urn": {"uniform": {"k": 100, "C": 50}}, "n_grid": [50], "trials": 5}
+        del obj[key]
+        with pytest.raises(ValueError, match=rf"^config: missing key '{key}'$"):
+            load_experiment_config(json.dumps(obj))
 
     @pytest.mark.parametrize("change, message", [
         ({"modle": "multi"}, r"^config: unknown key 'modle'$"),
@@ -356,7 +389,7 @@ class TestSerialization:
         ({"model": ["poi"]}, r"^model: expected a string, got \['poi'\]$"),
         ({"estimators": "auto"}, r"^estimators: expected a list, got 'auto'$"),
         ({"estimators": [1]}, r"^estimators: expected a string, got 1$"),
-        ({"outputs": "csv"}, r"^outputs: expected a list, got 'csv'$"),
+        ({"outputs": ["csv"]}, r"^config: unknown key 'outputs'$"),
         ({"urn": {"file": 5}}, r"^urn.file: expected a string, got 5$"),
         ({"urn": {"uniform": {"k": 100.0, "C": 50}}}, r"^urn.uniform.k: expected an integer"),
         ({"urn": {"uniform": {"k": 100, "C": "50"}}}, r"^urn.uniform.C: expected an integer"),
@@ -364,6 +397,8 @@ class TestSerialization:
          r"^urn.hard_pair.k: expected an integer, got True$"),
         ({"urn": {"hard_pair": {"k": 100, "delta": 1e1}}},
          r"^urn.hard_pair.delta: expected an integer, got 10.0$"),
+        # an empty list would draw every sample and write a header-only table
+        ({"estimators": []}, r"^estimators: must be nonempty$"),
     ])
     def test_config_keys_fail_loudly(self, change, message):
         base = {"urn": {"uniform": {"k": 100, "C": 50}}, "n_grid": [50], "trials": 5}

@@ -1,5 +1,10 @@
+import json
 import re
 from pathlib import Path
+
+import pytest
+
+from urncount.harness import load_experiment_config
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -14,3 +19,23 @@ def test_library_sketch_runs(capsys):
     result = namespace["result"]
     assert result.c_seen <= result.c_hat <= 10_000
     assert capsys.readouterr().out.count("\n") == 2
+
+
+def _config_example() -> str:
+    blocks = re.findall(r"```json\n(.*?)```", README.read_text(), flags=re.S)
+    assert len(blocks) == 1
+    return blocks[0]
+
+
+def test_config_example_loads():
+    # a change to the config keys that leaves the README's example stale fails here
+    cfg = load_experiment_config(_config_example())
+    assert cfg.urn_source[0] == "uniform"
+
+
+@pytest.mark.parametrize("key", ["urn", "n_grid", "trials"])
+def test_config_example_needs_each_required_key(key):
+    obj = json.loads(_config_example())
+    del obj[key]
+    with pytest.raises(ValueError, match=rf"^config: missing key '{key}'$"):
+        load_experiment_config(json.dumps(obj))

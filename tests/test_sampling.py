@@ -107,6 +107,37 @@ def test_fixed_size_cores_refuse_non_int_size(core, n):
     assert rng._counter == 0
 
 
+@pytest.mark.parametrize("size", [True, False, np.True_, np.False_])
+@pytest.mark.parametrize("call", [
+    lambda urn, size, rng: bernoulli_counts(urn, size, rng),
+    lambda urn, size, rng: poissonized_color_counts(urn, size, rng),
+    lambda urn, size, rng: sample_counts(urn, "bernoulli", size, rng),
+    lambda urn, size, rng: sample_counts(urn, "poissonized", size, rng),
+    lambda urn, size, rng: sample_draws(urn, "bernoulli", size, rng),
+], ids=["bernoulli_counts", "poissonized_color_counts", "sample_counts-bernoulli",
+        "sample_counts-poissonized", "sample_draws-bernoulli"])
+def test_float_sizes_refuse_bools(call, size):
+    # True would pass as p = 1 (every ball), n = 1 or p = 1/k
+    rng = RngStream(0, 0)
+    with pytest.raises(ValueError, match=re.escape(f"not a bool, got {size!r}")):
+        call(make_uniform_support(10, 5), size, rng)
+    assert rng._counter == 0
+
+
+@pytest.mark.parametrize("call", [
+    lambda rng: rng.u64s(-1),
+    lambda rng: rng.uniforms(-2),
+    lambda rng: rng.randbelow_many(5, -2),
+    lambda rng: rng.randbelow_many(1, -2),
+    lambda rng: rng.permutation(-3),
+], ids=["u64s", "uniforms", "randbelow_many", "randbelow_many-1", "permutation"])
+def test_negative_counts_are_refused(call):
+    rng = RngStream(0, 0)
+    with pytest.raises(ValueError, match=">= 0, got"):
+        call(rng)
+    assert rng._counter == 0
+
+
 class TestWithoutReplacement:
     def test_exhaustive_draw_is_permutation(self):
         urn = UrnSpec(((1, 2), (2, 2), (3, 1)))
