@@ -23,7 +23,7 @@ import numpy as np
 
 from .fingerprint import Fingerprint
 from .orthopoly import poly_numerators, solve_l2
-from .rng import LOG_FLOAT_LIMIT
+from .rng import LOG_FLOAT_LIMIT, check_int
 from .stirling import MAX_TABLE_N, stirling_first
 from .urn import UrnSpec
 
@@ -35,17 +35,6 @@ REGIME_L2 = "l2"
 REGIME_INTERPOLATION = "interpolation"
 
 
-def _check_sizes(k: int, n: int) -> None:
-    """Refuse a k or n that is not an int >= its floor; bools are not sizes."""
-    for name, value in (("k", k), ("n", n)):
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ValueError(f"{name} must be an int, got {value!r}")
-    if k < 2:
-        raise ValueError("k must be >= 2")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-
-
 @dataclass(frozen=True)
 class EstimatorParams:
     k: int
@@ -55,9 +44,10 @@ class EstimatorParams:
     regime: str
 
     def __post_init__(self):
-        _check_sizes(self.k, self.n)
-        if self.L < 1 or self.M < 1:
-            raise ValueError("L and M must be >= 1")
+        check_int(self.k, "k", 2)
+        check_int(self.n, "n", 1)
+        check_int(self.L, "L", 1)
+        check_int(self.M, "M", 1)
         if self.regime == REGIME_L2:
             if self.M < self.L + 1:
                 raise ValueError("l2 regime requires M >= L+1")
@@ -82,9 +72,10 @@ def select_params(k: int, n: int, *, regime: str | None = None) -> EstimatorPara
     Oversampling (n > k, compared as integers) switches to interpolation with
     L = M = ceil(3.5 (k/n) ln k); otherwise L = ceil(0.5 ln k) and
     M = ceil(2 k ln k / n), raised to L+1 if needed.  ``regime`` forces one
-    of the two rules at any n.
+    of the two rules at any n.  k and n are ints, k >= 2 and n >= 1.
     """
-    _check_sizes(k, n)
+    check_int(k, "k", 2)
+    check_int(n, "n", 1)
     if regime not in (None, REGIME_L2, REGIME_INTERPOLATION):
         raise ValueError(f"unknown regime {regime!r}")
     logk = math.log(k)
@@ -132,12 +123,8 @@ class CoefficientVector:
 
 
 def w_to_u(w, k: int, n: int, M: int) -> tuple[float, ...]:
-    """u_j = w_j * j! * (k/(nM))^j, elementwise."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if k < 1 or M < 1:
-        raise ValueError("k and M must be >= 1")
-    ratio = Fraction(k, n * M)
+    """u_j = w_j * j! * (k/(nM))^j, elementwise, for ints k, n, M >= 1."""
+    ratio = Fraction(check_int(k, "k", 1), check_int(n, "n", 1) * check_int(M, "M", 1))
     return tuple(float(wj) * float(ratio**j * factorial(j)) for j, wj in enumerate(w, start=1))
 
 
@@ -148,14 +135,12 @@ def interp_coeffs(M: int, k: int, n: int) -> CoefficientVector:
     polynomial satisfies p(a/M) = 1 for every a in [M] in the retained
     rationals.  u_j = (-1)^(M+1) (j!/M!) (k/n)^j s(M+1, j+1) is rounded from
     its logarithm, lgamma(j+1) - lgamma(M+1) + j log(k/n) + log|s(M+1, j+1)|.
-    Raises ParameterizationError when M reaches the 128-node cap of the
-    Stirling table or any u_j lies past float range.
+    M, k and n are ints >= 1.  Raises ParameterizationError when M reaches
+    the 128-node cap of the Stirling table or any u_j lies past float range.
     """
-    if M < 1:
-        raise ValueError("M must be >= 1")
-    if k < 1 or n < 1:
-        raise ValueError("k and n must be >= 1")
-    if M >= MAX_TABLE_N:  # the coefficients need s(M+1, .)
+    check_int(k, "k", 1)
+    check_int(n, "n", 1)
+    if check_int(M, "M", 1) >= MAX_TABLE_N:  # the coefficients need s(M+1, .)
         raise ParameterizationError(
             f"interpolation at k={k}, n={n} needs M={M} nodes, "
             f"past the {MAX_TABLE_N}-node cap of the exact Stirling table "
@@ -196,7 +181,7 @@ def build_estimator(params: EstimatorParams) -> CoefficientVector:
 
 def naive_coefficients(k: int, n: int) -> CoefficientVector:
     """The all-zero correction (L = 0): the estimate is the seen count."""
-    return CoefficientVector("naive", 1, k, n, (), ())
+    return CoefficientVector("naive", 1, check_int(k, "k", 1), check_int(n, "n", 1), (), ())
 
 
 def estimate(fp: Fingerprint, coeffs: CoefficientVector) -> EstimateResult:

@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .urn import _is_integer_type
+
 
 @dataclass(frozen=True)
 class Fingerprint:
@@ -20,7 +22,7 @@ class Fingerprint:
 
     def __post_init__(self):
         bad = sorted(t.__name__ for t in {*map(type, self.phi), *map(type, self.phi.values())}
-                     if t is bool or not issubclass(t, (int, np.integer)))
+                     if not _is_integer_type(t))
         if bad:
             raise ValueError(f"fingerprint entries must be integers, got {', '.join(bad)}")
         for j, cnt in self.phi.items():
@@ -43,9 +45,9 @@ def fingerprint_from_count_values(count_values) -> Fingerprint:
         return Fingerprint({})
     if counts.dtype.kind not in "iu":
         raise ValueError(f"per-color counts must be integers, got dtype {counts.dtype}")
-    # numpy turns [True, 2] into int64, so a sequence's items are checked one by one
-    if not isinstance(count_values, np.ndarray) and any(
-            isinstance(c, (bool, np.bool_)) for c in count_values):
+    # numpy turns [True, 2] into int64, so a sequence's item types are checked
+    if not isinstance(count_values, np.ndarray) and not all(
+            map(_is_integer_type, set(map(type, count_values)))):
         raise ValueError("per-color counts must be integers, got bool")
     if counts.dtype == np.uint64 and counts.max() > np.iinfo(np.int64).max:
         raise ValueError(f"per-color count {counts.max()} is too large (past 2**63 - 1)")

@@ -21,7 +21,7 @@ from .estimator import (
     select_params,
 )
 from .fingerprint import fingerprint_from_count_values
-from .rng import RngStream
+from .rng import RngStream, check_int
 from .sampling import MODEL_ALIASES, sample_counts
 from .urn import UrnSpec, make_hard_pair, make_uniform_support, parse_urn
 
@@ -44,18 +44,19 @@ class ExperimentConfig:
             raise ValueError(f"model: unknown tag {self.model!r}")
         if not self.n_grid:
             raise ValueError("n_grid: must be nonempty")
-        for n in self.n_grid:  # ints as in the JSON config: a bool is no sample size
-            if _typed(n, int, "n_grid") < 1:
-                raise ValueError(f"n_grid: entries must be >= 1, got {n}")
+        for n in self.n_grid:
+            check_int(n, "n_grid", 1)
         if list(self.n_grid) != sorted(set(self.n_grid)):
             raise ValueError("n_grid: must be strictly increasing")
-        if self.trials < 1:
-            raise ValueError("trials: must be >= 1")
+        check_int(self.trials, "trials", 1)
+        check_int(self.master_seed, "seed")
         if not self.estimators:
             raise ValueError("estimators: must be nonempty")
-        for tag in self.estimators:
+        for i, tag in enumerate(self.estimators):
             if tag not in ESTIMATOR_TAGS:
                 raise ValueError(f"estimators: unknown tag {tag!r}")
+            if tag in self.estimators[:i]:  # its trials would be summed twice
+                raise ValueError(f"estimators: duplicate tag {tag!r}")
         if self.urn_source[0] == "hard_pair" and tuple(self.estimators) != ("auto",):
             raise ValueError(
                 f"estimators: hard_pair experiments run only 'auto', got {list(self.estimators)}")

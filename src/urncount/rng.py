@@ -15,6 +15,9 @@ being made (``fisher_yates_sources``).  Short runs keep the scalar loop.
 Poisson variates of mean below 30 invert through cell tables over raw
 outputs (``poisson_from_u64s``): a uniform is formed only where an output's
 cell straddles a step of the CDF.
+
+Every count, size and seed argument of the package goes through
+``check_int``: a Python int, not a bool, float or numpy scalar.
 """
 
 from __future__ import annotations
@@ -34,6 +37,15 @@ _U30, _U27, _U31 = np.uint64(30), np.uint64(27), np.uint64(31)
 
 # exp(700) is finite in float64; beyond this, stay in log space.
 LOG_FLOAT_LIMIT = 700.0
+
+
+def check_int(value, name: str, low: int | None = None) -> int:
+    """``value`` if it is a Python int (a bool is not) and at least ``low``;
+    otherwise a ValueError that names it."""
+    if isinstance(value, int) and not isinstance(value, bool) and (low is None or value >= low):
+        return value
+    floor = "" if low is None else f" >= {low}"
+    raise ValueError(f"{name} must be an int{floor}, got {value!r}")
 
 
 def _mix(z: int) -> int:
@@ -167,7 +179,8 @@ def fisher_yates_sources(targets: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
 
 
 class RngStream:
-    """One reproducible uniform stream identified by (master_seed, stream_index).
+    """One reproducible uniform stream identified by two ints (master_seed,
+    stream_index), each taken modulo 2**64.
 
     Instances are cheap; create one per independent unit of work (per trial,
     per experiment cell).  A stream must not be shared across threads; distinct
@@ -177,8 +190,8 @@ class RngStream:
     __slots__ = ("master_seed", "stream_index", "_base", "_counter")
 
     def __init__(self, master_seed: int, stream_index: int):
-        self.master_seed = master_seed & _MASK
-        self.stream_index = stream_index & _MASK
+        self.master_seed = check_int(master_seed, "master_seed") & _MASK
+        self.stream_index = check_int(stream_index, "stream_index") & _MASK
         self._base = _mix(self.master_seed ^ _mix(self.stream_index ^ _GOLDEN))
         self._counter = 0
 
@@ -194,14 +207,12 @@ class RngStream:
         return (self.next_u64() >> 11) * 2.0 ** -53
 
     def u64s(self, count: int) -> np.ndarray:
-        """Vectorized ``next_u64()``: the next ``count`` outputs as uint64.
+        """Vectorized ``next_u64()``: the next ``count >= 0`` outputs as uint64.
 
         Up to ``_SCALAR_MAX`` outputs come from ``next_u64()`` calls, which
         are cheaper there than numpy's per-call set-up.
         """
-        if count < 0:
-            raise ValueError(f"u64s requires count >= 0, got {count}")
-        if count <= _SCALAR_MAX:
+        if check_int(count, "count", 0) <= _SCALAR_MAX:
             return np.array([self.next_u64() for _ in range(count)], dtype=np.uint64)
         start = self._counter + 1
         self._counter += count
@@ -222,10 +233,8 @@ class RngStream:
         return z * 2.0 ** -53
 
     def randbelow(self, n: int) -> int:
-        """Uniform integer in [0, n), unbiased via top-bits rejection."""
-        if n <= 0:
-            raise ValueError("randbelow requires n >= 1")
-        if n == 1:
+        """Uniform integer in [0, n) for n >= 1, unbiased via top-bits rejection."""
+        if check_int(n, "n", 1) == 1:
             return 0
         bits = (n - 1).bit_length()
         while True:
@@ -234,14 +243,14 @@ class RngStream:
                 return r
 
     def randbelow_many(self, n: int, count: int) -> np.ndarray:
-        """``count`` calls of ``randbelow(n)`` as one int64 array (n <= 2**63).
+        """``count`` calls of ``randbelow(n)`` as one int64 array (1 <= n <= 2**63).
 
         Block rejection on the same top bits: the stream ends just past the
         ``count``-th accepted output, exactly where the scalar loop stops.
         """
-        if not 1 <= n <= 2**63 or count < 0:
-            raise ValueError(f"randbelow_many requires 1 <= n <= 2**63 and count >= 0, "
-                             f"got n={n}, count={count}")
+        check_int(count, "count", 0)
+        if check_int(n, "n", 1) > 2**63:
+            raise ValueError(f"randbelow_many requires n <= 2**63, got n={n}")
         if n == 1:
             return np.zeros(count, dtype=np.int64)
         bits = (n - 1).bit_length()
@@ -337,18 +346,17 @@ class RngStream:
         return front
 
     def sample_positions(self, m: int, n: int) -> np.ndarray:
-        """A uniform size-n selection of range(m) in random order (n <= m):
+        """A uniform size-n selection of range(m) in random order (0 <= n <= m):
         step t of the partial Fisher-Yates swaps t and t + randbelow(m - t)."""
-        if not 0 <= n <= m:
+        if not 0 <= check_int(n, "n") <= check_int(m, "m"):
             raise ValueError(f"sample_positions requires 0 <= n <= m, got m={m}, n={n}")
         return self._slots(m, n, mirrored=False)
 
     def permutation(self, m: int) -> np.ndarray:
-        """A uniform random ordering of range(m): the one left by the shuffle
-        whose step i = m - 1, ..., 1 swaps items i and randbelow(i + 1).
+        """A uniform random ordering of range(m), m >= 0: the one left by the
+        shuffle whose step i = m - 1, ..., 1 swaps items i and randbelow(i + 1).
         Reversed, those are the mirrored forward steps."""
-        if m < 0:
-            raise ValueError(f"permutation requires m >= 0, got {m}")
+        check_int(m, "m", 0)
         return (m - 1 - self._slots(m, m, mirrored=True))[::-1]
 
     def _poisson_ptrs(self, lam: float) -> int:

@@ -31,7 +31,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .rng import _BLOCK, LOG_FLOAT_LIMIT, _SCALAR_MAX, RngStream, poisson_from_u64s
+from .rng import _BLOCK, LOG_FLOAT_LIMIT, _SCALAR_MAX, RngStream, check_int, poisson_from_u64s
 from .urn import INT64_MAX, UrnSpec
 
 # every accepted model name -> its canonical name
@@ -75,12 +75,6 @@ def _colors_of(urn: UrnSpec, balls: np.ndarray) -> np.ndarray:
     return urn.ball_colors[balls]
 
 
-def _check_size(n: int) -> None:
-    """Refuse a fixed sample size that is not an int >= 0; bools are not sizes."""
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise ValueError(f"sample size must be an int >= 0, got {n!r}")
-
-
 def _check_not_bool(size, what: str) -> None:
     """Refuse a Python or numpy bool, which would pass as the size 0 or 1."""
     if isinstance(size, (bool, np.bool_)):
@@ -89,8 +83,7 @@ def _check_not_bool(size, what: str) -> None:
 
 def _multinomial_index(urn: UrnSpec, n: int, rng: RngStream) -> np.ndarray:
     """Color index of each of n independent draws, in draw order."""
-    _check_size(n)
-    return _colors_of(urn, rng.randbelow_many(urn.k, n))
+    return _colors_of(urn, rng.randbelow_many(urn.k, check_int(n, "sample size", 0)))
 
 
 def multinomial_counts(urn: UrnSpec, n: int, rng: RngStream) -> np.ndarray:
@@ -104,8 +97,7 @@ def _hypergeometric_index(urn: UrnSpec, n: int, rng: RngStream) -> np.ndarray:
     The colors of the ball positions a partial Fisher-Yates over the
     expanded ball array moves to its first n slots.
     """
-    _check_size(n)
-    if n > urn.k:
+    if check_int(n, "sample size", 0) > urn.k:
         raise ValueError(f"cannot draw {n} balls without replacement from a {urn.k}-ball urn")
     return _colors_of(urn, rng.sample_positions(urn.k, n))
 

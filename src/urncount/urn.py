@@ -13,7 +13,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .rng import RngStream
+from .rng import RngStream, check_int
 
 MAX_COLOR_ID = 2**64 - 1
 INT64_MAX = 2**63 - 1
@@ -118,7 +118,7 @@ class UrnSpec:
 
 
 def _is_integer_type(t: type) -> bool:
-    """Python and numpy integers count; bools, floats and strings do not."""
+    """Urn and fingerprint entries: Python and numpy integers, not bools."""
     return t is not bool and issubclass(t, (int, np.integer))
 
 
@@ -154,12 +154,10 @@ def make_uniform_support(k: int, C: int) -> UrnSpec:
     """Deterministic near-uniform urn: C colors with multiplicities within 1.
 
     The larger multiplicity goes to the lowest color ids so fixtures are
-    reproducible.
+    reproducible.  k and C are ints with 1 <= C <= k.
     """
-    if k < 1:
-        raise ValueError("k must be positive")
-    if C < 1 or C > k:
-        raise ValueError(f"need 1 <= C <= k, got C={C}, k={k}")
+    if check_int(k, "k", 1) < check_int(C, "C", 1):
+        raise ValueError(f"need C <= k, got C={C}, k={k}")
     base, extra = divmod(k, C)
     mults = np.full(C, base, dtype=np.int64)
     mults[:extra] += 1
@@ -171,11 +169,10 @@ def make_hard_pair(k: int, delta: int, seed: int) -> HardInstancePair:
 
     The alternative's color ids form a random disjoint split of {1..k} into a
     size-c1 block of multiplicity b1 and a size-c2 block of multiplicity b2,
-    drawn from the seeded stream so instances are reproducible.
+    drawn from the seeded stream so instances are reproducible (ints k, seed
+    and 1 <= delta <= k/2 - 1).
     """
-    if delta < 1:
-        raise ValueError("delta must be positive")
-    remaining = k - 2 * delta
+    remaining = check_int(k, "k") - 2 * check_int(delta, "delta", 1)
     if remaining < 2:
         raise ValueError(f"need delta <= k/2 - 1, got delta={delta}, k={k}")
     b1 = k // remaining

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -21,7 +22,7 @@ from urncount.fingerprint import Fingerprint, fingerprint_from_count_values
 from urncount.orthopoly import l2_min_value
 from urncount.rng import RngStream
 from urncount.sampling import poissonized_color_counts
-from urncount.urn import UrnSpec, make_uniform_support
+from urncount.urn import UrnSpec, make_hard_pair, make_uniform_support
 
 from test_urn import colors
 
@@ -63,10 +64,25 @@ class TestSelectParams:
     def test_sizes_must_be_ints(self, k, n, bad):
         # a float or bool k or n used to pass and fail later, inside Fraction
         value = {"k": k, "n": n}[bad]
-        with pytest.raises(ValueError, match=f"{bad} must be an int, got {value!r}"):
+        floor = {"k": 2, "n": 1}[bad]
+        with pytest.raises(ValueError, match=f"{bad} must be an int >= {floor}, got {value!r}"):
             select_params(k, n)
-        with pytest.raises(ValueError, match=f"{bad} must be an int, got {value!r}"):
+        with pytest.raises(ValueError, match=f"{bad} must be an int >= {floor}, got {value!r}"):
             EstimatorParams(k, n, 1, 2, "l2")
+
+    @pytest.mark.parametrize("call, message", [
+        # each of these used to build an object for a k, M or delta that is no int
+        (lambda: interp_coeffs(3, 2.5, 1), "k must be an int >= 1, got 2.5"),
+        (lambda: interp_coeffs(True, 2, 1), "M must be an int >= 1, got True"),
+        (lambda: naive_coefficients(2.5, 1), "k must be an int >= 1, got 2.5"),
+        (lambda: EstimatorParams(10, 3, True, 2, "l2"), "L must be an int >= 1, got True"),
+        (lambda: make_hard_pair(10, True, 0), "delta must be an int >= 1, got True"),
+        (lambda: make_uniform_support(10.0, 5), "k must be an int >= 1, got 10.0"),
+    ], ids=["interp_coeffs-k", "interp_coeffs-M", "naive_coefficients", "EstimatorParams-L",
+            "make_hard_pair", "make_uniform_support"])
+    def test_builder_sizes_must_be_ints(self, call, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
 
     def test_regime_forces_either_rule(self):
         k = 10_000

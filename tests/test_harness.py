@@ -50,16 +50,33 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="model"):
             poisson_cfg(model="weird")
 
-    @pytest.mark.parametrize("n, message", [
-        # as in the JSON loader: a bool would run n = 1
-        (True, "expected an integer"),
-        (np.True_, "expected an integer"),
-        (2.0, "expected an integer"),
-        (0, "entries must be >= 1"),
-    ])
-    def test_grid_entries_are_ints(self, n, message):
-        with pytest.raises(ValueError, match=rf"^n_grid: {message}, got {re.escape(repr(n))}$"):
+    # as in the JSON loader: a bool would run n = 1
+    @pytest.mark.parametrize("n", [True, np.True_, 2.0, 0])
+    def test_grid_entries_are_ints(self, n):
+        message = f"n_grid must be an int >= 1, got {n!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             poisson_cfg(n_grid=(n,))
+
+    @pytest.mark.parametrize("field, value, message", [
+        # trials=True ran one trial and wrote True into every row; a float
+        # seed failed inside RngStream only after every plan was built
+        ("trials", True, "trials must be an int >= 1, got True"),
+        ("trials", 2.0, "trials must be an int >= 1, got 2.0"),
+        ("master_seed", 1.5, "seed must be an int, got 1.5"),
+        ("master_seed", np.int64(3), "seed must be an int, got np.int64(3)"),
+    ], ids=["trials-bool", "trials-float", "seed-float", "seed-numpy"])
+    def test_trials_and_seed_are_ints(self, field, value, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            poisson_cfg(**{field: value})
+
+    def test_repeated_estimator_tag_is_refused(self):
+        # run_risk_curve sums per tag, so a repeated tag counted each trial twice
+        with pytest.raises(ValueError, match=r"^estimators: duplicate tag 'naive'$"):
+            poisson_cfg(estimators=("naive", "auto", "naive"))
+        config = {"urn": {"uniform": {"k": 1000, "C": 500}}, "n_grid": [500], "trials": 20,
+                  "seed": 3, "estimators": ["naive", "auto", "naive"]}
+        with pytest.raises(ValueError, match=r"^estimators: duplicate tag 'naive'$"):
+            load_experiment_config(json.dumps(config))
 
     def test_model_size_limits(self):
         cfg = poisson_cfg(model="hypergeometric", n_grid=(500,))

@@ -130,10 +130,35 @@ def test_float_sizes_refuse_bools(call, size):
     lambda rng: rng.randbelow_many(5, -2),
     lambda rng: rng.randbelow_many(1, -2),
     lambda rng: rng.permutation(-3),
-], ids=["u64s", "uniforms", "randbelow_many", "randbelow_many-1", "permutation"])
+    # a float count used to advance the counter to a float; a bool counted as 1
+    lambda rng: rng.u64s(9.0),
+    lambda rng: rng.u64s(True),
+    lambda rng: rng.randbelow_many(5, True),
+    lambda rng: rng.permutation(True),
+], ids=["u64s", "uniforms", "randbelow_many", "randbelow_many-1", "permutation",
+        "u64s-float", "u64s-bool", "randbelow_many-bool", "permutation-bool"])
 def test_negative_counts_are_refused(call):
     rng = RngStream(0, 0)
     with pytest.raises(ValueError, match=">= 0, got"):
+        call(rng)
+    assert rng._counter == 0
+    assert rng.u64s(9).tolist() == RngStream(0, 0).u64s(9).tolist()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda rng: rng.sample_positions(10, True), "n must be an int, got True"),
+    (lambda rng: rng.sample_positions(10.0, 2), "m must be an int, got 10.0"),
+    (lambda rng: rng.randbelow(True), "n must be an int >= 1, got True"),
+    (lambda rng: rng.randbelow_many(np.int64(5), 2), "n must be an int >= 1, got np.int64(5)"),
+    (lambda rng: RngStream(1.5, 0), "master_seed must be an int, got 1.5"),
+    (lambda rng: RngStream(0, np.uint64(3)), "stream_index must be an int, got np.uint64(3)"),
+], ids=["sample_positions-n", "sample_positions-m", "randbelow", "randbelow_many-n",
+        "master_seed", "stream_index"])
+def test_non_int_arguments_are_refused(call, message):
+    # sample_positions keeps its range message for an int n, so a bool n is
+    # named by the int rule alone
+    rng = RngStream(0, 0)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call(rng)
     assert rng._counter == 0
 
