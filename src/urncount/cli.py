@@ -22,13 +22,7 @@ from .verify import SUITES
 def _cmd_simulate(args) -> int:
     urn = parse_urn(Path(args.urn).read_text())
     model = MODEL_ALIASES[args.model]
-    # the sample size is --p for the bernoulli model and --n for the others
-    used, unused = ("p", "n") if model == "bernoulli" else ("n", "p")
-    if getattr(args, used) is None:
-        raise ValueError(f"--{used} is required for the {model} model")
-    if getattr(args, unused) is not None:
-        raise ValueError(f"--{unused} is not used by the {model} model")
-    draws = sample_draws(urn, model, getattr(args, used), RngStream(args.seed, args.stream))
+    draws = sample_draws(urn, model, args.n, RngStream(args.seed, args.stream))
     text = "\n".join(map(str, draws))
     Path(args.out).write_text(text + "\n" if text else "")
     print(f"wrote {len(draws)} draws ({model}) to {args.out}")
@@ -147,10 +141,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="draw a sample from an urn file")
     sim.add_argument("--urn", required=True, help="urn file: 'color_id count' lines")
     sim.add_argument("--model", required=True, choices=sorted(MODEL_ALIASES))
-    sim.add_argument("--n", type=int, default=None,
-                     help="(expected) sample size; every model but bernoulli")
-    sim.add_argument("--p", type=float, default=None,
-                     help="inclusion probability; the bernoulli model only")
+    sim.add_argument("--n", type=int, required=True,
+                     help="sample size: expected for bern (p = n/k) and poi")
     sim.add_argument("--seed", type=int, required=True)
     sim.add_argument("--stream", type=int, default=0)
     sim.add_argument("--out", required=True)

@@ -79,11 +79,15 @@ def select_params(k: int, n: int, *, regime: str | None = None) -> EstimatorPara
     if regime not in (None, REGIME_L2, REGIME_INTERPOLATION):
         raise ValueError(f"unknown regime {regime!r}")
     logk = math.log(k)
-    if regime == REGIME_INTERPOLATION or (regime is None and n > k):
-        size = max(1, math.ceil(INTERPOLATION_BETA * (k / n) * logk))
-        return EstimatorParams(k, n, size, size, REGIME_INTERPOLATION)
-    L = max(1, math.ceil(ALPHA * logk))
-    M = max(L + 1, math.ceil(BETA * k * logk / n))
+    try:
+        if regime == REGIME_INTERPOLATION or (regime is None and n > k):
+            size = max(1, math.ceil(INTERPOLATION_BETA * (k / n) * logk))
+            return EstimatorParams(k, n, size, size, REGIME_INTERPOLATION)
+        L = max(1, math.ceil(ALPHA * logk))
+        M = max(L + 1, math.ceil(BETA * k * logk / n))
+    except OverflowError:  # k, or the rule's value, past the float range
+        raise ValueError(f"k of {k.bit_length()} bits with n of {n.bit_length()} bits "
+                         "puts L or M past the float range") from None
     return EstimatorParams(k, n, L, M, REGIME_L2)
 
 

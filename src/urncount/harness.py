@@ -22,7 +22,7 @@ from .estimator import (
 )
 from .fingerprint import fingerprint_from_count_values
 from .rng import RngStream, check_int
-from .sampling import MODEL_ALIASES, sample_counts
+from .sampling import MODEL_ALIASES, check_model_size, sample_counts
 from .urn import UrnSpec, make_hard_pair, make_uniform_support, parse_urn
 
 CSV_SCHEMA = 1
@@ -92,11 +92,6 @@ def resolve_urn(source: tuple) -> UrnSpec:
     raise ValueError(f"urn: cannot resolve source {source!r}")
 
 
-def _check_model_size(model: str, n_grid, k: int) -> None:
-    if model in ("hypergeometric", "bernoulli") and max(n_grid) > k:
-        raise ValueError(f"n_grid: model {model} needs n <= k = {k}")
-
-
 def _plan(tag: str, k: int, n: int) -> tuple:
     """(tag, coeffs) for one estimator tag."""
     if tag == "naive":
@@ -130,7 +125,7 @@ def run_risk_curve(cfg: ExperimentConfig) -> list[RiskRow]:
     """
     urn = resolve_urn(cfg.urn_source)
     k, c_true = urn.k, urn.C
-    _check_model_size(cfg.model, cfg.n_grid, k)
+    check_model_size(cfg.model, max(cfg.n_grid), k, "n_grid")
     # every cell's coefficients first, so a bad parameterization fails before any trial
     grid_plans = [[_plan(tag, k, n) for tag in cfg.estimators] for n in cfg.n_grid]
     rows: list[RiskRow] = []
@@ -165,7 +160,7 @@ def hard_pair_experiment(cfg: ExperimentConfig) -> list[HardPairRow]:
     if cfg.urn_source[0] != "hard_pair":
         raise ValueError(f"urn: expected a hard_pair source, got {cfg.urn_source!r}")
     _, k, delta = cfg.urn_source
-    _check_model_size(cfg.model, cfg.n_grid, k)
+    check_model_size(cfg.model, max(cfg.n_grid), k, "n_grid")
     pair = make_hard_pair(k, delta, cfg.master_seed)
     rows = []
     for ni, n in enumerate(cfg.n_grid):

@@ -1,10 +1,10 @@
 """The four sampling models.
 
 Each model has one counts core: an int64 array of per-color counts aligned
-with ``urn.ids``, which is all a fingerprint needs.  ``sample_counts`` and
-``sample_draws`` are the only places that map a model name to a sampler;
-the draw lists, for ``urncount simulate`` and callers that want the draws
-themselves, come from the same cores.
+with ``urn.ids``, which is all a fingerprint needs, and every model is sized
+by n (Bernoulli keeps each ball with p = n / k).  ``sample_counts`` maps a
+model name to its core; ``sample_draws``, for ``urncount simulate``, draws
+from the same cores, in draw order for the two ball-drawing models.
 
 The cores are array passes.  Multinomial and hypergeometric draws are ball
 positions, read through the urn's ball-to-color table (``ball_colors``) and
@@ -26,6 +26,8 @@ from __future__ import annotations
 
 import bisect
 import math
+import sys
+import threading
 from array import array
 from functools import lru_cache
 
@@ -91,14 +93,23 @@ def multinomial_counts(urn: UrnSpec, n: int, rng: RngStream) -> np.ndarray:
     return np.bincount(_multinomial_index(urn, n, rng), minlength=urn.C)
 
 
+def check_model_size(model: str, n, k: int, name: str = "sample size"):
+    """``n``, if it is no bool and the canonical ``model`` can draw that many
+    from a k-ball urn: the hypergeometric and Bernoulli models, which take each
+    ball at most once, need 0 <= n <= k.  Otherwise a ValueError naming ``name``."""
+    _check_not_bool(n, name)
+    if model in ("hypergeometric", "bernoulli") and not 0 <= n <= k:
+        raise ValueError(f"{name}: the {model} model needs 0 <= n <= k, got n = {n}, k = {k}")
+    return n
+
+
 def _hypergeometric_index(urn: UrnSpec, n: int, rng: RngStream) -> np.ndarray:
     """Color indices of a uniformly random size-n sub-multiset, in random order.
 
     The colors of the ball positions a partial Fisher-Yates over the
     expanded ball array moves to its first n slots.
     """
-    if check_int(n, "sample size", 0) > urn.k:
-        raise ValueError(f"cannot draw {n} balls without replacement from a {urn.k}-ball urn")
+    check_model_size("hypergeometric", check_int(n, "sample size", 0), urn.k)
     return _colors_of(urn, rng.sample_positions(urn.k, n))
 
 
@@ -119,9 +130,13 @@ class _BinomialCdf:
     ``tests/test_counts.py``) only as far as the uniforms inverted so far
     reach: to the first entry at or above the largest of them, or to its end
     at x = size or the first zero pmf term.  Inverting u gives the first
-    index whose entry reaches u, or the last entry, as the scalar loop does."""
+    index whose entry reaches u, or the last entry, as the scalar loop does.
 
-    __slots__ = ("size", "ratio", "pmf", "sums", "ended")
+    Tables are shared through the cache, so each holds a lock across its
+    growth and its search: an append to ``sums`` must not meet another
+    thread's search of it, or a view of it in ``invert``."""
+
+    __slots__ = ("size", "ratio", "pmf", "sums", "ended", "lock")
 
     def __init__(self, size: int, p: float):
         q = 1.0 - p
@@ -129,6 +144,7 @@ class _BinomialCdf:
         self.pmf = q ** size
         self.sums = array("d", [self.pmf])
         self.ended = False
+        self.lock = threading.Lock()
 
     def _reach(self, u: float) -> None:
         sums = self.sums
@@ -151,14 +167,17 @@ class _BinomialCdf:
 
     def variate(self, u: float) -> int:
         """The variate for one uniform, by bisection."""
-        self._reach(u)
-        return min(bisect.bisect_left(self.sums, u), len(self.sums) - 1)
+        with self.lock:
+            self._reach(u)
+            return min(bisect.bisect_left(self.sums, u), len(self.sums) - 1)
 
     def invert(self, u: np.ndarray) -> np.ndarray:
         """The variates for an array of uniforms, by one ``searchsorted``."""
-        self._reach(float(u.max()))
-        table = np.frombuffer(self.sums)  # a view, released before the next append
-        return np.minimum(np.searchsorted(table, u, side="left"), table.size - 1)
+        with self.lock:
+            self._reach(float(u.max()))
+            # the view lives only through the search, inside the lock
+            x = np.searchsorted(np.frombuffer(self.sums), u, side="left")
+            return np.minimum(x, len(self.sums) - 1)
 
 
 @lru_cache(maxsize=BINOMIAL_CDF_CACHE_SIZE)
@@ -251,6 +270,9 @@ def poissonized_color_counts(urn: UrnSpec, n: float, rng: RngStream) -> np.ndarr
     mean as soon as it is drawn; the stream has moved by then.
     """
     _check_not_bool(n, "expected sample size")
+    if isinstance(n, int) and n > sys.float_info.max:  # math.isfinite would overflow
+        raise ValueError(f"expected sample size n must lie in the float range, "
+                         f"got an int of {n.bit_length()} bits")
     if not math.isfinite(n):
         raise ValueError(f"expected sample size n must be finite, got {n}")
     if n < 0:
@@ -308,30 +330,24 @@ def sample_counts(urn: UrnSpec, model: str, n, rng: RngStream) -> np.ndarray:
     if model == "hypergeometric":
         return hypergeometric_counts(urn, n, rng)
     if model == "bernoulli":
-        _check_not_bool(n, "sample size")
-        return bernoulli_counts(urn, n / urn.k, rng)
+        return bernoulli_counts(urn, check_model_size(model, n, urn.k) / urn.k, rng)
     if model == "poissonized":
         return poissonized_color_counts(urn, n, rng)
     raise ValueError(f"model: unknown tag {model!r}")
 
 
-def sample_draws(urn: UrnSpec, model: str, size, rng: RngStream) -> list[int]:
-    """The observed color ids of one sample under the canonical ``model``.
+def sample_draws(urn: UrnSpec, model: str, n, rng: RngStream) -> list[int]:
+    """The observed color ids of one size-n sample under the canonical ``model``.
 
-    ``size`` is the inclusion probability p for the Bernoulli model and the
-    (expected) sample size n for the others.  Multinomial and hypergeometric
-    draws come in draw order.  Bernoulli draws come in canonical color order,
-    and Poisson draws are a uniformly shuffled expansion of the counts; only
-    the counts carry information.
+    Multinomial and hypergeometric draws come in draw order.  Bernoulli draws
+    come in canonical color order, and Poisson draws are a uniformly shuffled
+    expansion of the counts; only the counts carry information.
     """
     if model == "multinomial":
-        return urn.ids[_multinomial_index(urn, size, rng)].tolist()
+        return urn.ids[_multinomial_index(urn, n, rng)].tolist()
     if model == "hypergeometric":
-        return urn.ids[_hypergeometric_index(urn, size, rng)].tolist()
-    if model == "bernoulli":
-        return np.repeat(urn.ids, bernoulli_counts(urn, size, rng)).tolist()
+        return urn.ids[_hypergeometric_index(urn, n, rng)].tolist()
+    draws = np.repeat(urn.ids, sample_counts(urn, model, n, rng))
     if model == "poissonized":
-        draws = np.repeat(urn.ids, poissonized_color_counts(urn, size, rng))
-        return draws[rng.permutation(draws.size)].tolist()
-    raise ValueError(f"model: unknown tag {model!r}")
-
+        draws = draws[rng.permutation(draws.size)]
+    return draws.tolist()

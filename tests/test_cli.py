@@ -31,21 +31,27 @@ class TestSimulate:
         assert out1.read_text() == out2.read_text()
         assert len(out1.read_text().splitlines()) == 30
 
-    def test_bernoulli_requires_p(self, tmp_path, urn_file, capsys):
-        rc = main(["simulate", "--urn", str(urn_file), "--model", "bern",
-                   "--n", "30", "--seed", "9", "--out", str(tmp_path / "x.txt")])
-        assert rc == 2
-        assert capsys.readouterr().err == (
-            "urncount simulate: error: --p is required for the bernoulli model\n")
+    def test_simulate_requires_n(self, tmp_path, urn_file, capsys):
+        # every model is sized by --n, and --p is no simulate option
+        base = ["simulate", "--urn", str(urn_file), "--model", "bern",
+                "--seed", "9", "--out", str(tmp_path / "x.txt")]
+        for size, said in (([], "the following arguments are required: --n"),
+                           (["--n", "15", "--p", "0.3"], "unrecognized arguments: --p 0.3")):
+            with pytest.raises(SystemExit) as exc:
+                main([*base, *size])
+            assert exc.value.code == 2
+            assert said in capsys.readouterr().err
 
     @pytest.mark.parametrize("alias, model", [
         ("multi", "multinomial"), ("hyper", "hypergeometric"), ("poi", "poissonized")])
     def test_other_models_require_n(self, tmp_path, urn_file, capsys, alias, model):
-        rc = main(["simulate", "--urn", str(urn_file), "--model", alias,
-                   "--seed", "9", "--out", str(tmp_path / "x.txt")])
-        assert rc == 2
-        assert capsys.readouterr().err == (
-            f"urncount simulate: error: --n is required for the {model} model\n")
+        out = tmp_path / "x.txt"
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--urn", str(urn_file), "--model", alias,
+                  "--seed", "9", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "the following arguments are required: --n" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_poissonized(self, tmp_path, urn_file):
         out = tmp_path / "p.txt"
@@ -53,18 +59,18 @@ class TestSimulate:
                    "--n", "40", "--seed", "1", "--out", str(out)])
         assert rc == 0
 
-    @pytest.mark.parametrize("alias, flag, model", [
-        ("bern", "--n", "bernoulli"), ("multi", "--p", "multinomial"),
-        ("hyper", "--p", "hypergeometric"), ("poi", "--p", "poissonized")])
-    def test_flag_the_model_does_not_use_is_rejected(self, tmp_path, urn_file, capsys,
-                                                     alias, flag, model):
-        size = ["--p", "0.5"] if model == "bernoulli" else ["--n", "10"]
+    @pytest.mark.parametrize("alias, n, message", [
+        ("bern", 51, "sample size: the bernoulli model needs 0 <= n <= k, got n = 51, k = 50"),
+        ("poi", 10**400, "expected sample size n must lie in the float range, "
+                         "got an int of 1329 bits"),
+    ], ids=["bern-past-k", "poi-past-float-range"])
+    def test_size_the_model_cannot_draw_is_refused(self, tmp_path, urn_file, capsys,
+                                                   alias, n, message):
         out = tmp_path / "x.txt"
-        rc = main(["simulate", "--urn", str(urn_file), "--model", alias, *size,
-                   flag, "7", "--seed", "9", "--out", str(out)])
+        rc = main(["simulate", "--urn", str(urn_file), "--model", alias, "--n", str(n),
+                   "--seed", "9", "--out", str(out)])
         assert rc == 2
-        assert capsys.readouterr().err == (
-            f"urncount simulate: error: {flag} is not used by the {model} model\n")
+        assert capsys.readouterr().err == f"urncount simulate: error: {message}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("urn, alias, size, printed, sha256", [
@@ -72,15 +78,15 @@ class TestSimulate:
          "7a9136635becc3e89ba1b8be3df78d4b87b9eee1cdc742fe7d372b8a9cc8ef79"),
         ("three", "hyper", ["--n", "5"], "wrote 5 draws (hypergeometric)",
          "639104070f064dccc392ffb66d3fe5e9ee7165b176b6d34e61ff0e5406c3ad81"),
-        ("three", "bern", ["--p", "0.4"], "wrote 2 draws (bernoulli)",
-         "9422b95a5e9325e99b4848aa8d911c6ddf0745dea8d00a54dc8915fa23de5d2f"),
+        ("three", "bern", ["--n", "3"], "wrote 3 draws (bernoulli)",
+         "ea1a31bbf9b2129187b6fa94ab22fa249bab60fbcba0080f6e5a2a0968d0c0aa"),
         ("three", "poi", ["--n", "9"], "wrote 6 draws (poissonized)",
          "0bada61a993cff59dc17843f68b4064e3dae0c310d2e3e244d566bdd6d616b23"),
         ("uniform", "multi", ["--n", "5000"], "wrote 5000 draws (multinomial)",
          "5020c73bcc1821a4ee98bdba7d772e200bb58c67e59a48a5542f13e6f012b0af"),
         ("uniform", "hyper", ["--n", "7000"], "wrote 7000 draws (hypergeometric)",
          "dd86465a6e843eeb9546bb9f2036b3af2b826ecf4161e2f964a9b7f25c2657b2"),
-        ("uniform", "bern", ["--p", "0.3"], "wrote 2951 draws (bernoulli)",
+        ("uniform", "bern", ["--n", "3000"], "wrote 2951 draws (bernoulli)",
          "efbd210db8eef6fe4d0e0e0c54abb4c3c1320234b6507795da45586acfab03cd"),
         ("uniform", "poi", ["--n", "12000"], "wrote 12078 draws (poissonized)",
          "8ac5c3e570225c5eb76a25bfa13c1a78e419c36a561fb5a3d381fc3e803dab86"),
@@ -246,6 +252,17 @@ class TestEstimate:
         assert rc == 0
         out = capsys.readouterr().out
         assert "c_hat:" in out and "regime:" in out
+
+    def test_size_past_float_range_is_refused(self, tmp_path, capsys):
+        # 10**400 balls put M = 2 k ln k / n past the float range; 10**30 does not
+        fp = tmp_path / "fp.txt"
+        fp.write_text("1 4\n")
+        assert main(["estimate", "--k", str(10**30), "--n", "5", "--fingerprint", str(fp)]) == 0
+        capsys.readouterr()
+        rc = main(["estimate", "--k", str(10**400), "--n", "5", "--fingerprint", str(fp)])
+        assert rc == 2
+        assert capsys.readouterr().err == ("urncount estimate: error: k of 1329 bits with n of "
+                                           "3 bits puts L or M past the float range\n")
 
     @pytest.mark.parametrize("flag, value", [("--alpha", "0.3"), ("--beta", "3"), ("--eta", "2")])
     def test_selection_constants_are_not_flags(self, tmp_path, capsys, flag, value):

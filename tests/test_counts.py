@@ -8,6 +8,8 @@ its reference.
 
 import bisect
 import math
+import sys
+import threading
 from collections import Counter
 
 import numpy as np
@@ -326,19 +328,20 @@ def test_counts_and_stream_match_reference(model, urn, param):
 DRAW_REFERENCES = {"multinomial": ref_draw_with_replacement,
                    "hypergeometric": ref_draw_without_replacement}
 
-DRAW_CASES = {  # model -> (reference draw list, urn, size)
+DRAW_CASES = {  # model -> (reference draw list, urn, n)
     "multinomial": (ref_draw_with_replacement, UNIFORM, 500),
     "hypergeometric": (ref_draw_without_replacement, UNIFORM, 600),
-    "bernoulli": (ref_draw_bernoulli, UNIFORM, 0.4),
+    "bernoulli": (ref_draw_bernoulli, UNIFORM, 400),
     "poissonized": (ref_poissonized_draws, HEAVY_MID, 2000),
 }
 
 
 @pytest.mark.parametrize("model", DRAW_CASES)
 def test_draw_lists_match_reference(model):
-    reference, urn, size = DRAW_CASES[model]
+    reference, urn, n = DRAW_CASES[model]
     got_rng, ref_rng = RngStream(5, 2), RngStream(5, 2)
-    assert sample_draws(urn, model, size, got_rng) == reference(urn, size, ref_rng)
+    size = n / urn.k if model == "bernoulli" else n  # the Bernoulli reference takes p = n / k
+    assert sample_draws(urn, model, n, got_rng) == reference(urn, size, ref_rng)
     assert got_rng._counter == ref_rng._counter
 
 
@@ -556,6 +559,42 @@ def test_binomial_cdf_cache_is_bounded():
     again = _binomial_cdf(77, 0.123)  # evicted, rebuilt
     assert again is not first
     assert again.variate(0.9) == first.variate(0.9) == binomial_inversion(77, 0.123, 0.9)
+
+
+def test_bernoulli_tables_are_shared_safely_across_threads():
+    # distinct streams may run concurrently: one thread's table growth must
+    # not meet another's search of the same cached table
+    urn = UrnSpec(tuple((i, 65 + i % 40) for i in range(4000)))
+
+    def three_calls(t):
+        rng = RngStream(8, t)
+        return [bernoulli_counts(urn, 0.3, rng) for _ in range(3)]
+
+    want = [three_calls(t) for t in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for _ in range(20):
+            _binomial_cdf.cache_clear()
+            got, errors = [None] * 8, []
+
+            def run(t):
+                try:
+                    got[t] = three_calls(t)
+                except Exception as exc:  # noqa: BLE001 - reported below
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=run, args=(t,)) for t in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert errors == []
+            for t in range(8):
+                assert all(np.array_equal(a, b) for a, b in zip(got[t], want[t]))
+    finally:
+        sys.setswitchinterval(interval)
 
 
 # sizes that repeat past the one-at-a-time cutoff, sizes met once, colors of

@@ -59,6 +59,14 @@ class TestSelectParams:
         with pytest.raises(ValueError):
             select_params(10, 0)
 
+    @pytest.mark.parametrize("k,n,regime", [
+        (10**400, 5, None), (10**400, 10**399, None), (10**308, 1, None),
+        (10**400, 1, "interpolation")], ids=["1e400-5", "1e400-1e399", "1e308-1", "1e400-1-interp"])
+    def test_sizes_past_float_range_are_refused(self, k, n, regime):
+        said = f"k of {k.bit_length()} bits with n of {n.bit_length()} bits puts L or M past the"
+        with pytest.raises(ValueError, match=f"^{said} float range$"):
+            select_params(k, n, regime=regime)
+
     @pytest.mark.parametrize("k,n,bad", [(10.5, 3, "k"), (10, 3.0, "n"), (2, True, "n"),
                                          (True, 3, "k"), (math.nan, 3, "k"), ("10", 3, "k")])
     def test_sizes_must_be_ints(self, k, n, bad):

@@ -1,9 +1,11 @@
 import json
 import re
+import shlex
 from pathlib import Path
 
 import pytest
 
+from urncount.cli import build_parser
 from urncount.harness import load_experiment_config
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -39,3 +41,11 @@ def test_config_example_needs_each_required_key(key):
     del obj[key]
     with pytest.raises(ValueError, match=rf"^config: missing key '{key}'$"):
         load_experiment_config(json.dumps(obj))
+
+
+def test_cli_examples_parse():
+    # a flag renamed or removed without the README's examples following fails here
+    lines = [line for line in README.read_text().splitlines() if line.startswith("urncount ")]
+    assert len(lines) == 9
+    for line in lines:
+        build_parser().parse_args(shlex.split(line, comments=True)[1:])

@@ -202,22 +202,29 @@ class TestWithoutReplacement:
 
 class TestBernoulli:
     def test_p_zero_and_one(self):
+        # n = 0 and n = k keep each ball with p = 0 and p = 1
         urn = make_uniform_support(20, 5)
-        assert sample_draws(urn, "bernoulli", 0.0, RngStream(0, 0)) == []
-        full = sample_draws(urn, "bernoulli", 1.0, RngStream(0, 0))
+        assert sample_draws(urn, "bernoulli", 0, RngStream(0, 0)) == []
+        full = sample_draws(urn, "bernoulli", 20, RngStream(0, 0))
         assert sorted(full) == sorted(
             cid for cid, mult in colors(urn) for _ in range(mult)
         )
 
     def test_invalid_probability(self):
-        with pytest.raises(ValueError):
-            sample_draws(TWO, "bernoulli", 1.5, RngStream(0, 0))
+        # n outside [0, k] would give p = n / k outside [0, 1]
+        for dispatch in (sample_counts, sample_draws):
+            for n in (-1, TWO.k + 1):
+                rng = RngStream(0, 0)
+                said = f"sample size: the bernoulli model needs 0 <= n <= k, got n = {n}, k = 2"
+                with pytest.raises(ValueError, match=f"^{re.escape(said)}$"):
+                    dispatch(TWO, "bernoulli", n, rng)
+                assert rng._counter == 0
 
     @pytest.mark.parametrize("urn", [make_uniform_support(10_000, 10_000),
                                      UrnSpec(((1, 10_000),))])
     def test_realized_size_band(self, urn):
         # Binomial(1e4, 0.3): 4 sigma ~ 183 < 200; covers both sampler paths
-        draws = sample_draws(urn, "bernoulli", 0.3, RngStream(21, 0))
+        draws = sample_draws(urn, "bernoulli", 3000, RngStream(21, 0))
         assert abs(len(draws) - 3000) <= 200
 
 
