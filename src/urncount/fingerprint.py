@@ -34,13 +34,15 @@ class Fingerprint:
 
 
 def fingerprint_from_count_values(count_values) -> Fingerprint:
-    """Fingerprint of per-color counts (an integer array or sequence; zeros
-    allowed; bools and floats are refused, not truncated, and so are counts
-    past 2**63 - 1).
+    """Fingerprint of per-color counts (a one-dimensional integer array or
+    sequence; zeros allowed; bools and floats are refused, not truncated, and
+    so are counts past 2**63 - 1).
 
     The one fingerprint constructor: a single ``np.bincount``.
     """
     counts = np.asarray(count_values)
+    if counts.ndim != 1:
+        raise ValueError(f"per-color counts must be one-dimensional, got shape {counts.shape}")
     if counts.size == 0:
         return Fingerprint({})
     if counts.dtype.kind not in "iu":

@@ -9,8 +9,8 @@ streams with distinct indices never share state.
 Shuffles return positions (``sample_positions``, ``permutation``) and are
 array passes: the draws of a Fisher-Yates pass, whose bound shrinks by one
 per step, are accepted a power-of-two range at a time
-(``randbelow_shrinking``), and the swaps they drive are resolved without
-being made (``fisher_yates_sources``).  Short runs keep the scalar loop.
+(``randbelow_shrinking``, one block pass per range), and the swaps they
+drive are resolved without being made (``fisher_yates_sources``).
 
 Poisson variates of mean below 30 invert through cell tables over raw
 outputs (``poisson_from_u64s``): a uniform is formed only where an output's
@@ -18,6 +18,12 @@ cell straddles a step of the CDF.
 
 Every count, size and seed argument of the package goes through
 ``check_int``: a Python int, not a bool, float or numpy scalar.
+
+Three size-selected forks stay.  ``u64s`` makes up to 8 outputs by scalar
+calls, which the Poisson core reaches between a skewed urn's heavy colors;
+``_slots`` swaps one step at a time for up to 32 steps, as the Poisson draw
+lists shuffle many tiny samples; ``fisher_yates_sources`` sorts by target
+alone when its int64 (target, step) key would overflow.
 """
 
 from __future__ import annotations
@@ -62,8 +68,8 @@ _BLOCK = 1 << 16
 # fixed set-up cost is several scalar outputs' worth.
 _SCALAR_MAX = 8
 
-# Fisher-Yates runs of at most this many steps draw and swap one step at a
-# time: an array pass costs dozens of scalar steps in set-up.
+# ``_slots`` runs of at most this many steps draw and swap one step at a
+# time: resolving the swaps as arrays costs dozens of scalar steps in set-up.
 _SCALAR_STEPS = 32
 
 # Distinct Poisson means whose inversion tables are kept (least recently used
@@ -280,10 +286,8 @@ class RngStream:
         always accepted and r >= m' never; for the open outputs in between
         this is the fixed point of ``accept = r < m' - exclusive_cumsum(accept)``.
         Its iterates alternately over- and under-accept, and each one settles
-        at least one more leading output.  A range's run of at most
-        ``_SCALAR_STEPS`` steps comes from scalar ``randbelow`` calls.  The
-        stream ends just past the last accepted output, where the scalar calls
-        stop.
+        at least one more leading output.  The stream ends just past the last
+        accepted output, where scalar ``randbelow`` calls stop.
         """
         if not 0 <= steps < m < 2**63:
             raise ValueError("randbelow_shrinking requires 0 <= steps < m < 2**63")
@@ -294,11 +298,6 @@ class RngStream:
             bits = (top - 1).bit_length()
             low = 1 << (bits - 1)
             want = min(steps - t, top - low)  # steps left in this range
-            if want <= _SCALAR_STEPS:
-                for _ in range(want):
-                    out[t] = self.randbelow(m - t)
-                    t += 1
-                continue
             start = self._counter
             # acceptance is above 1/2 in the range; overdraw to finish in one block
             r = (self.u64s(min(_BLOCK, want + want // 2 + 1)) >> np.uint64(64 - bits)).view(np.int64)

@@ -7,14 +7,17 @@ model name to its core; ``sample_draws``, for ``urncount simulate``, draws
 from the same cores, in draw order for the two ball-drawing models.
 
 The cores are array passes.  Multinomial and hypergeometric draws are ball
-positions, read through the urn's ball-to-color table (``ball_colors``) and
-counted with one ``bincount``: uniform ones for draws with replacement, and
-the slots of a partial Fisher-Yates resolved without the ball list
-(``RngStream.sample_positions``) for draws without.  Bernoulli colors of more
-than 64 balls split into chunks of ``binomial_chunk_max(p)`` trials, and each
-chunk inverts its uniform through a binomial CDF table kept per (chunk size,
-p) and grown only as far as the uniforms it has inverted.  Poisson colors
-of mean below 30 invert through the rng's cell tables over raw outputs.
+positions, read through the urn's ball-to-color table (``ball_colors``), or
+past 2^23 balls, where no table fits in memory, by binary search (this
+module's one size-selected fork; ``rng`` lists the stream's), and counted
+with one ``bincount``: uniform ones for draws with replacement, and the
+slots of a partial Fisher-Yates resolved without the ball list
+(``RngStream.sample_positions``) for draws without.  Bernoulli colors of
+more than 64 balls split into chunks of ``binomial_chunk_max(p)`` trials,
+and a block's chunks of one size invert their uniforms together through a
+binomial CDF table kept per (chunk size, p) and grown only as far as the
+uniforms it has inverted.  Poisson colors of mean below 30 invert through
+the rng's cell tables over raw outputs.
 
 All samplers are pure functions of (urn, parameters, stream): identical
 inputs reproduce identical outputs byte for byte, and the stream advances
@@ -33,7 +36,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .rng import _BLOCK, LOG_FLOAT_LIMIT, _SCALAR_MAX, RngStream, check_int, poisson_from_u64s
+from .rng import _BLOCK, LOG_FLOAT_LIMIT, RngStream, check_int, poisson_from_u64s
 from .urn import INT64_MAX, UrnSpec
 
 # every accepted model name -> its canonical name
@@ -96,9 +99,9 @@ def multinomial_counts(urn: UrnSpec, n: int, rng: RngStream) -> np.ndarray:
 def check_model_size(model: str, n, k: int, name: str = "sample size"):
     """``n``, if it is no bool and the canonical ``model`` can draw that many
     from a k-ball urn: the hypergeometric and Bernoulli models, which take each
-    ball at most once, need 0 <= n <= k.  Otherwise a ValueError naming ``name``."""
+    ball at most once, need an int 0 <= n <= k.  Else a ValueError naming ``name``."""
     _check_not_bool(n, name)
-    if model in ("hypergeometric", "bernoulli") and not 0 <= n <= k:
+    if model in ("hypergeometric", "bernoulli") and check_int(n, name, 0) > k:
         raise ValueError(f"{name}: the {model} model needs 0 <= n <= k, got n = {n}, k = {k}")
     return n
 
@@ -129,8 +132,9 @@ class _BinomialCdf:
     scalar inversion's recurrence (the reference ``binomial_inversion`` in
     ``tests/test_counts.py``) only as far as the uniforms inverted so far
     reach: to the first entry at or above the largest of them, or to its end
-    at x = size or the first zero pmf term.  Inverting u gives the first
-    index whose entry reaches u, or the last entry, as the scalar loop does.
+    at x = size or the first zero pmf term.  ``invert`` maps each uniform u
+    of an array, by one ``searchsorted``, to the first index whose entry
+    reaches u, or to the last entry, as the scalar loop does.
 
     Tables are shared through the cache, so each holds a lock across its
     growth and its search: an append to ``sums`` must not meet another
@@ -165,12 +169,6 @@ class _BinomialCdf:
             self.ended = True
         self.pmf = pmf
 
-    def variate(self, u: float) -> int:
-        """The variate for one uniform, by bisection."""
-        with self.lock:
-            self._reach(u)
-            return min(bisect.bisect_left(self.sums, u), len(self.sums) - 1)
-
     def invert(self, u: np.ndarray) -> np.ndarray:
         """The variates for an array of uniforms, by one ``searchsorted``."""
         with self.lock:
@@ -192,10 +190,12 @@ def bernoulli_counts(urn: UrnSpec, p: float, rng: RngStream) -> np.ndarray:
     in ``tests/test_counts.py`` does, and that use is fixed in advance: k_i
     coin-flip uniforms when k_i <= 64, otherwise one uniform per inversion
     chunk, and none at p in {0, 1}.  So the colors share uniform blocks drawn
-    in canonical color order.  Chunks hold ``binomial_chunk_max(p)`` trials
-    but for each color's last, so a block's chunks of one size invert their
-    uniforms together through that size's CDF table.  The tables are cached,
-    which pays when sizes repeat: across a block's colors of one
+    in canonical color order, and each block's coin flips are counted by one
+    ``reduceat``.  Chunks hold ``binomial_chunk_max(p)`` trials but for each
+    color's last, so a block's chunks of one size invert their uniforms
+    together through that size's CDF table, and a chunked color's count, the
+    sum of its chunks' variates, replaces its coin-flip sum.  The tables are
+    cached, which pays when sizes repeat: across a block's colors of one
     multiplicity, and across calls on one urn.  When they do not, a table is
     accumulated only as far as its largest uniform, which is the scalar
     loop's own work for that uniform.
@@ -216,18 +216,10 @@ def bernoulli_counts(urn: UrnSpec, p: float, rng: RngStream) -> np.ndarray:
         block = slice(c0, c0 + _COLOR_BLOCK)
         u = rng.uniforms(int(use[block].sum()))
         offsets = np.cumsum(use[block]) - use[block]
+        out[block] = np.add.reduceat(u < p, offsets, dtype=np.int64)
         big = np.flatnonzero(chunked[block])
-        if big.size <= _SCALAR_MAX:  # a few chunked colors, one chunk at a time
-            out[block] = np.add.reduceat(u < p, offsets, dtype=np.int64)
-            for c in big.tolist():
-                remaining, total = int(mults[c0 + c]), 0
-                for v in u[offsets[c]:offsets[c] + use[c0 + c]].tolist():
-                    size = min(remaining, chunk_max)
-                    total += _binomial_cdf(size, p).variate(v)
-                    remaining -= size
-                out[c0 + c] = total
+        if not big.size:
             continue
-        taken = (u < p).astype(np.int64)
         # each chunk's uniform and size: chunk_max, but the remainder for each
         # color's last chunk; then the chunks grouped by size
         per = use[block][big]
@@ -236,17 +228,13 @@ def bernoulli_counts(urn: UrnSpec, p: float, rng: RngStream) -> np.ndarray:
         sizes = np.full(at.size, chunk_max)
         sizes[ends - 1] = mults[block][big] - (per - 1) * chunk_max
         order = np.argsort(sizes, kind="stable")
-        at, sizes = at[order], sizes[order]
-        bounds = [0, *(np.flatnonzero(np.diff(sizes)) + 1).tolist(), at.size]
-        uc, x = u[at], np.empty(at.size, dtype=np.int64)
-        for lo, hi, size in zip(bounds, bounds[1:], sizes[bounds[:-1]].tolist()):
-            table = _binomial_cdf(size, p)
-            if hi - lo <= _SCALAR_MAX:
-                x[lo:hi] = [table.variate(v) for v in uc[lo:hi].tolist()]
-            else:
-                x[lo:hi] = table.invert(uc[lo:hi])
-        taken[at] = x
-        out[block] = np.add.reduceat(taken, offsets)
+        bounds = [0, *(np.flatnonzero(np.diff(sizes[order])) + 1).tolist(), at.size]
+        x = np.empty(at.size, dtype=np.int64)
+        for lo, hi in zip(bounds, bounds[1:]):
+            group = order[lo:hi]
+            x[group] = _binomial_cdf(int(sizes[group[0]]), p).invert(u[at[group]])
+        # a chunked color's count, its chunks' variates, replaces its coin-flip sum
+        out[c0 + big] = np.add.reduceat(x, ends - per)
     return out
 
 

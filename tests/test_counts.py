@@ -267,6 +267,12 @@ CHUNKED = UrnSpec(((1, 65), (2, 64), (3, 1000), (4, 5), (5, 20_000)))
 HEAVY_MID = UrnSpec(tuple([(i, 1) for i in range(1, 200)] + [(500, 3000)]
                           + [(i, 2) for i in range(600, 800)] + [(900, 40)]
                           + [(1000, 4000)] + [(i, 1) for i in range(1001, 1050)]))
+# 1, 8 and 9 chunked colors among light ones (some sharing a multiplicity),
+# and a color of 100_003 balls, whose chunks take two sizes at p = 0.01, 0.3, 0.9
+_BIG = [65, 1000, 1000, 5000, 66, 70_000, 1000, 2000, 3000]
+FEW_CHUNKED = [UrnSpec(tuple((i, _BIG[i // 3] if i % 3 == 0 and i // 3 < count else 1 + i % 7)
+                             for i in range(3 * count + 4))) for count in (1, 8, 9)]
+FEW_CHUNKED.append(UrnSpec(((1, 3), (2, 100_003), (3, 20))))
 # more colors than one Bernoulli block, with chunked colors in two blocks
 WIDE = UrnSpec(tuple((i, {4500: 500, 8500: 70}.get(i, 1 + i % 3)) for i in range(1, 9001)))
 # 400 distinct light means at n = 5000 (largest mean 24.9)
@@ -297,6 +303,7 @@ CASES = [
     ("bernoulli", ONE_HEAVY, 0.5),
     ("bernoulli", WIDE, 0.3),
     ("bernoulli", WIDE, 0.999),
+    *[("bernoulli", urn, p) for urn in FEW_CHUNKED for p in (0.01, 0.3, 0.9)],
     ("multinomial", WIDE, 5000),
     ("hypergeometric", WIDE, 5000),
     ("poissonized", WIDE, 20_000),
@@ -439,6 +446,7 @@ def test_hard_pair_past_the_scalar_cutoff():
 @pytest.mark.parametrize("k,n", [
     (64, 63), (65, 64), (1024, 1000), (1025, 1025), (2**14, 2**13), (2**14 + 1, 2**13 + 1),
     (1000, 999), (1000, 1000),  # n = k - 1 and n = k
+    (70, 69), (100, 40),  # every range, or the last, of at most _SCALAR_STEPS steps
     *[(5000, n) for n in (_SCALAR_STEPS - 1, _SCALAR_STEPS, _SCALAR_STEPS + 1)],
     (_SCALAR_STEPS + 1, _SCALAR_STEPS + 1),  # a full pass just past the cutoff
     (150_000, 100_000),  # a range's steps spread over more than one _BLOCK of outputs
@@ -519,7 +527,7 @@ def test_urns_past_the_ball_table_use_the_cumulative_search(monkeypatch, model, 
                                     (1009, 0.5)])
 def test_binomial_inversion_matches_scalar_at_table_edges(size, p):
     whole = _BinomialCdf(size, p)
-    whole.variate(1.0)  # accumulated to its end or to 1
+    whole.invert(np.array([1.0]))  # accumulated to its end or to 1
     cdf = np.array(whole.sums)
     u = np.concatenate([
         cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 2.0),  # on and beside each entry
@@ -536,17 +544,18 @@ def test_binomial_inversion_matches_scalar_at_table_edges(size, p):
         for i in range(0, len(us), 5):
             got += table.invert(np.array(us[i:i + 5])).tolist()
         assert got == [ref[x] for x in us]
-        table = _BinomialCdf(size, p)
-        assert [table.variate(x) for x in us] == [ref[x] for x in us]
+        table = _BinomialCdf(size, p)  # one uniform at a time
+        assert [table.invert(np.array([x])).item() for x in us] == [ref[x] for x in us]
 
 
 def test_binomial_table_grows_only_as_far_as_its_uniforms():
     table = _BinomialCdf(1000, 0.25)
-    assert table.variate(0.5) == binomial_inversion(1000, 0.25, 0.5)
-    assert len(table.sums) - 1 == table.variate(0.5)  # the first entry at or above 0.5
-    assert table.sums[-2] < 0.5 <= table.sums[-1]
+    assert table.invert(np.array([0.5])).tolist() == [binomial_inversion(1000, 0.25, 0.5)]
+    assert len(table.sums) - 1 == 250 == table.invert(np.array([0.5])).item()
+    assert table.sums[-2] < 0.5 <= table.sums[-1]  # the first entry at or above 0.5
     short = _BinomialCdf(70, 0.9)  # the pmf ends at x = size, under 1 - 2**-53
-    assert short.variate(1.0 - 2.0 ** -53) == binomial_inversion(70, 0.9, 1.0 - 2.0 ** -53) == 70
+    last = 1.0 - 2.0 ** -53
+    assert short.invert(np.array([last])).tolist() == [binomial_inversion(70, 0.9, last)] == [70]
     assert len(short.sums) == 71 and short.ended
 
 
@@ -558,7 +567,9 @@ def test_binomial_cdf_cache_is_bounded():
     assert _binomial_cdf.cache_info().currsize <= BINOMIAL_CDF_CACHE_SIZE
     again = _binomial_cdf(77, 0.123)  # evicted, rebuilt
     assert again is not first
-    assert again.variate(0.9) == first.variate(0.9) == binomial_inversion(77, 0.123, 0.9)
+    u = np.array([0.9])
+    want = [binomial_inversion(77, 0.123, 0.9)]
+    assert again.invert(u).tolist() == first.invert(u).tolist() == want
 
 
 def test_bernoulli_tables_are_shared_safely_across_threads():
@@ -597,8 +608,8 @@ def test_bernoulli_tables_are_shared_safely_across_threads():
         sys.setswitchinterval(interval)
 
 
-# sizes that repeat past the one-at-a-time cutoff, sizes met once, colors of
-# many chunks and colors of at most 64 flips, over two color blocks
+# sizes that repeat, sizes met once, colors of many chunks and colors of at
+# most 64 flips, over two color blocks
 MANY_CHUNKED = UrnSpec(tuple(
     (i, 1000 if i % 7 == 0 else 65 + i if i % 11 == 0 else 20_000 if i % 997 == 0 else 1 + i % 5)
     for i in range(1, _COLOR_BLOCK + 600)))

@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 
 import numpy as np
@@ -73,6 +74,15 @@ class TestFingerprint:
         with pytest.raises(ValueError, match=r"too large \(past 2\*\*63 - 1\)"):
             fingerprint_from_count_values(values)
 
+    @pytest.mark.parametrize("values, shape", [
+        ([[1, 2]], (1, 2)), (np.array([[1, 2], [3, 4]]), (2, 2)), ([[]], (1, 0)), (5, ()),
+    ])
+    def test_from_count_values_refuses_other_shapes(self, values, shape):
+        # one count per color: a nested sequence or a scalar is not a sample's counts
+        said = f"per-color counts must be one-dimensional, got shape {shape}"
+        with pytest.raises(ValueError, match=f"^{re.escape(said)}$"):
+            fingerprint_from_count_values(values)
+
     def test_from_count_values_empty_and_unsigned(self):
         assert fingerprint_from_count_values([]) == Fingerprint({})  # float64 when empty
         fp = fingerprint_from_count_values(np.array([0, 3, 3], dtype=np.uint32))
@@ -113,7 +123,7 @@ class TestIdentitiesAcrossSamplers:
             samples = [
                 sample_draws(urn, "multinomial", n, rng),
                 sample_draws(urn, "hypergeometric", n, rng),
-                sample_draws(urn, "bernoulli", (meta.randbelow(11)) / 10, rng),
+                sample_draws(urn, "bernoulli", n, rng),
                 sample_draws(urn, "poissonized", n, rng),
             ]
             for draws in samples:

@@ -107,6 +107,16 @@ def test_fixed_size_cores_refuse_non_int_size(core, n):
     assert rng._counter == 0
 
 
+@pytest.mark.parametrize("n", [0.3, 3.0, np.int64(3)])
+@pytest.mark.parametrize("dispatch", [sample_counts, sample_draws])
+def test_bernoulli_size_is_an_int(dispatch, n):
+    # the Bernoulli model is sized by n like the other fixed-size models
+    rng = RngStream(0, 0)
+    with pytest.raises(ValueError, match=re.escape(f"sample size must be an int >= 0, got {n!r}")):
+        dispatch(make_uniform_support(10, 5), "bernoulli", n, rng)
+    assert rng._counter == 0
+
+
 @pytest.mark.parametrize("size", [True, False, np.True_, np.False_])
 @pytest.mark.parametrize("call", [
     lambda urn, size, rng: bernoulli_counts(urn, size, rng),
@@ -213,9 +223,10 @@ class TestBernoulli:
     def test_invalid_probability(self):
         # n outside [0, k] would give p = n / k outside [0, 1]
         for dispatch in (sample_counts, sample_draws):
-            for n in (-1, TWO.k + 1):
+            for n, said in ((-1, "sample size must be an int >= 0, got -1"),
+                            (TWO.k + 1, "sample size: the bernoulli model needs 0 <= n <= k, "
+                                        f"got n = {TWO.k + 1}, k = 2")):
                 rng = RngStream(0, 0)
-                said = f"sample size: the bernoulli model needs 0 <= n <= k, got n = {n}, k = 2"
                 with pytest.raises(ValueError, match=f"^{re.escape(said)}$"):
                     dispatch(TWO, "bernoulli", n, rng)
                 assert rng._counter == 0
