@@ -1,6 +1,8 @@
+import json
 import math
 from fractions import Fraction
 from math import comb, factorial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -313,6 +315,22 @@ class TestCoefficientTransform:
         assert a.digest != build(10, 5, 2, 6).digest
         assert a.digest != build(10, 6, 2, 5).digest
 
+
+
+# build_estimator bit for bit in the l2 regime at L = 1..11, M from L+1 to
+# 36842, and (k, n) from u_j near 1e164 down to subnormal and 0.0: every u as
+# a float hex, and the digest, which covers w too.  Recorded once; re-record
+# only for an intended change of the coefficients.
+PINS = json.loads((Path(__file__).parent / "data" / "l2_pins.json").read_text())
+
+
+class TestPinnedBits:
+    @pytest.mark.parametrize("cell", list(PINS))
+    def test_u_bits_and_digest(self, cell):
+        k, n, L, M = map(int, cell.split(","))
+        vec = build_estimator(EstimatorParams(k, n, L, M, "l2"))
+        assert [uj.hex() for uj in vec.u] == PINS[cell]["u"]
+        assert vec.digest == PINS[cell]["digest"]
 
 def test_chebyshev_norm_formula():
     assert chebyshev_norm(3, 1) == 8
