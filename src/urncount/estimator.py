@@ -8,6 +8,10 @@ solve (undersampled regime) or node interpolation via Stirling numbers
 value is clamped into [c_seen, k], which never hurts.  This module is the
 only one that builds coefficient vectors and binds them to (k, n); the
 estimate and the bias oracle read k and n from the vector they are given.
+
+Each vector keeps its exact w as integer numerators over one denominator,
+and each of its doubles is one correctly rounded int / int division, the
+double ``float(Fraction)`` would give; no Fraction is formed here.
 """
 
 from __future__ import annotations
@@ -15,7 +19,6 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import factorial
 
@@ -24,7 +27,7 @@ import numpy as np
 from .fingerprint import Fingerprint
 from .orthopoly import poly_numerators, solve_l2
 from .rng import LOG_FLOAT_LIMIT, check_int
-from .stirling import MAX_TABLE_N, stirling_first
+from .stirling import MAX_TABLE_N, stirling_row
 from .urn import UrnSpec
 
 ALPHA = 0.5
@@ -100,14 +103,16 @@ class ParameterizationError(ValueError):
 class CoefficientVector:
     """Estimator coefficients u_1..u_L bound to the sample parameters (k, n),
     and the exact polynomial coefficients w_1..w_L they come from:
-    u_j = w_j * j! * (k/(nM))^j.  ``kind`` is "naive" (L = 0), "l2" or
-    "interpolation"; the degree L is ``len(u)``."""
+    u_j = w_j * j! * (k/(nM))^j.  ``w_exact`` is the pair (nums, den) of
+    integer numerators over one positive denominator, w_j = nums[j-1] / den,
+    as both solvers compute it; no Fraction is formed.  ``kind`` is "naive"
+    (L = 0), "l2" or "interpolation"; the degree L is ``len(u)``."""
 
     kind: str
     M: int
     k: int
     n: int
-    w_exact: tuple[Fraction, ...]
+    w_exact: tuple[tuple[int, ...], int]
     u: tuple[float, ...]
 
     @property
@@ -116,29 +121,44 @@ class CoefficientVector:
 
     @cached_property
     def w(self) -> tuple[float, ...]:
-        """``w_exact``, each rounded once to the nearest double."""
-        return tuple(float(wj) for wj in self.w_exact)
+        """``w_exact``, each w_j rounded once to the nearest double: int / int
+        is correctly rounded, as ``float(Fraction)`` is."""
+        nums, den = self.w_exact
+        return tuple(num / den for num in nums)
 
     @cached_property
     def digest(self) -> str:
-        hexes = [",".join(v.hex() for v in values) for values in (self.w, self.u)]
+        hexes = [",".join(map(float.hex, values)) for values in (self.w, self.u)]
         payload = "|".join([self.kind, str(self.L), str(self.M), str(self.k), str(self.n), *hexes])
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
 def w_to_u(w, k: int, n: int, M: int) -> tuple[float, ...]:
-    """u_j = w_j * j! * (k/(nM))^j, elementwise, for ints k, n, M >= 1."""
-    ratio = Fraction(check_int(k, "k", 1), check_int(n, "n", 1) * check_int(M, "M", 1))
-    return tuple(float(wj) * float(ratio**j * factorial(j)) for j, wj in enumerate(w, start=1))
+    """u_j = w_j * j! * (k/(nM))^j, elementwise, for ints k, n, M >= 1.
+
+    j! k^j and (nM)^j are running integer products, and their quotient is
+    one correctly rounded int / int division, which raises OverflowError
+    past the float range.
+    """
+    k = check_int(k, "k", 1)
+    nm = check_int(n, "n", 1) * check_int(M, "M", 1)
+    top = bottom = 1
+    u = []
+    for j, wj in enumerate(w, start=1):
+        top *= j * k
+        bottom *= nm
+        u.append(float(wj) * (top / bottom))
+    return tuple(u)
 
 
 def interp_coeffs(M: int, k: int, n: int) -> CoefficientVector:
     """Coefficients that interpolate exactly through all M node values.
 
-    w_j = (-1)^(M+1) M^j s(M+1, j+1) / M! is kept exactly, so the induced
-    polynomial satisfies p(a/M) = 1 for every a in [M] in the retained
-    rationals.  u_j = (-1)^(M+1) (j!/M!) (k/n)^j s(M+1, j+1) is rounded from
-    its logarithm, lgamma(j+1) - lgamma(M+1) + j log(k/n) + log|s(M+1, j+1)|.
+    w_j = (-1)^(M+1) M^j s(M+1, j+1) / M! is kept exactly, as the numerators
+    (-1)^(M+1) M^j s(M+1, j+1) over M!, so the induced polynomial satisfies
+    p(a/M) = 1 for every a in [M] in exact arithmetic.
+    u_j = (-1)^(M+1) (j!/M!) (k/n)^j s(M+1, j+1) is rounded from its
+    logarithm, lgamma(j+1) - lgamma(M+1) + j log(k/n) + log|s(M+1, j+1)|.
     M, k and n are ints >= 1.  Raises ParameterizationError when M reaches
     the 128-node cap of the Stirling table or any u_j lies past float range.
     """
@@ -153,10 +173,11 @@ def interp_coeffs(M: int, k: int, n: int) -> CoefficientVector:
     front = 1 if M % 2 else -1  # (-1)^(M+1)
     log_kn = math.log(k) - math.log(n)
     log_mfact = math.lgamma(M + 1)
-    mfact = factorial(M)
-    u, w_exact = [], []
+    row = stirling_row(M + 1)
+    u, nums = [], []
+    power = 1  # M^j
     for j in range(1, M + 1):
-        s = front * stirling_first(M + 1, j + 1)
+        s = front * row[j + 1]
         log_u = math.lgamma(j + 1) - log_mfact + j * log_kn + math.log(abs(s))
         if log_u > LOG_FLOAT_LIMIT:
             raise ParameterizationError(
@@ -164,8 +185,9 @@ def interp_coeffs(M: int, k: int, n: int) -> CoefficientVector:
                 f"M={M}; use the l2 regime (n <= k) instead"
             )
         u.append(math.exp(log_u) if s > 0 else -math.exp(log_u))
-        w_exact.append(Fraction(M**j * s, mfact))
-    return CoefficientVector(REGIME_INTERPOLATION, M, k, n, tuple(w_exact), tuple(u))
+        power *= M
+        nums.append(power * s)
+    return CoefficientVector(REGIME_INTERPOLATION, M, k, n, (tuple(nums), factorial(M)), tuple(u))
 
 
 COEFF_CACHE_SIZE = 256
@@ -178,14 +200,15 @@ def build_estimator(params: EstimatorParams) -> CoefficientVector:
     ``build_estimator.cache_info()`` counts hits and misses."""
     if params.regime == REGIME_L2:
         w_exact = solve_l2(params.M, params.L)
-        u = w_to_u(w_exact, params.k, params.n, params.M)
+        nums, den = w_exact
+        u = w_to_u([num / den for num in nums], params.k, params.n, params.M)
         return CoefficientVector(REGIME_L2, params.M, params.k, params.n, w_exact, u)
     return interp_coeffs(params.M, params.k, params.n)
 
 
 def naive_coefficients(k: int, n: int) -> CoefficientVector:
     """The all-zero correction (L = 0): the estimate is the seen count."""
-    return CoefficientVector("naive", 1, check_int(k, "k", 1), check_int(n, "n", 1), (), ())
+    return CoefficientVector("naive", 1, check_int(k, "k", 1), check_int(n, "n", 1), ((), 1), ())
 
 
 def estimate(fp: Fingerprint, coeffs: CoefficientVector) -> EstimateResult:

@@ -6,11 +6,14 @@ p_m(x) = x(x-1)...(x-m+1) * (x-M)(x-M-1)...(x-M-m+1), divided by m!.
 They are not built from that definition: m! * t_m comes from the integer
 three-term recurrence of Abramowitz & Stegun 22.7, which gives coefficients
 in x, coefficients after the substitution x -> Mx - 1, and values at the
-nodes alike.  All coefficient arithmetic is exact (big integers over the
-common denominator m!, rationals at the interface); floating point appears
-only at the boundary, because the coefficients and norms overflow 64-bit
-integers almost immediately and the verification identities demand
-exactness.
+nodes alike.  All coefficient arithmetic is exact: big integers over the
+common denominator m!, and the least-squares solution leaves as integer
+numerators over one denominator.  Fractions appear only in the closed forms
+(``chebyshev_norm``, ``phi_norm_sq``, ``binomial_ratio_minus_one``) and the
+exact residual ``l2_residual_sq_exact``, which the verify suites compare.
+Floating point appears only at the boundary, because the coefficients and
+norms overflow 64-bit integers almost immediately and the verification
+identities demand exactness.
 """
 
 from __future__ import annotations
@@ -150,17 +153,18 @@ def l2_min_value(M: int, L: int) -> float:
     return float(binomial_ratio_minus_one(M, L)) ** -0.5
 
 
-def solve_l2(M: int, L: int) -> tuple[Fraction, ...]:
+def solve_l2(M: int, L: int) -> tuple[tuple[int, ...], int]:
     """The exact w_1..w_L minimizing ||Bw - 1||_2, by projection in the
-    orthonormal basis.
+    orthonormal basis, as integer numerators over one positive denominator:
+    (nums, den) with w_j = nums[j-1] / den.
 
     The optimum is -(1/S) sum_m [t_m(-1)/c(M,m)] t_m(Mx - 1) with
     S = ||phi(0)||^2, whose constant coefficient is exactly -1, leaving
     w_1..w_L.  The sum runs on integers over one common denominator,
     D = c(M,L) L! (2L+1), which every c(M,m) m! (2m+1) divides; S*D is an
-    integer too, and each w_j is one exact rational formed at the end.  The
-    normal equations are deliberately avoided: the Gram matrix is
-    Hilbert-like and ill-conditioned.
+    integer too, and it is the returned denominator, so no rational is
+    formed.  The normal equations are deliberately avoided: the Gram matrix
+    is Hilbert-like and ill-conditioned.
     """
     if L < 1:
         raise ValueError("L must be >= 1")
@@ -181,20 +185,19 @@ def solve_l2(M: int, L: int) -> tuple[Fraction, ...]:
             nums[j] += weight * cj
     if nums[0] != sd:
         raise AssertionError(f"projection lost the constraint at (M={M}, L={L})")
-    return tuple(Fraction(-num, sd) for num in nums[1:])
+    return tuple(-num for num in nums[1:]), sd
 
 
 def poly_numerators(w_exact, points, M: int) -> tuple[list[int], int]:
     """p(a/M) = sum_j w_j (a/M)^j for each a in ``points``, exactly, as integer
     numerators over one denominator: p(a/M) = nums[i] / den.
 
-    With w_j = W_j / D over the least common denominator D, the numerator is
+    With ``w_exact`` = (W, D), w_j = W_j / D, the numerator is
     sum_j W_j a^j M^(L-j), by Horner's rule in a, and den = D M^L.
     """
-    L = len(w_exact)
-    D = math.lcm(*(wj.denominator for wj in w_exact))
-    scaled = [wj.numerator * (D // wj.denominator) * M ** (L - j)
-              for j, wj in enumerate(w_exact, start=1)]
+    W, D = w_exact
+    L = len(W)
+    scaled = [wj * M ** (L - j) for j, wj in enumerate(W, start=1)]
     nums = []
     for a in points:
         acc = 0
@@ -205,6 +208,6 @@ def poly_numerators(w_exact, points, M: int) -> tuple[list[int], int]:
 
 
 def l2_residual_sq_exact(w_exact, M: int) -> Fraction:
-    """sum_{a in [M]} (p(a/M) - 1)^2 with exact rational w."""
+    """sum_{a in [M]} (p(a/M) - 1)^2 for w_exact = (W, D), w_j = W_j / D."""
     nums, den = poly_numerators(w_exact, range(1, M + 1), M)
     return Fraction(sum((num - den) ** 2 for num in nums), den * den)

@@ -97,11 +97,13 @@ def multinomial_counts(urn: UrnSpec, n: int, rng: RngStream) -> np.ndarray:
 
 
 def check_model_size(model: str, n, k: int, name: str = "sample size"):
-    """``n``, if it is no bool and the canonical ``model`` can draw that many
-    from a k-ball urn: the hypergeometric and Bernoulli models, which take each
-    ball at most once, need an int 0 <= n <= k.  Else a ValueError naming ``name``."""
-    _check_not_bool(n, name)
-    if model in ("hypergeometric", "bernoulli") and check_int(n, name, 0) > k:
+    """``n``, if the canonical ``model`` can draw that many from a k-ball urn:
+    the hypergeometric and Bernoulli models, which take each ball at most
+    once, need an int 0 <= n <= k (``check_int``, which refuses a bool), the
+    others an n that is no bool.  Else a ValueError naming ``name``."""
+    if model not in ("hypergeometric", "bernoulli"):
+        _check_not_bool(n, name)
+    elif check_int(n, name, 0) > k:
         raise ValueError(f"{name}: the {model} model needs 0 <= n <= k, got n = {n}, k = {k}")
     return n
 
@@ -112,7 +114,7 @@ def _hypergeometric_index(urn: UrnSpec, n: int, rng: RngStream) -> np.ndarray:
     The colors of the ball positions a partial Fisher-Yates over the
     expanded ball array moves to its first n slots.
     """
-    check_model_size("hypergeometric", check_int(n, "sample size", 0), urn.k)
+    check_model_size("hypergeometric", n, urn.k)
     return _colors_of(urn, rng.sample_positions(urn.k, n))
 
 

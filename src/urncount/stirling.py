@@ -14,7 +14,7 @@ from math import factorial
 
 MAX_TABLE_N = 128
 
-_rows: list[list[int]] = [[1]]
+_rows: list[tuple[int, ...]] = [(1,)]
 
 
 def _ensure_rows(n: int) -> None:
@@ -25,19 +25,25 @@ def _ensure_rows(n: int) -> None:
         for m in range(1, nn + 2):
             above = prev[m] if m <= nn else 0
             row[m] = prev[m - 1] - nn * above
-        _rows.append(row)
+        _rows.append(tuple(row))
+
+
+def stirling_row(n: int) -> tuple[int, ...]:
+    """Exact s(n, 0), ..., s(n, n)."""
+    if n < 0:
+        raise ValueError("indices must be nonnegative")
+    if n > MAX_TABLE_N:
+        raise ValueError(f"exact table capped at n = {MAX_TABLE_N}, got {n}")
+    _ensure_rows(n)
+    return _rows[n]
 
 
 def stirling_first(n: int, m: int) -> int:
     """Exact s(n, m); returns 0 for m > n by convention."""
-    if n < 0 or m < 0:
+    if m < 0:
         raise ValueError("indices must be nonnegative")
-    if n > MAX_TABLE_N:
-        raise ValueError(f"exact table capped at n = {MAX_TABLE_N}, got {n}")
-    if m > n:
-        return 0
-    _ensure_rows(n)
-    return _rows[n][m]
+    row = stirling_row(n)
+    return row[m] if m <= n else 0
 
 
 def stirling_bound_report(n: int, m: int) -> tuple[float, float]:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -116,8 +115,8 @@ def tm_modulus_check(basis: ChebyshevBasis, num_points: int) -> tuple[TmBoundRep
         raise ValueError("num_points must be >= 1")
     coeffs = np.zeros((L, L + 1))  # row m - 1: t_m, highest power first
     for m in range(1, L + 1):
-        coeffs[m - 1, L - m:] = [float(Fraction(c, math.factorial(m)))
-                                 for c in reversed(basis.numerators[m])]
+        fact = math.factorial(m)  # c / fact: one correctly rounded division
+        coeffs[m - 1, L - m:] = [c / fact for c in reversed(basis.numerators[m])]
 
     circle = np.exp(2j * np.pi * np.arange(num_points) / num_points)
     if num_points == 1:

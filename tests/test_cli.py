@@ -3,12 +3,14 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import urncount
+from urncount import estimator, orthopoly
 from urncount.cli import _sample_ids, build_parser, main
 from urncount.urn import make_uniform_support, serialize_urn
 
@@ -252,6 +254,23 @@ class TestEstimate:
         assert rc == 0
         out = capsys.readouterr().out
         assert "c_hat:" in out and "regime:" in out
+
+    @pytest.mark.parametrize("k, regime", [(10**6, "l2"), (2500, "interpolation")])
+    def test_request_path_forms_no_fraction(self, tmp_path, capsys, monkeypatch, k, regime):
+        # a cold coefficient build, the estimate and its digest, on integers only
+        def refuse(*args, **kwargs):
+            raise AssertionError("a Fraction was formed on the estimate path")
+
+        fp = tmp_path / "fp.txt"
+        fp.write_text("1 1000\n2 1000\n")  # n = 3000
+        estimator.build_estimator.cache_clear()
+        for module in (estimator, orthopoly):
+            monkeypatch.setattr(module, "Fraction", refuse, raising=False)
+        monkeypatch.setattr(Fraction, "__new__", refuse)
+        rc = main(["estimate", "--k", str(k), "--n", "3000", "--fingerprint", str(fp), "--json"])
+        monkeypatch.undo()
+        assert rc == 0
+        assert json.loads(capsys.readouterr().out)["regime"] == regime
 
     def test_size_past_float_range_is_refused(self, tmp_path, capsys):
         # 10**400 balls put M = 2 k ln k / n past the float range; 10**30 does not

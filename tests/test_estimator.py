@@ -154,12 +154,14 @@ class TestBuildEstimator:
     def test_every_kind_is_bound_to_k_and_n(self):
         naive = naive_coefficients(100, 40)
         assert (naive.kind, naive.L, naive.M, naive.k, naive.n) == ("naive", 0, 1, 100, 40)
-        assert naive.w_exact == naive.w == naive.u == ()
+        assert naive.w_exact == ((), 1)
+        assert naive.w == naive.u == ()
         for n, kind in ((40, "l2"), (400, "interpolation")):
             coeffs = build_estimator(select_params(100, n))
             assert (coeffs.kind, coeffs.k, coeffs.n) == (kind, 100, n)
-            assert coeffs.L == len(coeffs.w_exact) == select_params(100, n).L
-            assert coeffs.w == tuple(float(wj) for wj in coeffs.w_exact)
+            nums, den = coeffs.w_exact
+            assert coeffs.L == len(nums) == select_params(100, n).L
+            assert coeffs.w == tuple(float(Fraction(num, den)) for num in nums)
 
 
 class TestEstimate:
@@ -180,7 +182,7 @@ class TestEstimate:
         assert res.c_hat == 10
 
     def test_clamp_below_at_seen(self):
-        coeffs = CoefficientVector("l2", 2, 10, 1, (Fraction(0),), (-2.0,))
+        coeffs = CoefficientVector("l2", 2, 10, 1, ((0,), 1), (-2.0,))
         res = estimate(Fingerprint({1: 3}), coeffs)
         assert res.c_hat == 3
 
@@ -202,7 +204,7 @@ class TestEstimate:
     def test_clamp_monotonicity(self, phi, u, extra):
         c_seen = sum(phi.values())
         k = c_seen + extra  # a sample can never reveal more colors than k
-        coeffs = CoefficientVector("l2", len(u) + 1, k, 1, tuple(Fraction(0) for _ in u), tuple(u))
+        coeffs = CoefficientVector("l2", len(u) + 1, k, 1, (tuple(0 for _ in u), 1), tuple(u))
         res = estimate(Fingerprint(phi), coeffs)
         assert c_seen <= res.c_hat <= k
 
@@ -229,7 +231,8 @@ class TestExactBias:
         want = 0.0
         for mult in sorted(set(mults)):
             x = Fraction(mult, coeffs.M)
-            gap = sum(wj * x**j for j, wj in enumerate(coeffs.w_exact, start=1)) - 1
+            nums, den = coeffs.w_exact
+            gap = sum(Fraction(num, den) * x**j for j, num in enumerate(nums, start=1)) - 1
             want += mults.count(mult) * math.exp(-n * mult / k) * float(gap)
         assert exact_bias(urn, coeffs, exact=True) == want
 

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from urncount import verify
@@ -65,10 +65,17 @@ def solve_l2_fractions(M: int, L: int) -> tuple[Fraction, ...]:
     return tuple(coeffs[1:])
 
 
+def fractions_of(w_exact) -> tuple[Fraction, ...]:
+    """The w_j of an exact pair (nums, den) as Fractions."""
+    nums, den = w_exact
+    return tuple(Fraction(num, den) for num in nums)
+
+
 def poly_value_fraction(w_exact, a: int, M: int) -> Fraction:
-    """p(a/M) = sum_j w_j (a/M)^j by Horner's rule in Fraction arithmetic."""
+    """p(a/M) = sum_j w_j (a/M)^j by Horner's rule in Fraction arithmetic,
+    for an exact pair w_exact = (nums, den)."""
     acc = Fraction(0)
-    for wj in reversed(w_exact):
+    for wj in reversed(fractions_of(w_exact)):
         acc = (acc + wj) * Fraction(a, M)
     return acc
 
@@ -217,9 +224,9 @@ class TestL2MinValue:
 class TestSolveL2:
     def test_m2_l1_closed_solution(self):
         # minimize (w/2 - 1)^2 + (w - 1)^2: stationary at w = 6/5
-        w_exact = solve_l2(2, 1)
-        assert w_exact == (Fraction(6, 5),)
-        assert l2_residual([float(wj) for wj in w_exact], 2) == pytest.approx(1 / math.sqrt(5), rel=1e-12)
+        w = fractions_of(solve_l2(2, 1))
+        assert w == (Fraction(6, 5),)
+        assert l2_residual([float(wj) for wj in w], 2) == pytest.approx(1 / math.sqrt(5), rel=1e-12)
 
     def test_m3_l2_residual(self):
         res = math.sqrt(float(l2_residual_sq_exact(solve_l2(3, 2), 3)))
@@ -228,7 +235,7 @@ class TestSolveL2:
     def test_matches_normal_equations_at_tiny_sizes(self):
         for M, L in ((3, 2), (5, 3), (8, 4)):
             w_ne = solve_l2_normal_equations(M, L)
-            w = [float(wj) for wj in solve_l2(M, L)]
+            w = [float(wj) for wj in fractions_of(solve_l2(M, L))]
             assert np.allclose(w, w_ne, rtol=1e-8)
 
     def test_exact_residual_equals_closed_form_on_grid(self):
@@ -240,20 +247,20 @@ class TestSolveL2:
     def test_float_residual_close_on_grid(self):
         for L in range(1, 9):
             for M in range(L + 1, L + 12):
-                w = [float(wj) for wj in solve_l2(M, L)]
+                w = [float(wj) for wj in fractions_of(solve_l2(M, L))]
                 closed = l2_min_value(M, L)
                 assert abs(l2_residual(w, M) - closed) / closed < 1e-8
 
     def test_equals_fraction_reference_on_verify_grid(self):
         for L in range(1, 9):
             for M in range(L + 1, L + 21):
-                w = solve_l2(M, L)
-                assert w == solve_l2_fractions(M, L), (M, L)
-                assert all(type(wj) is Fraction for wj in w)
+                nums, den = solve_l2(M, L)
+                assert fractions_of((nums, den)) == solve_l2_fractions(M, L), (M, L)
+                assert den > 0 and all(type(v) is int for v in (*nums, den))
 
     @pytest.mark.parametrize("M, L", [(411581, 11), (100000, 10), (5000, 9), (1234, 12)])
     def test_equals_fraction_reference_at_large_m(self, M, L):
-        assert solve_l2(M, L) == solve_l2_fractions(M, L)
+        assert fractions_of(solve_l2(M, L)) == solve_l2_fractions(M, L)
 
     def test_invalid(self):
         with pytest.raises(ValueError):
@@ -262,9 +269,9 @@ class TestSolveL2:
 
 class TestPolyNumerators:
     @pytest.mark.parametrize("w_exact, M", [
-        ((), 4),  # the naive vector: p = 0
-        ((Fraction(6, 5),), 2),
-        ((Fraction(-3, 7), Fraction(5, 2), Fraction(1, 9)), 5),
+        (((), 1), 4),  # the naive vector: p = 0
+        (((6,), 5), 2),
+        (((-54, 315, 14), 126), 5),  # -3/7, 5/2, 1/9
         (solve_l2(37, 5), 37),
     ])
     def test_matches_fraction_horner(self, w_exact, M):
@@ -305,6 +312,29 @@ class TestCoefficientTransform:
                 for j, uj in enumerate(u, start=1)]
         for a, b in zip(w, back):
             assert b == pytest.approx(a, rel=1e-12, abs=1e-15)
+
+    @given(
+        st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=12),
+        st.integers(1, 10**40),
+        st.integers(1, 10**40),
+        st.integers(1, 10**6),
+    )
+    @example([1.0, -3.0, 1e300, 5e-324] * 3, 1, 10**30, 1)  # subnormal and zero u_j
+    @example([1.0, 2.0], 10**200, 1, 1)  # (k/(nM))^2 * 2! past the float range
+    @settings(max_examples=300, deadline=None)
+    def test_bits_equal_fraction_formula(self, w, k, n, M):
+        # the formula of the rational build: a Fraction ratio raised to each power
+        def reference():
+            return [float(wj) * float(Fraction(k, n * M) ** j * factorial(j))
+                    for j, wj in enumerate(w, start=1)]
+
+        try:
+            want = reference()
+        except OverflowError:
+            with pytest.raises(OverflowError):
+                w_to_u(w, k, n, M)
+            return
+        assert [uj.hex() for uj in w_to_u(w, k, n, M)] == [v.hex() for v in want]
 
     def test_digest_stable_and_distinct(self):
         def build(k, n, L, M):  # uncached: two separate builds

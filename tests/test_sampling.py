@@ -98,8 +98,14 @@ class TestWithReplacement:
         assert b1 == b2
 
 
-@pytest.mark.parametrize("core", [multinomial_counts, hypergeometric_counts])
-@pytest.mark.parametrize("n", [True, False, 5.0, 1.5, np.int64(1)])
+@pytest.mark.parametrize("core", [
+    multinomial_counts,
+    hypergeometric_counts,
+    lambda urn, n, rng: sample_counts(urn, "bernoulli", n, rng),
+    lambda urn, n, rng: sample_draws(urn, "bernoulli", n, rng),
+], ids=["multinomial_counts", "hypergeometric_counts", "sample_counts-bernoulli",
+        "sample_draws-bernoulli"])
+@pytest.mark.parametrize("n", [True, False, 5.0, 1.5, np.int64(1), np.True_, np.False_])
 def test_fixed_size_cores_refuse_non_int_size(core, n):
     rng = RngStream(0, 0)
     with pytest.raises(ValueError, match=re.escape(f"sample size must be an int >= 0, got {n!r}")):
@@ -121,13 +127,10 @@ def test_bernoulli_size_is_an_int(dispatch, n):
 @pytest.mark.parametrize("call", [
     lambda urn, size, rng: bernoulli_counts(urn, size, rng),
     lambda urn, size, rng: poissonized_color_counts(urn, size, rng),
-    lambda urn, size, rng: sample_counts(urn, "bernoulli", size, rng),
     lambda urn, size, rng: sample_counts(urn, "poissonized", size, rng),
-    lambda urn, size, rng: sample_draws(urn, "bernoulli", size, rng),
-], ids=["bernoulli_counts", "poissonized_color_counts", "sample_counts-bernoulli",
-        "sample_counts-poissonized", "sample_draws-bernoulli"])
+], ids=["bernoulli_counts", "poissonized_color_counts", "sample_counts-poissonized"])
 def test_float_sizes_refuse_bools(call, size):
-    # True would pass as p = 1 (every ball), n = 1 or p = 1/k
+    # True would pass as p = 1 (every ball) or n = 1
     rng = RngStream(0, 0)
     with pytest.raises(ValueError, match=re.escape(f"not a bool, got {size!r}")):
         call(make_uniform_support(10, 5), size, rng)

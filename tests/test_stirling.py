@@ -13,7 +13,7 @@ from urncount.estimator import (
     interp_coeffs,
     w_to_u,
 )
-from urncount.stirling import MAX_TABLE_N, stirling_bound_report, stirling_first
+from urncount.stirling import MAX_TABLE_N, stirling_bound_report, stirling_first, stirling_row
 
 
 def falling_factorial_coeffs(n):
@@ -70,6 +70,7 @@ class TestTable:
         for n in range(13):
             expanded = falling_factorial_coeffs(n)
             assert expanded == [stirling_first(n, m) for m in range(n + 1)]
+            assert expanded == list(stirling_row(n))
 
     def test_row_sum_identity(self):
         for n in range(51):
@@ -92,7 +93,8 @@ class TestInterpCoeffs:
         vec = interp_coeffs(2, 5, 5)
         assert vec.u == pytest.approx((1.5, -1.0), rel=1e-12)
         assert vec.w == pytest.approx((3.0, -2.0), rel=1e-12)
-        assert vec.w_exact == (Fraction(3), Fraction(-2))
+        nums, den = vec.w_exact
+        assert [Fraction(num, den) for num in nums] == [3, -2]
         # p(x) = 3x - 2x^2 hits 1 at both nodes
         assert 3 * Fraction(1, 2) - 2 * Fraction(1, 4) == 1
 
@@ -115,12 +117,12 @@ class TestInterpCoeffs:
     def test_node_identity_exact_rationals(self):
         # the node identity depends only on M, not on k/n
         for M in range(1, 31):
-            vec = interp_coeffs(M, 2, 1)
+            nums, den = interp_coeffs(M, 2, 1).w_exact
             for a in range(1, M + 1):
                 x = Fraction(a, M)
                 acc = Fraction(0)
-                for wj in reversed(vec.w_exact):
-                    acc = (acc + wj) * x
+                for num in reversed(nums):
+                    acc = (acc + Fraction(num, den)) * x
                 assert acc == 1
 
     def test_node_identity_float_small_degree(self):

@@ -391,7 +391,8 @@ class TestCoefficientNormBound:
         # ||w*||_2 <= ||1||_2 / sigma_min(B) for the least-squares solution
         for L in range(1, 6):
             for M in range(L + 1, 20):
-                w_norm = math.sqrt(sum(wj * wj for wj in map(float, solve_l2(M, L))))
+                nums, den = solve_l2(M, L)
+                w_norm = math.sqrt(sum((num / den) ** 2 for num in nums))
                 budget = math.sqrt(M) / sigma_min(build_matrix(M, L)[:, 1:])
                 assert w_norm <= budget * (1 + 1e-9)
 
