@@ -176,13 +176,14 @@ def solve_l2(M: int, L: int) -> tuple[tuple[int, ...], int]:
         q[m - 1] = q[m] * (M * M - m * m) * m
     sd = 0  # S * D
     nums = [0] * (L + 1)  # -D times the coefficients of the optimum, in x
+    tm, fm = 1, 1  # t_m(-1) = (-1)^m (M+1)...(M+m) and m!, as running products
     # 2y - M + 1 at y = Mx - 1 is -(M+1) + 2M x: coefficients of m! t_m(Mx - 1) in x
     for m, composed in enumerate(_gram_coefficients(M, L, -M - 1, 2 * M)):
-        tm = t_at_minus_one(M, m)
         weight = (2 * m + 1) * tm * q[m]  # D t_m(-1) / (c(M,m) m!)
-        sd += weight * tm * factorial(m)
+        sd += weight * tm * fm
         for j, cj in enumerate(composed):
             nums[j] += weight * cj
+        tm, fm = -tm * (M + m + 1), fm * (m + 1)
     if nums[0] != sd:
         raise AssertionError(f"projection lost the constraint at (M={M}, L={L})")
     return tuple(-num for num in nums[1:]), sd

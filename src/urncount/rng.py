@@ -6,9 +6,9 @@ stream index.  Counter mode means a block of outputs can be produced either
 one at a time or as a vectorized numpy batch, bit-for-bit identically, and
 streams with distinct indices never share state.
 
-Shuffles return positions (``sample_positions``, ``permutation``) and are
-array passes: the draws of a Fisher-Yates pass, whose bound shrinks by one
-per step, are accepted a power-of-two range at a time
+Draws without replacement return positions (``sample_positions``) and are
+array passes: the draws of a forward Fisher-Yates pass, whose bound shrinks
+by one per step, are accepted a power-of-two range at a time
 (``randbelow_shrinking``, one block pass per range), and the swaps they
 drive are resolved without being made (``fisher_yates_sources``).
 
@@ -21,9 +21,9 @@ Every count, size and seed argument of the package goes through
 
 Three size-selected forks stay.  ``u64s`` makes up to 8 outputs by scalar
 calls, which the Poisson core reaches between a skewed urn's heavy colors;
-``_slots`` swaps one step at a time for up to 32 steps, as the Poisson draw
-lists shuffle many tiny samples; ``fisher_yates_sources`` sorts by target
-alone when its int64 (target, step) key would overflow.
+``sample_positions`` swaps one step at a time for up to 32 steps, where
+many hypergeometric draws of a few balls would each pay the array set-up;
+``fisher_yates_sources`` sorts by target alone past its int64 key's range.
 """
 
 from __future__ import annotations
@@ -68,7 +68,7 @@ _BLOCK = 1 << 16
 # fixed set-up cost is several scalar outputs' worth.
 _SCALAR_MAX = 8
 
-# ``_slots`` runs of at most this many steps draw and swap one step at a
+# ``sample_positions`` runs of at most this many steps swap one step at a
 # time: resolving the swaps as arrays costs dozens of scalar steps in set-up.
 _SCALAR_STEPS = 32
 
@@ -131,14 +131,11 @@ def poisson_from_u64s(lam: float, z: np.ndarray) -> np.ndarray:
     return idx
 
 
-def fisher_yates_sources(targets: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def fisher_yates_sources(targets: np.ndarray) -> np.ndarray:
     """Resolve the swaps of a forward Fisher-Yates pass without making them.
 
-    Step t swaps positions t and ``targets[t] >= t``.  Returns ``front``, the
-    original position of the item that slot t < steps holds after the last
-    step, and ``moved`` with ``moved_from``: each position >= steps that some
-    step targeted, and the original position of the item it ends up holding.
-    Every other position keeps its item.
+    Step t swaps positions t and ``targets[t] >= t``.  Returns the original
+    position of the item that each slot t < steps holds after the last step.
 
     No later step touches slot t, which receives the item its target held
     just before step t: the one put there by ``prev[t]``, the last earlier
@@ -151,7 +148,7 @@ def fisher_yates_sources(targets: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
     targets = np.asarray(targets, dtype=np.int64)
     steps = targets.size
     if not steps:
-        return targets.copy(), targets.copy(), targets.copy()
+        return targets.copy()
     here = np.arange(steps)
     if int(targets.max()) < (2**63 - 1) // steps:
         key = targets * steps + here  # (target, step) as one int64
@@ -180,8 +177,7 @@ def fisher_yates_sources(targets: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
         if np.array_equal(nxt, link):
             break
         link = nxt
-    front = np.where(prev >= 0, link[prev], targets)
-    return front, last_target[inside:], link[last_step[inside:]]
+    return np.where(prev >= 0, link[prev], targets)
 
 
 class RngStream:
@@ -320,43 +316,25 @@ class RngStream:
                 self._counter = start + int(hits[-1]) + 1
         return out
 
-    def _slots(self, m: int, n: int, mirrored: bool) -> np.ndarray:
-        """The original position each of the first n slots of range(m) holds
-        after ``min(n, m - 1)`` forward Fisher-Yates steps, as int64 (n <= m).
-
-        Step t draws ``r = randbelow(m - t)`` and swaps slots t and t + r, or,
-        mirrored, t and m - 1 - r.  Up to ``_SCALAR_STEPS`` steps swap one at
-        a time in a sparse position map; longer runs are resolved by
-        ``fisher_yates_sources``.
-        """
+    def sample_positions(self, m: int, n: int) -> np.ndarray:
+        """A uniform size-n selection of range(m) in random order (0 <= n <= m):
+        the int64 original positions of the first n slots after min(n, m - 1)
+        forward Fisher-Yates steps, step t swapping t and t + randbelow(m - t).
+        Up to ``_SCALAR_STEPS`` steps swap one at a time in a sparse position
+        map; longer runs are resolved by ``fisher_yates_sources``."""
+        if not 0 <= check_int(n, "n") <= check_int(m, "m"):
+            raise ValueError(f"sample_positions requires 0 <= n <= m, got m={m}, n={n}")
         steps = min(n, m - 1)
         if steps <= _SCALAR_STEPS:
             held: dict[int, int] = {}
             for t in range(steps):
-                r = self.randbelow(m - t)
-                j = m - 1 - r if mirrored else t + r
+                j = t + self.randbelow(m - t)
                 held[t], held[j] = held.get(j, j), held.get(t, t)
             return np.array([held.get(t, t) for t in range(n)], dtype=np.int64)
-        r = self.randbelow_shrinking(m, steps)
-        front, moved, moved_from = fisher_yates_sources(m - 1 - r if mirrored
-                                                        else r + np.arange(steps))
-        if n > steps:  # n = m: the last slot keeps its item unless a step took it
-            front = np.append(front, moved_from if moved.size else m - 1)
+        front = fisher_yates_sources(self.randbelow_shrinking(m, steps) + np.arange(steps))
+        if n > steps:  # n = m: the last slot holds the one position the others lack
+            front = np.append(front, m * (m - 1) // 2 - int(front.sum()))
         return front
-
-    def sample_positions(self, m: int, n: int) -> np.ndarray:
-        """A uniform size-n selection of range(m) in random order (0 <= n <= m):
-        step t of the partial Fisher-Yates swaps t and t + randbelow(m - t)."""
-        if not 0 <= check_int(n, "n") <= check_int(m, "m"):
-            raise ValueError(f"sample_positions requires 0 <= n <= m, got m={m}, n={n}")
-        return self._slots(m, n, mirrored=False)
-
-    def permutation(self, m: int) -> np.ndarray:
-        """A uniform random ordering of range(m), m >= 0: the one left by the
-        shuffle whose step i = m - 1, ..., 1 swaps items i and randbelow(i + 1).
-        Reversed, those are the mirrored forward steps."""
-        check_int(m, "m", 0)
-        return (m - 1 - self._slots(m, m, mirrored=True))[::-1]
 
     def _poisson_ptrs(self, lam: float) -> int:
         """Poisson variate for mean lam >= 30: transformed rejection with

@@ -329,15 +329,12 @@ def sample_counts(urn: UrnSpec, model: str, n, rng: RngStream) -> np.ndarray:
 def sample_draws(urn: UrnSpec, model: str, n, rng: RngStream) -> list[int]:
     """The observed color ids of one size-n sample under the canonical ``model``.
 
-    Multinomial and hypergeometric draws come in draw order.  Bernoulli draws
-    come in canonical color order, and Poisson draws are a uniformly shuffled
-    expansion of the counts; only the counts carry information.
+    Multinomial and hypergeometric draws come in draw order.  Bernoulli and
+    Poisson samples have no draw order, so their draws are the counts
+    expanded in canonical color order; only the counts carry information.
     """
     if model == "multinomial":
         return urn.ids[_multinomial_index(urn, n, rng)].tolist()
     if model == "hypergeometric":
         return urn.ids[_hypergeometric_index(urn, n, rng)].tolist()
-    draws = np.repeat(urn.ids, sample_counts(urn, model, n, rng))
-    if model == "poissonized":
-        draws = draws[rng.permutation(draws.size)]
-    return draws.tolist()
+    return np.repeat(urn.ids, sample_counts(urn, model, n, rng)).tolist()

@@ -219,18 +219,9 @@ def ref_poissonized_color_counts(urn: UrnSpec, n: float, rng: RngStream) -> np.n
 
 
 def ref_poissonized_draws(urn: UrnSpec, n: float, rng: RngStream) -> list[int]:
-    """The reference counts expanded in canonical color order, then shuffled."""
+    """The reference counts expanded in canonical color order."""
     counts = ref_poissonized_color_counts(urn, n, rng)
-    draws = [cid for (cid, _), cnt in zip(colors(urn), counts) for _ in range(cnt)]
-    _scalar_shuffle(draws, rng)
-    return draws
-
-
-def _scalar_shuffle(items: list, rng: RngStream) -> None:
-    """Fisher-Yates: step i = len - 1, ..., 1 swaps items i and randbelow(i + 1)."""
-    for i in range(len(items) - 1, 0, -1):
-        j = rng.randbelow(i + 1)
-        items[i], items[j] = items[j], items[i]
+    return [cid for (cid, _), cnt in zip(colors(urn), counts) for _ in range(cnt)]
 
 
 def _scalar_partial_shuffle(items: list, n: int, rng: RngStream) -> None:
@@ -404,20 +395,6 @@ def test_sample_positions_refuses_n_outside_range(m, n):
     assert rng._counter == 0
 
 
-@pytest.mark.parametrize("length", [0, 1, 2, 3, 50, _BLOCK + 7])
-def test_shuffle_matches_scalar_fisher_yates(length):
-    a, b = RngStream(6, length), RngStream(6, length)
-    want = list(range(length))
-    got = a.permutation(length)
-    assert got.dtype == np.int64
-    got = got.tolist()
-    for i in range(length - 1, 0, -1):
-        j = b.randbelow(i + 1)
-        want[i], want[j] = want[j], want[i]
-    assert got == want
-    assert a._counter == b._counter
-
-
 def test_hard_pair_uses_the_same_shuffle():
     # frozen ids of the alternative urn from the scalar shuffle loop
     pair = make_hard_pair(20, 4, seed=3)
@@ -466,20 +443,6 @@ def test_array_fisher_yates_matches_scalar_swaps(k, n):
     assert c._counter == ref._counter
 
 
-@pytest.mark.parametrize("length", [_SCALAR_STEPS, _SCALAR_STEPS + 1, _SCALAR_STEPS + 2,
-                                    2 * _BLOCK + 3])
-def test_array_shuffle_matches_scalar_fisher_yates(length):
-    # steps = length - 1: at, just past and past the cutoff, and over two blocks
-    a, b = RngStream(7, length), RngStream(7, length)
-    want = list(range(length))
-    got = a.permutation(length).tolist()
-    for i in range(length - 1, 0, -1):
-        j = b.randbelow(i + 1)
-        want[i], want[j] = want[j], want[i]
-    assert got == want
-    assert a._counter == b._counter
-
-
 def test_sample_positions_on_a_huge_range():
     # m * steps overflows int64, so the resolution sorts by target alone
     m, n = 2**63 - 1, _SCALAR_STEPS + 8
@@ -493,7 +456,7 @@ def test_sample_positions_on_a_huge_range():
 
 
 def test_fisher_yates_sources_matches_swaps():
-    # small ranges force repeated targets, self-swaps and moves past the front
+    # small ranges force repeated targets and self-swaps
     gen = np.random.default_rng(12)
     for _ in range(500):
         m = int(gen.integers(1, 40))
@@ -502,10 +465,7 @@ def test_fisher_yates_sources_matches_swaps():
         items = list(range(m))
         for t, j in enumerate(targets.tolist()):
             items[t], items[j] = items[j], items[t]
-        front, moved, moved_from = fisher_yates_sources(targets)
-        assert front.tolist() == items[:steps]
-        changed = {p: x for p, x in enumerate(items) if p >= steps and p != x}
-        assert dict(zip(moved.tolist(), moved_from.tolist())) == changed
+        assert fisher_yates_sources(targets).tolist() == items[:steps]
 
 
 @pytest.mark.parametrize("model,n", [("multinomial", 3000), ("hypergeometric", 700)])

@@ -142,14 +142,12 @@ def test_float_sizes_refuse_bools(call, size):
     lambda rng: rng.uniforms(-2),
     lambda rng: rng.randbelow_many(5, -2),
     lambda rng: rng.randbelow_many(1, -2),
-    lambda rng: rng.permutation(-3),
     # a float count used to advance the counter to a float; a bool counted as 1
     lambda rng: rng.u64s(9.0),
     lambda rng: rng.u64s(True),
     lambda rng: rng.randbelow_many(5, True),
-    lambda rng: rng.permutation(True),
-], ids=["u64s", "uniforms", "randbelow_many", "randbelow_many-1", "permutation",
-        "u64s-float", "u64s-bool", "randbelow_many-bool", "permutation-bool"])
+], ids=["u64s", "uniforms", "randbelow_many", "randbelow_many-1",
+        "u64s-float", "u64s-bool", "randbelow_many-bool"])
 def test_negative_counts_are_refused(call):
     rng = RngStream(0, 0)
     with pytest.raises(ValueError, match=">= 0, got"):
