@@ -112,14 +112,6 @@ def orthonormality_deviations(M: int, L: int) -> list[float]:
 
 # -- closed-form least squares ------------------------------------------------
 
-def t_at_minus_one(M: int, m: int) -> int:
-    """t_m(-1) = (-1)^m * (M+1)(M+2)...(M+m)."""
-    v = 1
-    for j in range(1, m + 1):
-        v *= M + j
-    return -v if m % 2 else v
-
-
 def phi_norm_sq(M: int, L: int) -> Fraction:
     """||phi(0)||^2 = sum_m t_m(-1)^2 / c(M,m), exactly.
 
@@ -130,8 +122,9 @@ def phi_norm_sq(M: int, L: int) -> Fraction:
     if L < 0 or L >= M:
         raise ValueError(f"need 0 <= L <= M-1, got L={L}, M={M}")
     num, den = 1, M  # m = 0: t_0(-1)^2 / c(M,0) = 1/M
+    tm = 1  # t_m(-1) = (-1)^m (M+1)...(M+m), as a running product
     for m in range(1, L + 1):
-        tm = t_at_minus_one(M, m)
+        tm *= -(M + m)
         num = num * (M * M - m * m) + (2 * m + 1) * tm * tm
         den *= M * M - m * m
     return Fraction(num, den)

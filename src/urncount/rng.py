@@ -12,24 +12,16 @@ by one per step, are accepted a power-of-two range at a time
 (``randbelow_shrinking``, one block pass per range), and the swaps they
 drive are resolved without being made (``fisher_yates_sources``).
 
-Poisson variates of mean below 30 invert through cell tables over raw
-outputs (``poisson_from_u64s``): a uniform is formed only where an output's
-cell straddles a step of the CDF.
-
 Every count, size and seed argument of the package goes through
 ``check_int``: a Python int, not a bool, float or numpy scalar.
 
-Three size-selected forks stay.  ``u64s`` makes up to 8 outputs by scalar
-calls, which the Poisson core reaches between a skewed urn's heavy colors;
-``sample_positions`` swaps one step at a time for up to 32 steps, where
-many hypergeometric draws of a few balls would each pay the array set-up;
-``fisher_yates_sources`` sorts by target alone past its int64 key's range.
+Two size-selected forks stay.  ``sample_positions`` swaps one step at a
+time for up to 32 steps, where many hypergeometric draws of a few balls
+would each pay the array set-up; ``fisher_yates_sources`` sorts by target
+alone past its int64 key's range.
 """
 
 from __future__ import annotations
-
-import math
-from functools import lru_cache
 
 import numpy as np
 
@@ -64,72 +56,9 @@ def _mix(z: int) -> int:
 # Output blocks are drawn at most this many values at a time.
 _BLOCK = 1 << 16
 
-# Up to this many outputs, the scalar mix is faster than a numpy pass, whose
-# fixed set-up cost is several scalar outputs' worth.
-_SCALAR_MAX = 8
-
 # ``sample_positions`` runs of at most this many steps swap one step at a
 # time: resolving the swaps as arrays costs dozens of scalar steps in set-up.
 _SCALAR_STEPS = 32
-
-# Distinct Poisson means whose inversion tables are kept (least recently used
-# evicted first).
-POISSON_CDF_CACHE_SIZE = 1024
-
-# A Poisson cell table has 1024 cells: raw output z falls in cell z >> 54.
-_GUIDE_CELLS = 1024
-_CELL_SHIFT = np.uint64(54)
-
-
-@lru_cache(maxsize=POISSON_CDF_CACHE_SIZE)
-def _poisson_table(lam: float) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only inversion table for Poisson(lam): the CDF and its cells.
-
-    The CDF is accumulated sequentially up to the first zero pmf term.  A
-    uniform u inverts to the first index whose CDF reaches u, or the last
-    entry: ``searchsorted(cdf[:-1], u)``, monotone in u.  Cell j holds the raw
-    outputs z with ``z >> 54 == j``, whose uniforms ``(z >> 11) * 2**-53`` are
-    those with ``floor(u * 1024) == j``: it stores their inversion when its
-    two end outputs agree on it, and -1 when it straddles a CDF step.  The
-    cells are intp, which ``take`` writes into the int64 result with no cast
-    pass; a full cache holds at most 1024 means x 8 KB of cells, plus the CDFs.
-    """
-    p = math.exp(-lam)
-    s = p
-    cdf = [s]
-    x = 0
-    while p > 0.0:
-        x += 1
-        p *= lam / x
-        s += p
-        cdf.append(s)
-    cdf = np.array(cdf)
-    first = np.arange(_GUIDE_CELLS, dtype=np.uint64) << _CELL_SHIFT
-    ends = np.stack([first, first | np.uint64(2**54 - 1)])
-    idx = np.searchsorted(cdf[:-1], (ends >> np.uint64(11)) * 2.0 ** -53, side="left")
-    cells = np.where(idx[0] == idx[1], idx[0], -1).astype(np.intp)
-    cdf.flags.writeable = False
-    cells.flags.writeable = False
-    return cdf, cells
-
-
-def poisson_from_u64s(lam: float, z: np.ndarray) -> np.ndarray:
-    """Poisson(lam) variates for 0 <= lam < 30 from the raw outputs ``z``.
-
-    Bit-identical to the scalar inversion loop fed the uniforms
-    ``(z >> 11) * 2**-53`` (the reference ``_poisson_inversion`` in
-    ``tests/test_counts.py``): each output's cell gives its variate, and only
-    the outputs in the few cells that straddle a CDF step form their uniform
-    and search the CDF.
-    """
-    cdf, cells = _poisson_table(lam)
-    idx = cells.take((z >> _CELL_SHIFT).view(np.intp))  # take would cast a uint64 index
-    straddle = (idx < 0).nonzero()[0]
-    if straddle.size:
-        u = (z[straddle] >> np.uint64(11)) * 2.0 ** -53
-        idx[straddle] = np.searchsorted(cdf[:-1], u, side="left")
-    return idx
-
 
 def fisher_yates_sources(targets: np.ndarray) -> np.ndarray:
     """Resolve the swaps of a forward Fisher-Yates pass without making them.
@@ -209,15 +138,9 @@ class RngStream:
         return (self.next_u64() >> 11) * 2.0 ** -53
 
     def u64s(self, count: int) -> np.ndarray:
-        """Vectorized ``next_u64()``: the next ``count >= 0`` outputs as uint64.
-
-        Up to ``_SCALAR_MAX`` outputs come from ``next_u64()`` calls, which
-        are cheaper there than numpy's per-call set-up.
-        """
-        if check_int(count, "count", 0) <= _SCALAR_MAX:
-            return np.array([self.next_u64() for _ in range(count)], dtype=np.uint64)
+        """Vectorized ``next_u64()``: the next ``count >= 0`` outputs as uint64."""
         start = self._counter + 1
-        self._counter += count
+        self._counter += check_int(count, "count", 0)
         z = np.arange(start, start + count, dtype=np.uint64)
         z *= _U_GOLDEN
         z += np.uint64(self._base)
@@ -335,25 +258,3 @@ class RngStream:
         if n > steps:  # n = m: the last slot holds the one position the others lack
             front = np.append(front, m * (m - 1) // 2 - int(front.sum()))
         return front
-
-    def _poisson_ptrs(self, lam: float) -> int:
-        """Poisson variate for mean lam >= 30: transformed rejection with
-        squeeze (Hormann's PTRS)."""
-        slam = math.sqrt(lam)
-        loglam = math.log(lam)
-        b = 0.931 + 2.53 * slam
-        a = -0.059 + 0.02483 * b
-        inv_alpha = 1.1239 + 1.1328 / (b - 3.4)
-        v_r = 0.9277 - 3.6224 / (b - 2.0)
-        while True:
-            u = self.random() - 0.5
-            v = self.random()
-            us = 0.5 - abs(u)
-            k = math.floor((2.0 * a / us + b) * u + lam + 0.43)
-            if us >= 0.07 and v <= v_r:
-                return int(k)
-            if k < 0 or (us < 0.013 and v > us):
-                continue
-            if (math.log(v) + math.log(inv_alpha) - math.log(a / (us * us) + b)
-                    <= k * loglam - lam - math.lgamma(k + 1.0)):
-                return int(k)

@@ -16,8 +16,12 @@ slots of a partial Fisher-Yates resolved without the ball list
 more than 64 balls split into chunks of ``binomial_chunk_max(p)`` trials,
 and a block's chunks of one size invert their uniforms together through a
 binomial CDF table kept per (chunk size, p) and grown only as far as the
-uniforms it has inverted.  Poisson colors of mean below 30 invert through
-the rng's cell tables over raw outputs.
+uniforms it has inverted.  The Poisson core walks the urn once, one stretch
+of light colors (mean below 30) at a time, each followed by the heavy color
+that ends it: a stretch's raw outputs invert through a cell table kept per
+mean, where a uniform is formed only for an output whose cell straddles a
+step of the CDF, and a heavy color runs PTRS rejection.  Both inversion
+tables, binomial and Poisson, live here; ``rng`` is only the stream.
 
 All samplers are pure functions of (urn, parameters, stream): identical
 inputs reproduce identical outputs byte for byte, and the stream advances
@@ -27,7 +31,6 @@ advance it.
 
 from __future__ import annotations
 
-import bisect
 import math
 import sys
 import threading
@@ -36,7 +39,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .rng import _BLOCK, LOG_FLOAT_LIMIT, RngStream, check_int, poisson_from_u64s
+from .rng import LOG_FLOAT_LIMIT, RngStream, check_int
 from .urn import INT64_MAX, UrnSpec
 
 # every accepted model name -> its canonical name
@@ -64,6 +67,18 @@ BINOMIAL_CDF_CACHE_SIZE = 4096
 # Past this many balls (64 MB) both ball-drawing cores find each ball's color
 # by binary search of the cumulative multiplicities instead.
 _BALL_TABLE_MAX = 1 << 23
+
+# Distinct Poisson means whose inversion tables are kept (least recently used
+# evicted first).
+POISSON_CDF_CACHE_SIZE = 1024
+
+# A Poisson cell table has 1024 cells: raw output z falls in cell z >> 54.
+_GUIDE_CELLS = 1024
+_CELL_SHIFT = np.uint64(54)
+
+# The Poisson core draws a stretch of light colors' outputs at most this many
+# at a time, so its scratch arrays stay flat in k.
+_PIECE = 1 << 16
 
 # Largest Poisson mean accepted: the int64 limit.  Past it a variate fits the
 # int64 counts only by falling below its mean, so such a mean is rejected
@@ -185,6 +200,79 @@ def _binomial_cdf(size: int, p: float) -> _BinomialCdf:
     return _BinomialCdf(size, p)
 
 
+@lru_cache(maxsize=POISSON_CDF_CACHE_SIZE)
+def _poisson_table(lam: float) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only inversion table for Poisson(lam): the CDF and its cells.
+
+    The CDF is accumulated sequentially up to the first zero pmf term.  A
+    uniform u inverts to the first index whose CDF reaches u, or the last
+    entry: ``searchsorted(cdf[:-1], u)``, monotone in u.  Cell j holds the raw
+    outputs z with ``z >> 54 == j``, whose uniforms ``(z >> 11) * 2**-53`` are
+    those with ``floor(u * 1024) == j``: it stores their inversion when its
+    two end outputs agree on it, and -1 when it straddles a CDF step.  The
+    cells are intp, which ``take`` writes into the int64 result with no cast
+    pass; a full cache holds at most 1024 means x 8 KB of cells, plus the CDFs.
+    """
+    p = math.exp(-lam)
+    s = p
+    cdf = [s]
+    x = 0
+    while p > 0.0:
+        x += 1
+        p *= lam / x
+        s += p
+        cdf.append(s)
+    cdf = np.array(cdf)
+    first = np.arange(_GUIDE_CELLS, dtype=np.uint64) << _CELL_SHIFT
+    ends = np.stack([first, first | np.uint64(2**54 - 1)])
+    idx = np.searchsorted(cdf[:-1], (ends >> np.uint64(11)) * 2.0 ** -53, side="left")
+    cells = np.where(idx[0] == idx[1], idx[0], -1).astype(np.intp)
+    cdf.flags.writeable = False
+    cells.flags.writeable = False
+    return cdf, cells
+
+
+def poisson_from_u64s(lam: float, z: np.ndarray) -> np.ndarray:
+    """Poisson(lam) variates for 0 <= lam < 30 from the raw outputs ``z``.
+
+    Bit-identical to the scalar inversion loop fed the uniforms
+    ``(z >> 11) * 2**-53`` (the reference ``_poisson_inversion`` in
+    ``tests/test_counts.py``): each output's cell gives its variate, and only
+    the outputs in the few cells that straddle a CDF step form their uniform
+    and search the CDF.
+    """
+    cdf, cells = _poisson_table(lam)
+    idx = cells.take((z >> _CELL_SHIFT).view(np.intp))  # take would cast a uint64 index
+    straddle = (idx < 0).nonzero()[0]
+    if straddle.size:
+        u = (z[straddle] >> np.uint64(11)) * 2.0 ** -53
+        idx[straddle] = np.searchsorted(cdf[:-1], u, side="left")
+    return idx
+
+
+def _poisson_ptrs(rng: RngStream, lam: float) -> int:
+    """Poisson variate for mean lam >= 30: transformed rejection with
+    squeeze (Hormann's PTRS)."""
+    slam = math.sqrt(lam)
+    loglam = math.log(lam)
+    b = 0.931 + 2.53 * slam
+    a = -0.059 + 0.02483 * b
+    inv_alpha = 1.1239 + 1.1328 / (b - 3.4)
+    v_r = 0.9277 - 3.6224 / (b - 2.0)
+    while True:
+        u = rng.random() - 0.5
+        v = rng.random()
+        us = 0.5 - abs(u)
+        k = math.floor((2.0 * a / us + b) * u + lam + 0.43)
+        if us >= 0.07 and v <= v_r:
+            return int(k)
+        if k < 0 or (us < 0.013 and v > us):
+            continue
+        if (math.log(v) + math.log(inv_alpha) - math.log(a / (us * us) + b)
+                <= k * loglam - lam - math.lgamma(k + 1.0)):
+            return int(k)
+
+
 def bernoulli_counts(urn: UrnSpec, p: float, rng: RngStream) -> np.ndarray:
     """Per-color inclusion counts Binomial(k_i, p), each ball kept with probability p.
 
@@ -247,10 +335,11 @@ def poissonized_color_counts(urn: UrnSpec, n: float, rng: RngStream) -> np.ndarr
     ``poisson(rng, lam)`` in ``tests/test_counts.py`` would per color: a
     color with mean below 30 takes one uniform, drawn here as the raw output
     it comes from and inverted through its mean's cell table
-    (``poisson_from_u64s``); a heavier color runs PTRS rejection.  The colors
-    go in blocks of ``_BLOCK``: each block draws its light colors' outputs
-    between its heavy colors' rejection runs.  When the light colors share
-    one multiplicity, the block is inverted in place while its outputs are
+    (``poisson_from_u64s``); a heavier color runs PTRS rejection
+    (``_poisson_ptrs``).  One walk over the urn takes each stretch of light
+    colors and then the heavy color that ends it.  A stretch's outputs are
+    drawn in pieces of at most ``_PIECE``.  When the light colors share one
+    multiplicity, each piece is inverted in place while its outputs are
     still in cache; otherwise the outputs are kept and each multiplicity's
     colors are inverted together at the end.
 
@@ -278,29 +367,22 @@ def poissonized_color_counts(urn: UrnSpec, n: float, rng: RngStream) -> np.ndarr
     light = sum(1 for lam in means if lam < 30.0)  # means increase with the multiplicity
     heavy = np.flatnonzero(urn.mults >= values[light]).tolist() if light < len(means) else []
     z = np.empty(urn.C, dtype=np.uint64) if light > 1 else None
-    h0 = 0  # first heavy color not yet drawn
-    for c0 in range(0, urn.C, _BLOCK):
-        c1 = min(c0 + _BLOCK, urn.C)
-        h1 = bisect.bisect_left(heavy, c1, h0)
-        parts, drawn, start = [], [], c0
-        for h in heavy[h0:h1]:
-            # a heavy color's place in the block is inverted and then overwritten
-            parts += [rng.u64s(h - start), np.zeros(1, dtype=np.uint64)]
+    start = 0  # first color of the stretch of light colors before h
+    for h in heavy + [urn.C]:
+        for c0 in range(start, h, _PIECE):
+            c1 = min(c0 + _PIECE, h)
+            if z is None:
+                out[c0:c1] = poisson_from_u64s(means[0], rng.u64s(c1 - c0))
+            else:
+                z[c0:c1] = rng.u64s(c1 - c0)
+        if h < urn.C:
             lam = n * int(urn.mults[h]) / urn.k
-            drawn.append(rng._poisson_ptrs(lam))
-            if drawn[-1] > INT64_MAX:
+            x = _poisson_ptrs(rng, lam)
+            if x > INT64_MAX:
                 raise ValueError(f"expected sample size n = {n} gives a Poisson count of "
-                                 f"{drawn[-1]} at mean {lam:g}, past the int64 range")
-            start = h + 1
-        parts.append(rng.u64s(c1 - start))
-        block = np.concatenate(parts) if len(parts) > 1 else parts[0]
-        if light == 1:
-            out[c0:c1] = poisson_from_u64s(means[0], block)
-        elif light > 1:
-            z[c0:c1] = block
-        for h, x in zip(heavy[h0:h1], drawn):
+                                 f"{x} at mean {lam:g}, past the int64 range")
             out[h] = x
-        h0 = h1
+        start = h + 1
     if z is not None:
         for g in range(light):
             idx = order[bounds[g]:bounds[g + 1]]

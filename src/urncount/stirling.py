@@ -10,32 +10,26 @@ desk-scale degrees never get near the cap.
 from __future__ import annotations
 
 import math
+from functools import cache
 from math import factorial
 
 MAX_TABLE_N = 128
 
-_rows: list[tuple[int, ...]] = [(1,)]
 
-
-def _ensure_rows(n: int) -> None:
-    while len(_rows) <= n:
-        nn = len(_rows) - 1
-        prev = _rows[-1]
-        row = [0] * (nn + 2)
-        for m in range(1, nn + 2):
-            above = prev[m] if m <= nn else 0
-            row[m] = prev[m - 1] - nn * above
-        _rows.append(tuple(row))
-
-
+@cache
 def stirling_row(n: int) -> tuple[int, ...]:
-    """Exact s(n, 0), ..., s(n, n)."""
+    """Exact s(n, 0), ..., s(n, n), built from row n - 1 and kept.
+
+    The cache is the table: threads that meet a missing row each build it
+    from the same rows, so no half-built table is ever read."""
     if n < 0:
         raise ValueError("indices must be nonnegative")
     if n > MAX_TABLE_N:
         raise ValueError(f"exact table capped at n = {MAX_TABLE_N}, got {n}")
-    _ensure_rows(n)
-    return _rows[n]
+    if n == 0:
+        return (1,)
+    prev = stirling_row(n - 1) + (0,)
+    return (0, *(prev[m - 1] - (n - 1) * prev[m] for m in range(1, n + 1)))
 
 
 def stirling_first(n: int, m: int) -> int:

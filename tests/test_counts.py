@@ -17,26 +17,22 @@ import pytest
 
 import urncount.rng
 import urncount.sampling
-from urncount.rng import (
-    _BLOCK,
-    _GUIDE_CELLS,
-    _SCALAR_MAX,
-    _SCALAR_STEPS,
-    POISSON_CDF_CACHE_SIZE,
-    RngStream,
-    _poisson_table,
-    fisher_yates_sources,
-    poisson_from_u64s,
-)
+from urncount.rng import _SCALAR_STEPS, RngStream, fisher_yates_sources
 from urncount.sampling import (
+    _GUIDE_CELLS,
+    _PIECE,
     BINOMIAL_CDF_CACHE_SIZE,
+    POISSON_CDF_CACHE_SIZE,
     _BinomialCdf,
     _binomial_cdf,
     _COLOR_BLOCK,
+    _poisson_ptrs,
+    _poisson_table,
     bernoulli_counts,
     binomial_chunk_max,
     hypergeometric_counts,
     multinomial_counts,
+    poisson_from_u64s,
     poissonized_color_counts,
     sample_draws,
 )
@@ -55,7 +51,7 @@ def poisson(rng: RngStream, lam: float) -> int:
         return 0
     if lam < 30.0:
         return _poisson_inversion(rng, lam)
-    return rng._poisson_ptrs(lam)
+    return _poisson_ptrs(rng, lam)
 
 
 def _poisson_inversion(rng: RngStream, lam: float) -> int:
@@ -268,12 +264,23 @@ FEW_CHUNKED.append(UrnSpec(((1, 3), (2, 100_003), (3, 20))))
 WIDE = UrnSpec(tuple((i, {4500: 500, 8500: 70}.get(i, 1 + i % 3)) for i in range(1, 9001)))
 # 400 distinct light means at n = 5000 (largest mean 24.9)
 MANY_MEANS = UrnSpec(tuple((i, i) for i in range(1, 401)))
-# more colors than one uniform block: two light multiplicities (the reference's
-# vectorized multi-mean path), and one light multiplicity with heavy colors on
-# both sides of the first block boundary (the reference's scalar path)
-TWO_LIGHT_WIDE = UrnSpec(tuple((i, 1 + i % 2) for i in range(_BLOCK + 5000)))
-HEAVY_AT_BLOCK_EDGE = UrnSpec(tuple((i, 40 if i in (_BLOCK - 1, _BLOCK) else 1)
-                                    for i in range(_BLOCK + 100)))
+# more colors than one Poisson piece: two light multiplicities (the reference's
+# vectorized multi-mean path), and one light multiplicity with heavy colors at
+# colors _PIECE - 1 and _PIECE (the reference's scalar path)
+TWO_LIGHT_WIDE = UrnSpec(tuple((i, 1 + i % 2) for i in range(_PIECE + 5000)))
+HEAVY_AT_BLOCK_EDGE = UrnSpec(tuple((i, 40 if i in (_PIECE - 1, _PIECE) else 1)
+                                    for i in range(_PIECE + 100)))
+# the Poisson walk's stretches at n = k (heavy colors have mean >= 30): a
+# heavy first color; heavy colors adjacent and last; only heavy colors; and
+# two light multiplicities with heavy colors on both sides of the piece edge
+# that splits the stretch [4, _PIECE + 5)
+POISSON_WALKS = [
+    UrnSpec(((1, 200),) + tuple((i, 1 + i % 3) for i in range(2, 100))),
+    UrnSpec(tuple((i, 1) for i in range(1, 60)) + ((60, 300), (61, 90))),
+    UrnSpec(((1, 40), (2, 500), (3, 77))),
+    UrnSpec(tuple((i, 100 if i in (3, _PIECE + 5) else 1 + i % 2)
+                  for i in range(_PIECE + 40))),
+]
 
 CASES = [
     *[(model, urn, 0) for model in ("multinomial", "hypergeometric", "poissonized")
@@ -309,6 +316,7 @@ CASES = [
     ("poissonized", HEAVY_AT_BLOCK_EDGE, HEAVY_AT_BLOCK_EDGE.k),
     # last, so that the cases above keep their ids
     *[("bernoulli", urn, p) for urn in FEW_CHUNKED for p in (0.01, 0.3, 0.9)],
+    *[("poissonized", urn, urn.k) for urn in POISSON_WALKS],
 ]
 
 
@@ -352,9 +360,8 @@ def test_u64s_match_next_u64():
     assert a._counter == b._counter
 
 
-@pytest.mark.parametrize("count", range(_SCALAR_MAX + 3))
+@pytest.mark.parametrize("count", range(11))
 def test_short_blocks_match_scalar_calls(count):
-    # counts up to _SCALAR_MAX come from scalar calls, the rest from numpy
     a, b = RngStream(3, count), RngStream(3, count)
     got = a.u64s(count)
     assert got.dtype == np.uint64 and got.shape == (count,)
@@ -667,13 +674,15 @@ def test_poisson_cdf_cache_is_bounded():
     assert not cdf.flags.writeable and not cells.flags.writeable
     assert cells.dtype == np.intp and cells.shape == (_GUIDE_CELLS,)
     # the cells share the CDF's entry: an inversion at a new mean adds one
-    # entry to the one cache, and the module holds no other cache
+    # entry to the one Poisson cache; sampling holds no cache but the two
+    # inversion tables', and the stream module none
     before = _poisson_table.cache_info()
     poisson_from_u64s(0.4567, np.array([2**63], dtype=np.uint64))
     after = _poisson_table.cache_info()
     assert (after.misses, after.currsize) == (before.misses + 1, before.currsize)
-    assert [name for name, obj in vars(urncount.rng).items()
-            if hasattr(obj, "cache_info")] == ["_poisson_table"]
+    assert [name for name, obj in vars(urncount.sampling).items()
+            if hasattr(obj, "cache_info")] == ["_binomial_cdf", "_poisson_table"]
+    assert not [name for name, obj in vars(urncount.rng).items() if hasattr(obj, "cache_info")]
 
 
 def test_more_distinct_means_than_cache_entries():

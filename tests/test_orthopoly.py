@@ -21,8 +21,15 @@ from urncount.orthopoly import (
     phi_norm_sq,
     poly_numerators,
     solve_l2,
-    t_at_minus_one,
 )
+
+
+def t_at_minus_one(M: int, m: int) -> int:
+    """t_m(-1) = (-1)^m * (M+1)(M+2)...(M+m)."""
+    v = 1
+    for j in range(1, m + 1):
+        v *= M + j
+    return -v if m % 2 else v
 
 
 # -- float oracles for the exact solve ------------------------------------------

@@ -1,11 +1,15 @@
+import importlib.util
 import json
 import math
+import sys
+import threading
 from fractions import Fraction
 from math import factorial
 from pathlib import Path
 
 import pytest
 
+import urncount.stirling
 from urncount.estimator import (
     EstimatorParams,
     ParameterizationError,
@@ -86,6 +90,38 @@ class TestTable:
     def test_cap(self):
         with pytest.raises(ValueError):
             stirling_first(MAX_TABLE_N + 1, 1)
+
+    def test_cold_table_is_safe_across_threads(self):
+        # threads that meet an empty table at once must each read whole,
+        # correct rows; a fresh copy of the module starts with no rows built
+        want = [falling_factorial_coeffs(n) for n in range(MAX_TABLE_N + 1)]
+        path = urncount.stirling.__file__
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(40):
+                spec = importlib.util.spec_from_file_location("cold_stirling", path)
+                cold = importlib.util.module_from_spec(spec)
+                spec.loader.exec_module(cold)
+                got, errors = [None] * 4, []
+
+                def run(t):
+                    try:
+                        got[t] = cold.stirling_row(MAX_TABLE_N)
+                    except Exception as exc:  # noqa: BLE001 - reported below
+                        errors.append(exc)
+
+                threads = [threading.Thread(target=run, args=(t,)) for t in range(4)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+                assert errors == []
+                assert all(list(row) == want[-1] for row in got)
+                assert [list(cold.stirling_row(n)) for n in range(MAX_TABLE_N + 1)] == want
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestInterpCoeffs:
