@@ -9,8 +9,11 @@ streams with distinct indices never share state.
 Draws without replacement return positions (``sample_positions``) and are
 array passes: the draws of a forward Fisher-Yates pass, whose bound shrinks
 by one per step, are accepted a power-of-two range at a time
-(``randbelow_shrinking``, one block pass per range), and the swaps they
-drive are resolved without being made (``fisher_yates_sources``).
+(``randbelow_shrinking``, one block per range, sized from the range's
+expected number of outputs plus four standard deviations, and one per
+``_BLOCK`` outputs past that), and the swaps they drive are resolved
+without being made (``fisher_yates_sources``, one sort on a shifted
+(target, step) key).
 
 Every count, size and seed argument of the package goes through
 ``check_int``: a Python int, not a bool, float or numpy scalar.
@@ -22,6 +25,8 @@ alone past its int64 key's range.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -79,11 +84,12 @@ def fisher_yates_sources(targets: np.ndarray) -> np.ndarray:
     if not steps:
         return targets.copy()
     here = np.arange(steps)
-    if int(targets.max()) < (2**63 - 1) // steps:
-        key = targets * steps + here  # (target, step) as one int64
+    shift = (steps - 1).bit_length()  # here < 2**shift
+    if int(targets.max()) >> (63 - shift) == 0:
+        key = targets << shift | here  # (target, step) as one int64
         key.sort()
-        by_target = key // steps
-        order = key - by_target * steps
+        by_target = key >> shift
+        order = key & ((1 << shift) - 1)
     else:
         order = np.argsort(targets, kind="stable")
         by_target = targets[order]
@@ -151,12 +157,6 @@ class RngStream:
         z ^= z >> _U31
         return z
 
-    def uniforms(self, count: int) -> np.ndarray:
-        """Vectorized ``random()``: identical values."""
-        z = self.u64s(count)
-        z >>= np.uint64(11)
-        return z * 2.0 ** -53
-
     def randbelow(self, n: int) -> int:
         """Uniform integer in [0, n) for n >= 1, unbiased via top-bits rejection."""
         if check_int(n, "n", 1) == 1:
@@ -196,7 +196,7 @@ class RngStream:
 
     def randbelow_shrinking(self, m: int, steps: int) -> np.ndarray:
         """``randbelow(m - t)`` for t = 0, ..., steps - 1 as one int64 array
-        (steps < m < 2**63).
+        (0 <= steps < m < 2**63).
 
         While m - t stays in one power-of-two range (low, 2 low] the shift is
         fixed, so a range's outputs are drawn as one block and accepted all at
@@ -207,8 +207,18 @@ class RngStream:
         Its iterates alternately over- and under-accept, and each one settles
         at least one more leading output.  The stream ends just past the last
         accepted output, where scalar ``randbelow`` calls stop.
+
+        A block is sized for the ``want`` draws left in its range.  The draw
+        at bound b takes a geometric number of outputs, of mean 2^bits / b and
+        variance 4^bits / b^2 - 2^bits / b.  Over b = top - want + 1, ..., top
+        the means sum to at most 2^bits ln(top / (top - want)) and the
+        variances to less than 4^bits want / (top (top - want)).  A block
+        holds that mean plus four such standard deviations, capped at
+        ``_BLOCK``, so a range almost always takes one block, or one per
+        ``_BLOCK`` outputs when it needs more.
         """
-        if not 0 <= steps < m < 2**63:
+        check_int(m, "m")
+        if not 0 <= check_int(steps, "steps") < m < 2**63:
             raise ValueError("randbelow_shrinking requires 0 <= steps < m < 2**63")
         out = np.empty(steps, dtype=np.int64)
         t = 0
@@ -217,9 +227,12 @@ class RngStream:
             bits = (top - 1).bit_length()
             low = 1 << (bits - 1)
             want = min(steps - t, top - low)  # steps left in this range
+            scale = 1 << bits
+            mean = scale * math.log1p(want / (top - want))
+            sd = scale * math.sqrt(want / (top * (top - want)))
+            size = min(_BLOCK, int(mean + 4.0 * sd) + 1)
             start = self._counter
-            # acceptance is above 1/2 in the range; overdraw to finish in one block
-            r = (self.u64s(min(_BLOCK, want + want // 2 + 1)) >> np.uint64(64 - bits)).view(np.int64)
+            r = (self.u64s(size) >> np.uint64(64 - bits)).view(np.int64)
             accept = r <= low
             open_ = np.flatnonzero((r > low) & (r < top))
             # an open output is accepted iff fewer open ones before it were

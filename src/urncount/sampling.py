@@ -12,9 +12,10 @@ past 2^23 balls, where no table fits in memory, by binary search (this
 module's one size-selected fork; ``rng`` lists the stream's), and counted
 with one ``bincount``: uniform ones for draws with replacement, and the
 slots of a partial Fisher-Yates resolved without the ball list
-(``RngStream.sample_positions``) for draws without.  Bernoulli colors of
-more than 64 balls split into chunks of ``binomial_chunk_max(p)`` trials,
-and a block's chunks of one size invert their uniforms together through a
+(``RngStream.sample_positions``) for draws without.  Bernoulli coin flips
+compare raw outputs with one integer threshold.  Colors of more than 64
+balls split into chunks of ``binomial_chunk_max(p)`` trials instead, and a
+block's chunks of one size invert their uniforms together through a
 binomial CDF table kept per (chunk size, p) and grown only as far as the
 uniforms it has inverted.  The Poisson core walks the urn once, one stretch
 of light colors (mean below 30) at a time, each followed by the heavy color
@@ -50,7 +51,7 @@ MODEL_ALIASES = {
     "poi": "poissonized", "poissonized": "poissonized",
 }
 
-# Colors per Bernoulli uniform block (at most 64 uniforms each unless chunked),
+# Colors per Bernoulli output block (at most 64 outputs each unless chunked),
 # so memory stays flat in k.
 _COLOR_BLOCK = 4096
 
@@ -278,10 +279,13 @@ def bernoulli_counts(urn: UrnSpec, p: float, rng: RngStream) -> np.ndarray:
 
     Each color uses the stream as the scalar reference ``binomial(rng, k_i, p)``
     in ``tests/test_counts.py`` does, and that use is fixed in advance: k_i
-    coin-flip uniforms when k_i <= 64, otherwise one uniform per inversion
-    chunk, and none at p in {0, 1}.  So the colors share uniform blocks drawn
-    in canonical color order, and each block's coin flips are counted by one
-    ``reduceat``.  Chunks hold ``binomial_chunk_max(p)`` trials but for each
+    coin-flip outputs when k_i <= 64, otherwise one output per inversion
+    chunk, and none at p in {0, 1}.  So the colors share blocks of raw
+    outputs drawn in canonical color order.  A coin's uniform
+    u = (z >> 11) 2^-53 is below p exactly when its output z is below
+    ceil(p 2^53) 2^11, so each block's coin flips are counted on the raw
+    outputs by one ``reduceat``, and uniforms are formed only for the chunks'
+    outputs.  Chunks hold ``binomial_chunk_max(p)`` trials but for each
     color's last, so a block's chunks of one size invert their uniforms
     together through that size's CDF table, and a chunked color's count, the
     sum of its chunks' variates, replaces its coin-flip sum.  The tables are
@@ -300,13 +304,15 @@ def bernoulli_counts(urn: UrnSpec, p: float, rng: RngStream) -> np.ndarray:
         return mults.copy()
     chunk_max = binomial_chunk_max(p)
     chunked = mults > 64
-    use = np.where(chunked, -(-mults // chunk_max), mults)  # uniforms per color
+    use = np.where(chunked, -(-mults // chunk_max), mults)  # outputs per color
+    # a coin comes up heads iff its output is below this; p < 1 keeps it under 2^64
+    heads = np.uint64(math.ceil(p * 2.0 ** 53) << 11)
     out = np.empty(urn.C, dtype=np.int64)
     for c0 in range(0, urn.C, _COLOR_BLOCK):
         block = slice(c0, c0 + _COLOR_BLOCK)
-        u = rng.uniforms(int(use[block].sum()))
+        z = rng.u64s(int(use[block].sum()))
         offsets = np.cumsum(use[block]) - use[block]
-        out[block] = np.add.reduceat(u < p, offsets, dtype=np.int64)
+        out[block] = np.add.reduceat(z < heads, offsets, dtype=np.int64)
         big = np.flatnonzero(chunked[block])
         if not big.size:
             continue
@@ -315,6 +321,7 @@ def bernoulli_counts(urn: UrnSpec, p: float, rng: RngStream) -> np.ndarray:
         per = use[block][big]
         ends = np.cumsum(per)
         at = np.repeat(offsets[big] - (ends - per), per) + np.arange(ends[-1])
+        u = (z[at] >> np.uint64(11)) * 2.0 ** -53
         sizes = np.full(at.size, chunk_max)
         sizes[ends - 1] = mults[block][big] - (per - 1) * chunk_max
         order = np.argsort(sizes, kind="stable")
@@ -322,7 +329,7 @@ def bernoulli_counts(urn: UrnSpec, p: float, rng: RngStream) -> np.ndarray:
         x = np.empty(at.size, dtype=np.int64)
         for lo, hi in zip(bounds, bounds[1:]):
             group = order[lo:hi]
-            x[group] = _binomial_cdf(int(sizes[group[0]]), p).invert(u[at[group]])
+            x[group] = _binomial_cdf(int(sizes[group[0]]), p).invert(u[group])
         # a chunked color's count, its chunks' variates, replaces its coin-flip sum
         out[c0 + big] = np.add.reduceat(x, ends - per)
     return out

@@ -199,7 +199,7 @@ def ref_poissonized_color_counts(urn: UrnSpec, n: float, rng: RngStream) -> np.n
         distinct = set(means)
         if len(distinct) == 1:
             return np.array([poisson(rng, means[0]) for _ in range(urn.C)], dtype=np.int64)
-        u = rng.uniforms(urn.C)
+        u = (rng.u64s(urn.C) >> np.uint64(11)) * 2.0 ** -53
         out = np.empty(urn.C, dtype=np.int64)
         means_arr = np.array(means)
         for lam in sorted(distinct):
@@ -366,9 +366,6 @@ def test_short_blocks_match_scalar_calls(count):
     got = a.u64s(count)
     assert got.dtype == np.uint64 and got.shape == (count,)
     assert got.tolist() == [b.next_u64() for _ in range(count)]
-    got = a.uniforms(count)
-    assert got.dtype == np.float64 and got.shape == (count,)
-    assert got.tolist() == [b.random() for _ in range(count)]
     assert a._counter == b._counter
 
 
@@ -450,6 +447,29 @@ def test_array_fisher_yates_matches_scalar_swaps(k, n):
     assert c._counter == ref._counter
 
 
+@pytest.mark.parametrize("m,steps,blocks", [
+    (10**5, 3 * 10**4, 1), (10**5, 7 * 10**4, 3),
+    (10**6, 5 * 10**5, 12),  # about 677k outputs in (2^19, 2^20], then one range
+])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_randbelow_shrinking_draws_one_block_per_range(monkeypatch, m, steps, blocks, seed):
+    # one block per power-of-two range, plus one per _BLOCK outputs inside a
+    # longer range
+    sizes = []
+    u64s = RngStream.u64s
+
+    def counted(self, count):
+        sizes.append(count)
+        return u64s(self, count)
+
+    monkeypatch.setattr(RngStream, "u64s", counted)
+    a, ref = RngStream(seed, m), RngStream(seed, m)
+    got = a.randbelow_shrinking(m, steps)
+    assert len(sizes) == blocks
+    assert got.tolist() == [ref.randbelow(m - t) for t in range(steps)]
+    assert a._counter == ref._counter
+
+
 def test_sample_positions_on_a_huge_range():
     # m * steps overflows int64, so the resolution sorts by target alone
     m, n = 2**63 - 1, _SCALAR_STEPS + 8
@@ -500,7 +520,7 @@ def test_binomial_inversion_matches_scalar_at_table_edges(size, p):
     u = np.concatenate([
         cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 2.0),  # on and beside each entry
         [0.0, 1.0 - 2.0 ** -53],
-        RngStream(8, 1).uniforms(1000),
+        (RngStream(8, 1).u64s(1000) >> np.uint64(11)) * 2.0 ** -53,
     ])
     u = u[(u >= 0.0) & (u < 1.0)]
     ref = {x: binomial_inversion(size, p, x) for x in set(u.tolist())}
@@ -583,7 +603,10 @@ MANY_CHUNKED = UrnSpec(tuple(
     for i in range(1, _COLOR_BLOCK + 600)))
 
 
-@pytest.mark.parametrize("p", [0.3, 0.999, 1e-4, 0.05])
+@pytest.mark.parametrize("p", [0.3, 0.999, 1e-4, 0.05,
+                               # where the integer coin threshold could be off by one
+                               1.0 - 2.0 ** -53, 2.0 ** -60,
+                               np.nextafter(0.5, 0.0).item(), 0.5, np.nextafter(0.5, 1.0).item()])
 def test_bernoulli_chunks_grouped_by_size_match_reference(p):
     got_rng, ref_rng = RngStream(6, 1), RngStream(6, 1)
     want = _counts(MANY_CHUNKED, ref_draw_bernoulli(MANY_CHUNKED, p, ref_rng))

@@ -29,7 +29,7 @@ class TestRngStream:
         a = RngStream(42, 7)
         b = RngStream(42, 7)
         scalar = np.array([a.random() for _ in range(257)])
-        assert np.array_equal(scalar, b.uniforms(257))
+        assert np.array_equal(scalar, (b.u64s(257) >> np.uint64(11)) * 2.0 ** -53)
 
     def test_streams_differ(self):
         assert RngStream(1, 0).next_u64() != RngStream(1, 1).next_u64()
@@ -140,14 +140,13 @@ def test_float_sizes_refuse_bools(call, size):
 
 @pytest.mark.parametrize("call", [
     lambda rng: rng.u64s(-1),
-    lambda rng: rng.uniforms(-2),
     lambda rng: rng.randbelow_many(5, -2),
     lambda rng: rng.randbelow_many(1, -2),
     # a float count used to advance the counter to a float; a bool counted as 1
     lambda rng: rng.u64s(9.0),
     lambda rng: rng.u64s(True),
     lambda rng: rng.randbelow_many(5, True),
-], ids=["u64s", "uniforms", "randbelow_many", "randbelow_many-1",
+], ids=["u64s", "randbelow_many", "randbelow_many-1",
         "u64s-float", "u64s-bool", "randbelow_many-bool"])
 def test_negative_counts_are_refused(call):
     rng = RngStream(0, 0)
@@ -164,14 +163,31 @@ def test_negative_counts_are_refused(call):
     (lambda rng: rng.randbelow_many(np.int64(5), 2), "n must be an int >= 1, got np.int64(5)"),
     (lambda rng: RngStream(1.5, 0), "master_seed must be an int, got 1.5"),
     (lambda rng: RngStream(0, np.uint64(3)), "stream_index must be an int, got np.uint64(3)"),
+    (lambda rng: rng.randbelow_shrinking(10.0, 3), "m must be an int, got 10.0"),
+    (lambda rng: rng.randbelow_shrinking(np.int64(10), 3), "m must be an int, got np.int64(10)"),
+    (lambda rng: rng.randbelow_shrinking(True, 0), "m must be an int, got True"),
+    (lambda rng: rng.randbelow_shrinking(10, 3.0), "steps must be an int, got 3.0"),
+    (lambda rng: rng.randbelow_shrinking(10, True), "steps must be an int, got True"),
+    (lambda rng: rng.randbelow_shrinking(10, np.int64(3)), "steps must be an int, got np.int64(3)"),
 ], ids=["sample_positions-n", "sample_positions-m", "randbelow", "randbelow_many-n",
-        "master_seed", "stream_index"])
+        "master_seed", "stream_index", "randbelow_shrinking-m-float",
+        "randbelow_shrinking-m-numpy", "randbelow_shrinking-m-bool",
+        "randbelow_shrinking-steps-float", "randbelow_shrinking-steps-bool",
+        "randbelow_shrinking-steps-numpy"])
 def test_non_int_arguments_are_refused(call, message):
     # sample_positions keeps its range message for an int n, so a bool n is
     # named by the int rule alone
     rng = RngStream(0, 0)
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call(rng)
+    assert rng._counter == 0
+
+
+@pytest.mark.parametrize("m, steps", [(10, 10), (10, -1), (2**63, 1)])
+def test_randbelow_shrinking_keeps_its_range_message(m, steps):
+    rng = RngStream(0, 0)
+    with pytest.raises(ValueError, match=re.escape("requires 0 <= steps < m < 2**63")):
+        rng.randbelow_shrinking(m, steps)
     assert rng._counter == 0
 
 
