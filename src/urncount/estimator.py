@@ -220,10 +220,11 @@ def estimate(fp: Fingerprint, coeffs: CoefficientVector) -> EstimateResult:
         raise ValueError("empty fingerprint: zero samples carry no information")
     if fp.c_seen > coeffs.k:
         raise ValueError(f"c_seen = {fp.c_seen} colors were seen, more than k = {coeffs.k} balls")
+    u, L = coeffs.u, coeffs.L
     correction = 0.0
     for j, cnt in sorted(fp.phi.items()):  # fixed order: reproducible float sums
-        if 1 <= j <= coeffs.L:
-            correction += coeffs.u[j - 1] * cnt
+        if 1 <= j <= L:
+            correction += u[j - 1] * cnt
     c_tilde = fp.c_seen + correction
     c_hat = int(round(min(max(c_tilde, float(fp.c_seen)), float(coeffs.k))))
     return EstimateResult(c_hat, c_tilde, fp.c_seen, coeffs.digest)

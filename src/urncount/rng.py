@@ -4,7 +4,19 @@ The generator is SplitMix64 run in counter mode: output ``i`` of a stream is
 ``finalize(base + i * GOLDEN)`` where ``base`` mixes the master seed with the
 stream index.  Counter mode means a block of outputs can be produced either
 one at a time or as a vectorized numpy batch, bit-for-bit identically, and
-streams with distinct indices never share state.
+streams with distinct indices never share state.  A block of outputs
+starts as one scalar offset, ``base + counter * GOLDEN``, added to a
+read-only step table of ``(j + 1) * GOLDEN`` for j < ``_BLOCK``; a longer
+block is filled one table's length at a time into one array.
+
+The mix ends with the xorshift z = y ^ (y >> 31), whose one home is
+``finish``.  Bit p of z is bit p of y xor bit p + 31 of y, and y has no bit
+p + 31 for p >= 33, so for b <= 31 the top b bits of z are those of y.
+Integer draws read only top bits, so they skip ``finish`` when they need at
+most 31 bits and apply it otherwise: the stream's one value-selected
+branch, in ``RngStream._top_bits``.  ``sampling`` draws its Poisson
+uniforms the same way (``unfinished_u64s``), finishing only the outputs it
+must.
 
 Draws without replacement return positions (``sample_positions``) and are
 array passes: the draws of a forward Fisher-Yates pass, whose bound shrinks
@@ -60,6 +72,18 @@ def _mix(z: int) -> int:
 
 # Output blocks are drawn at most this many values at a time.
 _BLOCK = 1 << 16
+
+# The counter step table: entry j is (j + 1) GOLDEN mod 2^64.
+_STEPS = np.arange(1, _BLOCK + 1, dtype=np.uint64) * _U_GOLDEN
+_STEPS.flags.writeable = False
+
+
+def finish(y: np.ndarray) -> np.ndarray:
+    """SplitMix64's last xorshift, z = y ^ (y >> 31), applied to the uint64
+    array ``y`` in place; returns ``y``."""
+    y ^= y >> _U31
+    return y
+
 
 # ``sample_positions`` runs of at most this many steps swap one step at a
 # time: resolving the swaps as arrays costs dozens of scalar steps in set-up.
@@ -143,19 +167,38 @@ class RngStream:
         """Uniform in [0, 1) with 53 random bits."""
         return (self.next_u64() >> 11) * 2.0 ** -53
 
+    def unfinished_u64s(self, count: int) -> np.ndarray:
+        """The next ``count >= 0`` outputs as uint64, each before its last
+        xorshift: ``finish`` of the result is ``u64s(count)``.
+
+        Output i is the mix of ``offset + (i + 1) GOLDEN`` for the scalar
+        ``offset = base + counter GOLDEN``, so each ``_BLOCK`` outputs start
+        as that offset added to the module's step table.
+        """
+        y = np.empty(check_int(count, "count", 0), dtype=np.uint64)
+        for c0 in range(0, count, _BLOCK):
+            part = y[c0:c0 + _BLOCK]
+            offset = np.uint64((self._base + (self._counter + c0) * _GOLDEN) & _MASK)
+            np.add(_STEPS[:part.size], offset, out=part)
+            part ^= part >> _U30
+            part *= _U_MIX1
+            part ^= part >> _U27
+            part *= _U_MIX2
+        self._counter += count
+        return y
+
     def u64s(self, count: int) -> np.ndarray:
         """Vectorized ``next_u64()``: the next ``count >= 0`` outputs as uint64."""
-        start = self._counter + 1
-        self._counter += check_int(count, "count", 0)
-        z = np.arange(start, start + count, dtype=np.uint64)
-        z *= _U_GOLDEN
-        z += np.uint64(self._base)
-        z ^= z >> _U30
-        z *= _U_MIX1
-        z ^= z >> _U27
-        z *= _U_MIX2
-        z ^= z >> _U31
-        return z
+        return finish(self.unfinished_u64s(count))
+
+    def _top_bits(self, size: int, bits: int) -> np.ndarray:
+        """The top ``bits`` bits (1 <= bits <= 64) of the next ``size`` outputs,
+        as uint64: the last xorshift runs only for bits > 31 (``finish``)."""
+        y = self.unfinished_u64s(size)
+        if bits > 31:
+            finish(y)
+        y >>= np.uint64(64 - bits)
+        return y
 
     def randbelow(self, n: int) -> int:
         """Uniform integer in [0, n) for n >= 1, unbiased via top-bits rejection."""
@@ -179,14 +222,13 @@ class RngStream:
         if n == 1:
             return np.zeros(count, dtype=np.int64)
         bits = (n - 1).bit_length()
-        shift = np.uint64(64 - bits)
         parts = [np.zeros(0, dtype=np.uint64)]
         need = count
         while need > 0:
             start = self._counter
             # acceptance is n / 2^bits > 1/2; overdraw a little to finish in one block
             size = min(_BLOCK, (need << bits) // n + need // 16 + 32)
-            r = self.u64s(size) >> shift
+            r = self._top_bits(size, bits)
             ok = np.flatnonzero(r < n)[:need]
             if ok.size == need:
                 self._counter = start + int(ok[-1]) + 1
@@ -232,7 +274,7 @@ class RngStream:
             sd = scale * math.sqrt(want / (top * (top - want)))
             size = min(_BLOCK, int(mean + 4.0 * sd) + 1)
             start = self._counter
-            r = (self.u64s(size) >> np.uint64(64 - bits)).view(np.int64)
+            r = self._top_bits(size, bits).view(np.int64)
             accept = r <= low
             open_ = np.flatnonzero((r > low) & (r < top))
             # an open output is accepted iff fewer open ones before it were

@@ -19,10 +19,14 @@ block's chunks of one size invert their uniforms together through a
 binomial CDF table kept per (chunk size, p) and grown only as far as the
 uniforms it has inverted.  The Poisson core walks the urn once, one stretch
 of light colors (mean below 30) at a time, each followed by the heavy color
-that ends it: a stretch's raw outputs invert through a cell table kept per
-mean, where a uniform is formed only for an output whose cell straddles a
-step of the CDF, and a heavy color runs PTRS rejection.  Both inversion
-tables, binomial and Poisson, live here; ``rng`` is only the stream.
+that ends it: a stretch's outputs invert through a cell table kept per mean,
+indexed by their top 10 bits, which the stream's last xorshift does not
+change.  So the outputs are drawn without that step
+(``RngStream.unfinished_u64s``), each piece is inverted in place into the
+counts, and only an output whose cell straddles a step of the CDF is
+finished into a uniform and searched; a heavy color runs PTRS rejection.
+Both inversion tables, binomial and Poisson, live here; ``rng`` is only the
+stream.
 
 All samplers are pure functions of (urn, parameters, stream): identical
 inputs reproduce identical outputs byte for byte, and the stream advances
@@ -40,7 +44,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .rng import LOG_FLOAT_LIMIT, RngStream, check_int
+from .rng import LOG_FLOAT_LIMIT, RngStream, check_int, finish
 from .urn import INT64_MAX, UrnSpec
 
 # every accepted model name -> its canonical name
@@ -73,7 +77,8 @@ _BALL_TABLE_MAX = 1 << 23
 # evicted first).
 POISSON_CDF_CACHE_SIZE = 1024
 
-# A Poisson cell table has 1024 cells: raw output z falls in cell z >> 54.
+# A Poisson cell table has 1024 cells: output z falls in cell z >> 54, as does
+# its value before the last xorshift.
 _GUIDE_CELLS = 1024
 _CELL_SHIFT = np.uint64(54)
 
@@ -233,20 +238,26 @@ def _poisson_table(lam: float) -> tuple[np.ndarray, np.ndarray]:
     return cdf, cells
 
 
-def poisson_from_u64s(lam: float, z: np.ndarray) -> np.ndarray:
-    """Poisson(lam) variates for 0 <= lam < 30 from the raw outputs ``z``.
+def poisson_from_unfinished(lam: float, y: np.ndarray,
+                            out: np.ndarray | None = None) -> np.ndarray:
+    """Poisson(lam) variates for 0 <= lam < 30 from the outputs ``y`` before
+    their last xorshift (``RngStream.unfinished_u64s``), as int64, written
+    into ``out`` when it is given.
 
     Bit-identical to the scalar inversion loop fed the uniforms
-    ``(z >> 11) * 2**-53`` (the reference ``_poisson_inversion`` in
-    ``tests/test_counts.py``): each output's cell gives its variate, and only
-    the outputs in the few cells that straddle a CDF step form their uniform
-    and search the CDF.
+    ``(z >> 11) * 2**-53`` of the full outputs ``z = finish(y)`` (the
+    reference ``_poisson_inversion`` in ``tests/test_counts.py``).  The last
+    xorshift leaves an output's top 10 bits, its cell, unchanged, so each
+    output's cell gives its variate, and only the outputs in the few cells
+    that straddle a CDF step are finished, form their uniform and search the
+    CDF.
     """
     cdf, cells = _poisson_table(lam)
-    idx = cells.take((z >> _CELL_SHIFT).view(np.intp))  # take would cast a uint64 index
-    straddle = (idx < 0).nonzero()[0]
+    # take would cast a uint64 index, and buffers ``out`` unless mode is clip
+    idx = cells.take((y >> _CELL_SHIFT).view(np.intp), out=out, mode="clip")
+    straddle = np.flatnonzero(idx < 0)
     if straddle.size:
-        u = (z[straddle] >> np.uint64(11)) * 2.0 ** -53
+        u = (finish(y[straddle]) >> np.uint64(11)) * 2.0 ** -53
         idx[straddle] = np.searchsorted(cdf[:-1], u, side="left")
     return idx
 
@@ -340,15 +351,16 @@ def poissonized_color_counts(urn: UrnSpec, n: float, rng: RngStream) -> np.ndarr
 
     Colors take the stream in canonical order, as the scalar reference
     ``poisson(rng, lam)`` in ``tests/test_counts.py`` would per color: a
-    color with mean below 30 takes one uniform, drawn here as the raw output
-    it comes from and inverted through its mean's cell table
-    (``poisson_from_u64s``); a heavier color runs PTRS rejection
-    (``_poisson_ptrs``).  One walk over the urn takes each stretch of light
-    colors and then the heavy color that ends it.  A stretch's outputs are
-    drawn in pieces of at most ``_PIECE``.  When the light colors share one
-    multiplicity, each piece is inverted in place while its outputs are
-    still in cache; otherwise the outputs are kept and each multiplicity's
-    colors are inverted together at the end.
+    color with mean below 30 takes one uniform, drawn here as the output it
+    comes from, before its last xorshift, and inverted through its mean's
+    cell table (``poisson_from_unfinished``); a heavier color runs PTRS
+    rejection (``_poisson_ptrs``).  One walk over the urn takes each stretch
+    of light colors and then the heavy color that ends it.  A stretch's
+    outputs are drawn in pieces of at most ``_PIECE``.  When the light colors
+    share one multiplicity, each piece is inverted straight into its slice of
+    the counts while its outputs are still in cache; otherwise the outputs
+    are kept and each multiplicity's colors are inverted together at the
+    end.
 
     A non-finite n, or one whose largest mean n * max(k_i) / k exceeds
     ``POISSON_MEAN_MAX`` (2**63), is rejected before the stream is touched.
@@ -363,9 +375,8 @@ def poissonized_color_counts(urn: UrnSpec, n: float, rng: RngStream) -> np.ndarr
         raise ValueError(f"expected sample size n must be finite, got {n}")
     if n < 0:
         raise ValueError("expected sample size must be >= 0")
-    out = np.zeros(urn.C, dtype=np.int64)
     if n == 0:
-        return out
+        return np.zeros(urn.C, dtype=np.int64)
     values, order, bounds = urn.mult_groups
     means = [n * mult / urn.k for mult in values.tolist()]
     if means[-1] > POISSON_MEAN_MAX:
@@ -373,15 +384,16 @@ def poissonized_color_counts(urn: UrnSpec, n: float, rng: RngStream) -> np.ndarr
                          f"{means[-1]:g}, above {POISSON_MEAN_MAX:g}")
     light = sum(1 for lam in means if lam < 30.0)  # means increase with the multiplicity
     heavy = np.flatnonzero(urn.mults >= values[light]).tolist() if light < len(means) else []
+    out = np.empty(urn.C, dtype=np.int64)  # each color is written once below
     z = np.empty(urn.C, dtype=np.uint64) if light > 1 else None
     start = 0  # first color of the stretch of light colors before h
     for h in heavy + [urn.C]:
         for c0 in range(start, h, _PIECE):
             c1 = min(c0 + _PIECE, h)
             if z is None:
-                out[c0:c1] = poisson_from_u64s(means[0], rng.u64s(c1 - c0))
+                poisson_from_unfinished(means[0], rng.unfinished_u64s(c1 - c0), out[c0:c1])
             else:
-                z[c0:c1] = rng.u64s(c1 - c0)
+                z[c0:c1] = rng.unfinished_u64s(c1 - c0)
         if h < urn.C:
             lam = n * int(urn.mults[h]) / urn.k
             x = _poisson_ptrs(rng, lam)
@@ -393,7 +405,7 @@ def poissonized_color_counts(urn: UrnSpec, n: float, rng: RngStream) -> np.ndarr
     if z is not None:
         for g in range(light):
             idx = order[bounds[g]:bounds[g + 1]]
-            out[idx] = poisson_from_u64s(means[g], z[idx])
+            out[idx] = poisson_from_unfinished(means[g], z[idx])
     return out
 
 

@@ -17,7 +17,7 @@ import pytest
 
 import urncount.rng
 import urncount.sampling
-from urncount.rng import _SCALAR_STEPS, RngStream, fisher_yates_sources
+from urncount.rng import _BLOCK, _SCALAR_STEPS, RngStream, finish, fisher_yates_sources
 from urncount.sampling import (
     _GUIDE_CELLS,
     _PIECE,
@@ -32,7 +32,7 @@ from urncount.sampling import (
     binomial_chunk_max,
     hypergeometric_counts,
     multinomial_counts,
-    poisson_from_u64s,
+    poisson_from_unfinished,
     poissonized_color_counts,
     sample_draws,
 )
@@ -369,6 +369,59 @@ def test_short_blocks_match_scalar_calls(count):
     assert a._counter == b._counter
 
 
+@pytest.mark.parametrize("count", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5])
+def test_u64s_across_step_table_chunks_match_next_u64(count):
+    a, b = RngStream(6, count), RngStream(6, count)
+    a.u64s(7)  # start the chunks off counter 0
+    for _ in range(7):
+        b.next_u64()
+    got = a.u64s(count)
+    assert got.tolist() == [b.next_u64() for _ in range(count)]
+    assert a._counter == b._counter
+
+
+def _unfinish(z: np.ndarray) -> np.ndarray:
+    """The outputs y before their last xorshift, ``finish(y) == z``."""
+    return z ^ (z >> np.uint64(31)) ^ (z >> np.uint64(62))
+
+
+def _edge_and_random_u64s() -> np.ndarray:
+    edges = [0, 1, 2**31 - 1, 2**31, 2**32, 2**33 - 1, 2**62, 2**63, 2**63 + 2**32, 2**64 - 1]
+    return np.concatenate([np.array(edges, dtype=np.uint64), RngStream(2, 9).u64s(20_000)])
+
+
+def test_last_xorshift_keeps_the_top_31_bits():
+    y = _edge_and_random_u64s()
+    z = finish(y.copy())
+    for bits in range(1, 32):
+        shift = np.uint64(64 - bits)
+        assert np.array_equal(z >> shift, y >> shift), bits
+    shift = np.uint64(32)
+    assert not np.array_equal(z >> shift, y >> shift)  # bit 32 takes bit 63
+
+
+def test_unfinish_inverts_the_last_xorshift():
+    z = _edge_and_random_u64s()
+    assert np.array_equal(finish(_unfinish(z)), z)
+    assert np.array_equal(_unfinish(finish(z.copy())), z)
+    a, b = RngStream(5, 5), RngStream(5, 5)
+    assert np.array_equal(a.unfinished_u64s(1000), _unfinish(b.u64s(1000)))
+    assert a._counter == b._counter
+
+
+# 31 top bits skip the last xorshift, 32 take it.  At 32 bits the xorshift
+# moves only bit 32, and only where bit 63 is set, so the draws below 2**31
+# that m = 2**31 + 5 accepts barely show a missed xorshift; 2**32 - 5 does.
+@pytest.mark.parametrize("m", [2**31, 2**31 + 5, 2**32 - 5])
+def test_top_bit_draws_either_side_of_the_xorshift_branch(m):
+    steps = 100
+    a, ref = RngStream(3, m), RngStream(3, m)
+    assert a.randbelow_shrinking(m, steps).tolist() == [ref.randbelow(m - t) for t in range(steps)]
+    assert a._counter == ref._counter
+    assert a.randbelow_many(m, steps).tolist() == [ref.randbelow(m) for _ in range(steps)]
+    assert a._counter == ref._counter
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 65, 100_000, 2**40 + 3])
 @pytest.mark.parametrize("count", [0, 1, 2000])
 def test_randbelow_many_matches_scalar(n, count):
@@ -456,13 +509,13 @@ def test_randbelow_shrinking_draws_one_block_per_range(monkeypatch, m, steps, bl
     # one block per power-of-two range, plus one per _BLOCK outputs inside a
     # longer range
     sizes = []
-    u64s = RngStream.u64s
+    unfinished_u64s = RngStream.unfinished_u64s
 
     def counted(self, count):
         sizes.append(count)
-        return u64s(self, count)
+        return unfinished_u64s(self, count)
 
-    monkeypatch.setattr(RngStream, "u64s", counted)
+    monkeypatch.setattr(RngStream, "unfinished_u64s", counted)
     a, ref = RngStream(seed, m), RngStream(seed, m)
     got = a.randbelow_shrinking(m, steps)
     assert len(sizes) == blocks
@@ -661,7 +714,7 @@ def test_poisson_inversion_matches_scalar_at_table_edges(lam):
         np.array(first + last + steps + [x + 1 for x in steps if x < 2**64 - 1], dtype=np.uint64),
         RngStream(8, 0).u64s(5000),
     ])
-    got = poisson_from_u64s(lam, z)
+    got = poisson_from_unfinished(lam, _unfinish(z))
     assert got.dtype == np.int64
     assert got.tolist() == _scalar_variates(lam, z)
 
@@ -673,7 +726,7 @@ def test_straddling_tail_cell_reaches_the_search(lam):
     cdf, cells = _poisson_table(lam)
     assert cells[-1] == -1
     ends = np.array([(_GUIDE_CELLS - 1) << 54, 2**64 - 1], dtype=np.uint64)
-    got = poisson_from_u64s(lam, ends)
+    got = poisson_from_unfinished(lam, _unfinish(ends))
     assert got[0] < got[1]
     assert got.tolist() == _scalar_variates(lam, ends)
 
@@ -700,7 +753,7 @@ def test_poisson_cdf_cache_is_bounded():
     # entry to the one Poisson cache; sampling holds no cache but the two
     # inversion tables', and the stream module none
     before = _poisson_table.cache_info()
-    poisson_from_u64s(0.4567, np.array([2**63], dtype=np.uint64))
+    poisson_from_unfinished(0.4567, np.array([2**63], dtype=np.uint64))
     after = _poisson_table.cache_info()
     assert (after.misses, after.currsize) == (before.misses + 1, before.currsize)
     assert [name for name, obj in vars(urncount.sampling).items()
