@@ -1,15 +1,17 @@
 """Node matrices, minimum singular values, and modulus checks.
 
 The estimator's variance is controlled by how small the least singular value
-of the node matrix can get.  Reported values come from LAPACK's SVD of the
-matrix itself.  The closed-form lower bound is certified exactly instead, in
-the discrete Chebyshev basis: with N_m the integer coefficients of
+of the node matrix can get.  Its values are bracketed exactly, in the
+discrete Chebyshev basis: with N_m the integer coefficients of
 m! t_m(Mx - 1), Bbar = Phi C^-1 for an orthonormal Phi, so G = Bbar^T Bbar / M
 has trace(G^-1) = M sum_m ||N_m||^2 / (m!^2 c(M, m)), a rational in closed
-form, and sigma_min(Bbar / sqrt(M))^2 = lambda_min(G) >= 1 / trace(G^-1).
-A degree whose bound b has b^2 trace(G^-1) < 1 is certified.  The test is
-sufficient, not necessary: a bound in [1 / sqrt(trace(G^-1)), sigma_min) is
-true but not certified.
+form, and since trace(G^-1) sums the L+1 reciprocal eigenvalues of G,
+1 / trace(G^-1) <= lambda_min(G) = sigma_min(Bbar / sqrt(M))^2 <=
+(L+1) / trace(G^-1).  A degree whose closed-form lower bound b has
+b^2 trace(G^-1) < 1 is certified.  The test is sufficient, not necessary: a
+bound in [1 / sqrt(trace(G^-1)), sigma_min) is true but not certified.
+``sigma_min`` is LAPACK's SVD of the matrix itself, which ties the brackets
+to the literal matrix.
 """
 
 from __future__ import annotations
@@ -70,15 +72,19 @@ def _inverse_gram_traces(M: int, top: int):
         yield num, den
 
 
-def certify_sigma_min_bounds(M: int, top: int) -> bool:
-    """Exactly whether b^2 trace(G_L^-1) < 1 for every degree L = 1..top,
-    b = sigma_min_bound(M, L); each such degree has sigma_min(Bbar_L /
-    sqrt(M)) > b, Bbar_L = build_matrix(M, L)."""
+def sigma_min_brackets(M: int, top: int):
+    """Yield (L, lo, hi, bound, certified) for each degree L = 1..top, from one
+    walk of the exact traces: lo <= sigma_min(Bbar_L / sqrt(M)) <= hi, with
+    lo = 1 / sqrt(trace(G_L^-1)) and hi = sqrt((L+1) / trace(G_L^-1)), each
+    one correctly rounded int / int division and one math.sqrt; bound =
+    sigma_min_bound(M, L); and certified, exactly whether
+    bound^2 trace(G_L^-1) < 1, which proves sigma_min(Bbar_L / sqrt(M)) >
+    bound.  Bbar_L = build_matrix(M, L)."""
     for L, (num, den) in enumerate(_inverse_gram_traces(M, top), start=1):
-        bn, bd = sigma_min_bound(M, L).as_integer_ratio()
-        if bn * bn * M * num >= bd * bd * den:
-            return False
-    return True
+        bound = sigma_min_bound(M, L)
+        bn, bd = bound.as_integer_ratio()
+        yield (L, math.sqrt(den / (M * num)), math.sqrt((L + 1) * den / (M * num)), bound,
+               bn * bn * M * num < bd * bd * den)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ import math
 from fractions import Fraction
 from math import factorial
 
-from .estimator import interp_coeffs, select_params
+from .estimator import build_estimator, exact_bias, interp_coeffs, select_params
 from .orthopoly import (
     binomial_ratio_minus_one,
     chebyshev_basis,
@@ -25,13 +25,7 @@ from .orthopoly import (
 )
 from .stirling import stirling_bound_report, stirling_first
 from .urn import make_uniform_support
-from .vandermonde import (
-    build_matrix,
-    certify_sigma_min_bounds,
-    sigma_min,
-    sigma_min_bound,
-    tm_modulus_check,
-)
+from .vandermonde import build_matrix, sigma_min, sigma_min_brackets, tm_modulus_check
 
 SPECTRAL_L_MAX = 12
 SPECTRAL_M_MAX = 64
@@ -123,39 +117,40 @@ def stirling_report() -> tuple[list[str], bool]:
 
 
 def spectral_report() -> tuple[list[str], bool]:
-    lines = ["M,L,sigma_min,bound,ratio"]
-    # each degree's node matrices are the leading columns of the degree-12 one
-    full = {M: build_matrix(M, SPECTRAL_L_MAX) for M in range(2, SPECTRAL_M_MAX + 1)}
-    extra_col_holds = True
-    worst_bound = (math.inf, 0, 0)  # (sigma_min / bound, M, L)
-    for L in range(1, SPECTRAL_L_MAX + 1):
-        for M in range(L + 1, SPECTRAL_M_MAX + 1):
-            s_bar = sigma_min(full[M][:, :L + 1] / math.sqrt(M))
-            bnd = sigma_min_bound(M, L)
-            worst_bound = min(worst_bound, (s_bar / bnd, M, L))
-            if sigma_min(full[M][:, 1:L + 1]) < s_bar * math.sqrt(M) * (1 - 1e-9):
-                extra_col_holds = False
-            lines.append(f"{M},{L},{s_bar!r},{bnd!r},{s_bar / bnd!r}")
-    certified = all(certify_sigma_min_bounds(M, min(SPECTRAL_L_MAX, M - 1)) for M in full)
+    lines = ["M,L,sigma_lo,sigma_hi,bound,ratio"]
+    certified = True
+    worst_bound = (math.inf, 0, 0)  # (sigma_lo / bound, M, L)
+    for M in range(2, SPECTRAL_M_MAX + 1):
+        brackets = []
+        for L, lo, hi, bound, ok in sigma_min_brackets(M, min(SPECTRAL_L_MAX, M - 1)):
+            certified = certified and ok
+            worst_bound = min(worst_bound, (lo / bound, M, L))
+            brackets.append((lo, hi))
+            lines.append(f"{M},{L},{lo!r},{hi!r},{bound!r},{lo / bound!r}")
     certificate = _check(lines, f"sigma_min(Bbar/sqrt(M)) > bound on grid (L<={SPECTRAL_L_MAX}, "
                                 f"M<={SPECTRAL_M_MAX}), exact certificate", certified)
-    lines.append(f"smallest sigma_min/bound {worst_bound[0]:.3e} at (M={worst_bound[1]}, "
+    lines.append(f"smallest sigma_lo/bound {worst_bound[0]:.3e} at (M={worst_bound[1]}, "
                  f"L={worst_bound[2]}) (reported)")
-    extra_col = _check(lines, "sigma_min(B) >= sigma_min(Bbar) on grid", extra_col_holds)
+    # the brackets of the last M against LAPACK on the literal matrix; each
+    # degree's matrix is the leading columns of the top degree's
+    full = build_matrix(SPECTRAL_M_MAX, SPECTRAL_L_MAX) / math.sqrt(SPECTRAL_M_MAX)
+    contains = _check(lines, f"bracket contains LAPACK sigma_min at M={SPECTRAL_M_MAX}, "
+                             f"L<={SPECTRAL_L_MAX}", all(
+        lo <= sigma_min(full[:, :L + 1]) <= hi for L, (lo, hi) in enumerate(brackets, start=1)))
 
     bases = (chebyshev_basis(M, min(8, M - 1)) for M in range(2, 33))
     worst = max((report for b in bases for report in tm_modulus_check(b, 64)),
                 key=lambda report: report.worst_ratio)
+    # the circle's points carry the rounding of a complex exp: its -1 is -1+1.2e-16j
+    z = complex(round(worst.worst_point.real, 12), round(worst.worst_point.imag, 12))
     modulus = _check(lines, f"t_m modulus bound (M<=32, m<=8): worst ratio {worst.worst_ratio:.3e} "
-                            f"at (M={worst.M}, m={worst.m}, z={worst.worst_point:.4g})",
+                            f"at (M={worst.M}, m={worst.m}, z={z if z.imag else z.real:.4g})",
                      worst.worst_ratio <= 1)
-    return lines, certificate and extra_col and modulus
+    return lines, certificate and contains and modulus
 
 
 def estimator_report() -> tuple[list[str], bool]:
     lines = []
-    from .estimator import build_estimator, exact_bias
-
     zero_bias = True
     for M in (2, 5, 12, 30):
         for k, n in ((M, 4 * M), (4 * M, 4 * M), (8 * M, 4 * M)):

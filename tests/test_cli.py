@@ -445,7 +445,9 @@ class TestVerify:
     def test_spectral_suite_fails_without_certificate(self, capsys, monkeypatch):
         import urncount.verify as verify
 
-        monkeypatch.setattr(verify, "certify_sigma_min_bounds", lambda *args: False)
+        brackets = verify.sigma_min_brackets
+        monkeypatch.setattr(verify, "sigma_min_brackets", lambda M, top: (
+            (*row[:4], False) for row in brackets(M, top)))
         rc = main(["verify", "--spectral"])
         out = capsys.readouterr().out
         assert rc == 1
@@ -466,6 +468,18 @@ class TestVerify:
             out = capsys.readouterr().out
             assert rc == 1, scale
             assert "exact certificate [FAIL]" in out and "VERIFY FAIL" in out
+
+    @pytest.mark.parametrize("value", [0.0, 1.0])
+    def test_spectral_suite_fails_on_sigma_min_outside_the_bracket(self, capsys, monkeypatch,
+                                                                   value):
+        import urncount.verify as verify
+
+        monkeypatch.setattr(verify, "sigma_min", lambda matrix: value)
+        rc = main(["verify", "--spectral"])
+        out = capsys.readouterr().out
+        assert rc == 1
+        assert "bracket contains LAPACK sigma_min at M=64, L<=12 [FAIL]" in out
+        assert "exact certificate [ok]" in out and "VERIFY FAIL" in out
 
     def test_spectral_suite_fails_on_modulus_violation(self, capsys, monkeypatch):
         import urncount.vandermonde as vd

@@ -9,9 +9,9 @@ from urncount import verify
 from urncount.orthopoly import chebyshev_basis, solve_l2
 from urncount.vandermonde import (
     build_matrix,
-    certify_sigma_min_bounds,
     sigma_min,
     sigma_min_bound,
+    sigma_min_brackets,
     tm_bound_at,
     tm_modulus_check,
 )
@@ -170,6 +170,11 @@ def _trace(M, L):
     return Fraction(M * num, den)
 
 
+def _certified(M, top):
+    """The certificate's verdict on every degree 1..top of one M."""
+    return all(certified for *_, certified in vd.sigma_min_brackets(M, top))
+
+
 def _trace_cell(M, L, b):
     """The certificate's rule for one degree, on Fractions: b^2 trace < 1."""
     return Fraction(b) ** 2 * _trace(M, L) < 1
@@ -225,15 +230,28 @@ class TestCertificate:
         assert not _sigma_min_exceeds(M, L, s * (1 + 1e-6), sums)
 
     @pytest.mark.parametrize("M,L", CERT_CELLS)
+    def test_bracket_holds_and_equals_exact_trace(self, M, L):
+        # each end is the exact trace's value rounded once, and the exact
+        # oracle puts sigma_min strictly inside
+        *_, (degree, lo, hi, bound, certified) = sigma_min_brackets(M, L)
+        trace = _trace(M, L)
+        assert (degree, lo, hi, bound) == (L, math.sqrt(1 / trace), math.sqrt((L + 1) / trace),
+                                           sigma_min_bound(M, L))
+        assert certified == _trace_cell(M, L, bound)
+        sums = _sums(M, L)
+        assert _sigma_min_exceeds(M, L, lo, sums)
+        assert not _sigma_min_exceeds(M, L, hi, sums)
+
+    @pytest.mark.parametrize("M,L", CERT_CELLS)
     def test_bound_certified(self, M, L):
-        assert certify_sigma_min_bounds(M, L)
+        assert _certified(M, L)
         assert _trace_cell(M, L, sigma_min_bound(M, L))
         assert _exact_cell(M, L, _sums(M, L))
 
     @pytest.mark.parametrize("M,L", CERT_CELLS)
     def test_never_certifies_above_svd_sigma(self, monkeypatch, M, L):
         _move_bound(monkeypatch, M, L, _svd_sigma(M, L) * (1 + 1e-6))
-        assert not vd.certify_sigma_min_bounds(M, L)
+        assert not _certified(M, L)
 
     def test_trace_matches_exact_inverse(self):
         for M in range(2, 12):
@@ -250,7 +268,7 @@ class TestCertificate:
         for scale in (0.5, 1 - 1e-9, 1 - 1e-15, 1, 1 + 1e-15, 1 + 1e-9, 1 + 1e-4, 1.1):
             c = edge * scale
             _move_bound(monkeypatch, M, L, c)
-            verdict = vd.certify_sigma_min_bounds(M, L)
+            verdict = _certified(M, L)
             assert verdict == _trace_cell(M, L, c), scale
             if verdict:
                 assert _sigma_min_exceeds(M, L, c, sums), scale
@@ -267,26 +285,26 @@ class TestCertificate:
         for M, top in _grid_tops():
             cells = [_trace_cell(M, L, sigma_min_bound(M, L)) for L in range(1, top + 1)]
             for L in range(1, top + 1):
-                assert certify_sigma_min_bounds(M, L) == all(cells[:L]), (M, L)
+                assert _certified(M, L) == all(cells[:L]), (M, L)
                 assert _exact_cell(M, L, sums[M]), (M, L)
 
     def test_trace_only_picks_the_path(self, monkeypatch):
         # the trace is the whole certificate: with an infinite trace no
-        # degree is certified, though every bound holds, and with a zero
-        # trace every degree is, even a bound past sigma_min
+        # degree is certified, though every bound holds, and with a trace
+        # near zero (M / 10^300) every degree is, even a bound past sigma_min
         for M in (13, 5, 64):
             top = min(12, M - 1)
             sums = _sums(M, top)
             assert all(_exact_cell(M, L, sums) for L in range(1, top + 1))
-            assert certify_sigma_min_bounds(M, top)
+            assert _certified(M, top)
             with monkeypatch.context() as patch:
                 patch.setattr(vd, "_inverse_gram_traces",
                               lambda M, top: ((1, 0) for _ in range(top)))  # infinite trace
-                assert not vd.certify_sigma_min_bounds(M, top)
+                assert not _certified(M, top)
                 patch.setattr(vd, "_inverse_gram_traces",
-                              lambda M, top: ((0, 1) for _ in range(top)))  # zero trace
+                              lambda M, top: ((1, 10**300) for _ in range(top)))  # trace ~0
                 moved = _move_bound(patch, M, top, _svd_sigma(M, top) * (1 + 1e-6))
-                assert vd.certify_sigma_min_bounds(M, top)
+                assert _certified(M, top)
                 assert not _exact_cell(M, top, sums, bound=moved)
 
     @pytest.mark.parametrize("M,L", [(13, 12), (64, 1), (64, 8), (64, 12), (30, 5), (9, 4)])
@@ -302,27 +320,27 @@ class TestCertificate:
         assert all(_exact_cell(M, d, sums, bound=moved) for d in degrees) == (scale < 1)
         by_trace = all(_trace_cell(M, d, moved(M, d)) for d in degrees)
         assert by_trace == (scale == 0.9)
-        assert vd.certify_sigma_min_bounds(M, len(sigmas)) == by_trace
+        assert _certified(M, len(sigmas)) == by_trace
 
     def test_rejects_bound_above_sigma(self, monkeypatch):
         s = _grid_sigmas(13)[-1]
         _move_bound(monkeypatch, 13, 12, s * (1 + 1e-6))
-        assert not vd.certify_sigma_min_bounds(13, 12)
+        assert not _certified(13, 12)
         # the trace reaches only 1/1.0002 of sigma_min here: a true bound
         # closer than that is not certified, one below it is
         _move_bound(monkeypatch, 13, 12, s * (1 - 1e-6))
         assert _sigma_min_exceeds(13, 12, s * (1 - 1e-6), _sums(13, 12))
-        assert not vd.certify_sigma_min_bounds(13, 12)
+        assert not _certified(13, 12)
         _move_bound(monkeypatch, 13, 12, s * (1 - 1e-3))
-        assert vd.certify_sigma_min_bounds(13, 12)
+        assert _certified(13, 12)
 
     def test_bound_at_one_over_sqrt_trace_is_not_certified(self, monkeypatch):
         # b^2 trace = 1 gives only sigma_min >= b, not sigma_min > b
         monkeypatch.setattr(vd, "_inverse_gram_traces", lambda M, top: iter([(4, M)]))  # trace 4
         _move_bound(monkeypatch, 5, 1, 0.5)
-        assert not vd.certify_sigma_min_bounds(5, 1)
+        assert not _certified(5, 1)
         _move_bound(monkeypatch, 5, 1, math.nextafter(0.5, 0))
-        assert vd.certify_sigma_min_bounds(5, 1)
+        assert _certified(5, 1)
 
     def test_trace_margin_on_verify_grid(self):
         # on the verify grid 1/sqrt(trace) is at least 100 times every bound
@@ -347,37 +365,55 @@ class TestCertificate:
 
 
 def _per_cell_spectral_report():
-    """spectral_report as each cell used to be checked: its own node matrices,
-    its own SVDs and its own trace certificate."""
-    lines = ["M,L,sigma_min,bound,ratio"]
+    """spectral_report up to its LAPACK spot check, each cell from its own
+    exact trace on Fractions: its bracket, its bound and its certificate."""
+    lines = ["M,L,sigma_lo,sigma_hi,bound,ratio"]
     certified = True
-    extra_col_holds = True
     worst_bound = (math.inf, 0, 0)
-    for L in range(1, verify.SPECTRAL_L_MAX + 1):
-        for M in range(L + 1, verify.SPECTRAL_M_MAX + 1):
-            s_bar = sigma_min(build_matrix(M, L) / math.sqrt(M))
+    for M, top in _grid_tops():
+        for L in range(1, top + 1):
+            trace = _trace(M, L)
+            lo, hi = math.sqrt(1 / trace), math.sqrt((L + 1) / trace)
             bnd = sigma_min_bound(M, L)
             certified = _trace_cell(M, L, bnd) and certified
-            worst_bound = min(worst_bound, (s_bar / bnd, M, L))
-            if sigma_min(build_matrix(M, L)[:, 1:]) < s_bar * math.sqrt(M) * (1 - 1e-9):
-                extra_col_holds = False
-            lines.append(f"{M},{L},{s_bar!r},{bnd!r},{s_bar / bnd!r}")
+            worst_bound = min(worst_bound, (lo / bnd, M, L))
+            lines.append(f"{M},{L},{lo!r},{hi!r},{bnd!r},{lo / bnd!r}")
     verify._check(lines, f"sigma_min(Bbar/sqrt(M)) > bound on grid (L<={verify.SPECTRAL_L_MAX}, "
                          f"M<={verify.SPECTRAL_M_MAX}), exact certificate", certified)
-    lines.append(f"smallest sigma_min/bound {worst_bound[0]:.3e} at (M={worst_bound[1]}, "
+    lines.append(f"smallest sigma_lo/bound {worst_bound[0]:.3e} at (M={worst_bound[1]}, "
                  f"L={worst_bound[2]}) (reported)")
-    verify._check(lines, "sigma_min(B) >= sigma_min(Bbar) on grid", extra_col_holds)
     return lines
 
 
 class TestSpectralReport:
     def test_lines_match_per_cell_loop(self):
-        # byte-identical on the machine that runs it, up to the modulus check
         lines, ok = verify.spectral_report()
         ref = _per_cell_spectral_report()
         assert ok
+        assert len(ref) == 1 + 690 + 2
         assert lines[:len(ref)] == ref
-        assert [line.split(":")[0] for line in lines[len(ref):]] == ["t_m modulus bound (M<=32, m<=8)"]
+        assert [line.split(":")[0] for line in lines[len(ref):]] == [
+            "bracket contains LAPACK sigma_min at M=64, L<=12 [ok]",
+            "t_m modulus bound (M<=32, m<=8)"]
+
+    def test_one_trace_walk_per_m_and_twelve_svds(self, monkeypatch):
+        # LAPACK runs only in the spot check, on the 64-row matrices
+        walks, shapes = [], []
+        traces, svd = vd._inverse_gram_traces, np.linalg.svd
+
+        def counting_traces(M, top):
+            walks.append((M, top))
+            return traces(M, top)
+
+        def counting_svd(a, *args, **kwargs):
+            shapes.append(a.shape)
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(vd, "_inverse_gram_traces", counting_traces)
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        assert verify.spectral_report()[1]
+        assert walks == _grid_tops()
+        assert shapes == [(64, L + 1) for L in range(1, 13)]
 
     def test_sliced_columns_match_own_matrices(self):
         full = build_matrix(40, 12)
